@@ -1,7 +1,8 @@
 """Multi-label classification by nearest labelset with double distances,
 with Binary Relevance and Subset-Mapping baselines."""
 
-from .br import BRModel, br_fit, br_predict, br_predict_proba, smbr_predict
+from .br import (BRModel, br_fit, br_predict, br_predict_proba,
+                 br_predict_proba_matrix, smbr_predict)
 from .data import (Dataset, DataError, StandardizationStats, SplitPair,
                    dataset_summary, load_csv, load_sparse, save_csv,
                    split_random, standardize_apply, standardize_fit)
@@ -12,7 +13,8 @@ from .kernels import BACKEND
 from .learner import (ConstantProbModel, LinearProbModel, TrainingError,
                       fit_fallback, fit_logistic, predict_proba)
 from .metrics import (MetricsReport, aggregate, f_measure, hamming_loss,
-                      instance_metrics, jaccard, zero_one_loss)
+                      instance_metrics, instance_metrics_matrix, jaccard,
+                      zero_one_loss)
 from .model import (BinomialFit, DistancePair, NlddModel, fit_binomial_glm,
                     mine_pairs, nldd_predict, nldd_train,
                     predict_with_confidence, theta)

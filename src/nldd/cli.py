@@ -88,22 +88,21 @@ def cmd_train(args):
 
 def cmd_predict(args):
     method, model = load_model(args.model)
+    if args.confidence and method != "nldd":
+        raise DataError("--confidence requires an nldd model")
     features = _load_features(args.data, args.labels, args.format)
+    if method == "nldd" and args.confidence:
+        preds, thetas = predict_with_confidence(model, features)
+        lines = [",".join(map(str, pred)) + f",{th!r}"
+                 for pred, th in zip(preds.tolist(), thetas.tolist())]
+    else:
+        predict = nldd_predict if method == "nldd" else br_predict
+        lines = [",".join(map(str, pred))
+                 for pred in predict(model, features).tolist()]
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for row in features:
-            if method == "nldd":
-                if args.confidence:
-                    pred, th = predict_with_confidence(model, row)
-                    out.write(",".join(str(int(v)) for v in pred)
-                              + f",{th!r}\n")
-                    continue
-                pred = nldd_predict(model, row)
-            else:
-                pred = br_predict(model, row)
-                if args.confidence:
-                    raise DataError("--confidence requires an nldd model")
-            out.write(",".join(str(int(v)) for v in pred) + "\n")
+        for line in lines:
+            out.write(line + "\n")
     finally:
         if args.out:
             out.close()
@@ -242,8 +241,6 @@ def _add_common(p, labels_required=True, multi_data=False):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--subsample", type=float, default=1.0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap; does not affect results")
 
 
 def build_parser():

@@ -33,6 +33,10 @@ class Dataset:
         if bad.any():
             i, j = np.argwhere(bad)[0]
             raise DataError(f"label entry at row {i}, column {j} is not 0/1")
+        bad = ~np.isfinite(self.features)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise DataError(f"feature entry at row {i}, column {j} is not finite")
         if not self.feature_names:
             self.feature_names = [f"f{i + 1}" for i in range(d)]
         if not self.label_names:

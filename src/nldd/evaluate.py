@@ -10,10 +10,15 @@ from scipy.stats import norm, rankdata
 
 from .br import br_fit, br_predict, smbr_predict
 from .data import DataError, Dataset
-from .metrics import aggregate, instance_metrics, MetricsReport
+from .learner import TrainingError
+from .metrics import aggregate, instance_metrics_matrix, MetricsReport
 from .model import nldd_predict, nldd_train
 
 METHODS = ("br", "smbr", "nldd")
+# Errors cross_validate re-raises with the fold number in the message; any
+# other exception type may take other constructor arguments, so it
+# propagates as it is.
+_FOLD_TAGGED = (DataError, TrainingError, ValueError)
 
 
 @dataclass
@@ -41,7 +46,8 @@ def make_folds(n, k, seed):
 
 
 def train_predictor(method, train, seed=0, params=None):
-    """Fit ``method`` on ``train``, returning a raw-row -> labelset callable."""
+    """Fit ``method`` on ``train``, returning a callable that maps raw
+    feature rows, (n, d) or one (d,) row, to labelsets."""
     params = params or {}
     lam = params.get("lam", 1.0)
     if method == "br":
@@ -58,9 +64,7 @@ def train_predictor(method, train, seed=0, params=None):
 
 
 def _evaluate_rows(predict, test):
-    per_instance = [instance_metrics(test.labels[i], predict(test.features[i]))
-                    for i in range(test.n)]
-    return aggregate(per_instance)
+    return aggregate(instance_metrics_matrix(test.labels, predict(test.features)))
 
 
 def cross_validate(data, method, k, seed, params=None):
@@ -74,7 +78,9 @@ def cross_validate(data, method, k, seed, params=None):
             predict = train_predictor(method, data.subset(train_idx),
                                       seed=seed, params=params)
             fold_reports.append(_evaluate_rows(predict, data.subset(test_idx)))
-        except Exception as exc:
+        except _FOLD_TAGGED as exc:
+            if type(exc) not in _FOLD_TAGGED:
+                raise
             raise type(exc)(f"fold {fold}: {exc}") from exc
     means = np.array([[r.hamming, r.zero_one, r.jaccard, r.f_measure]
                       for r in fold_reports]).mean(axis=0)
@@ -200,9 +206,8 @@ def scaling_experiment(data, fractions, seed, lam=1.0):
     for f in fractions:
         t0 = time.perf_counter()
         model = nldd_train(train, seed, lam=lam, subsample_fraction=f)
-        hl = np.mean([instance_metrics(test.labels[i],
-                                       nldd_predict(model, test.features[i]))[0]
-                      for i in range(test.n)])
+        hl = np.mean(instance_metrics_matrix(
+            test.labels, nldd_predict(model, test.features))[:, 0])
         rows.append({
             "fraction": f,
             "distance_ops": model.distance_ops,

@@ -106,23 +106,32 @@ def fit_fallback(targets):
 
 def predict_proba(model, features):
     """Probability of the positive class for a single feature row."""
-    if isinstance(model, ConstantProbModel):
-        return model.p
-    x = np.asarray(features, dtype=np.float64).ravel()
-    if x.shape[0] != model.weights.shape[0] - 1:
-        raise ValueError(f"feature dimension {x.shape[0]} does not match "
-                         f"model dimension {model.weights.shape[0] - 1}")
-    p = _sigmoid(model.weights[0] + x @ model.weights[1:])
-    return float(np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP))
+    return float(predict_proba_matrix(model, np.ravel(features))[0])
 
 
 def predict_proba_matrix(model, features):
-    """Vectorized predict_proba over the rows of a matrix."""
+    """Probability of the positive class for each row of an (n, d) matrix;
+    a (d,) row is a batch of one.
+
+    The linear score adds ``x[j] * w[j+1]`` in feature order, j = 0 to d-1,
+    into one accumulator per row, and then the intercept, like the distance
+    kernel. A BLAS product would add in an order that depends on the batch
+    size, so a row's probability would depend on the rows batched with it.
+    """
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if isinstance(model, ConstantProbModel):
         return np.full(X.shape[0], model.p)
-    if X.shape[1] != model.weights.shape[0] - 1:
+    w = model.weights
+    if X.shape[1] != w.shape[0] - 1:
         raise ValueError(f"feature dimension {X.shape[1]} does not match "
-                         f"model dimension {model.weights.shape[0] - 1}")
-    p = _sigmoid(model.weights[0] + X @ model.weights[1:])
+                         f"model dimension {w.shape[0] - 1}")
+    # One row of products per feature. Reducing the C-contiguous (d, n)
+    # array over axis 0 adds the rows in feature order; a single row needs
+    # accumulate, as in the distance kernel, or NumPy would sum pairwise.
+    prod = np.multiply(X.T, w[1:, None], order="C")
+    if prod.shape[1] == 1:
+        acc = np.add.accumulate(prod, axis=0)[-1]
+    else:
+        acc = np.add.reduce(prod, axis=0)
+    p = _sigmoid(w[0] + acc)
     return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)

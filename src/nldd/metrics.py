@@ -65,9 +65,34 @@ def instance_metrics(y, yhat):
             jaccard(y, yhat), f_measure(y, yhat))
 
 
+def instance_metrics_matrix(y, yhat):
+    """(n, 4) array of (hamming, zero_one, jaccard, f_measure) per row of
+    two (n, L) labelset matrices; row i equals ``instance_metrics(y[i],
+    yhat[i])`` exactly."""
+    y = np.asarray(y)
+    yhat = np.asarray(yhat)
+    if y.ndim != 2 or y.shape != yhat.shape:
+        raise ValueError(f"shape mismatch: {y.shape} vs {yhat.shape}")
+    if y.shape[1] < 1:
+        raise ValueError("empty label vectors")
+    pos, pos_hat = y == 1, yhat == 1
+    inter = np.sum(pos & pos_hat, axis=1)
+    union = np.sum(pos | pos_hat, axis=1)
+    denom = np.sum(pos, axis=1) + np.sum(pos_hat, axis=1)
+    wrong = y != yhat
+    # np.maximum keeps the unused branch of each np.where free of 0/0.
+    return np.column_stack([
+        np.sum(wrong, axis=1) / y.shape[1],
+        np.any(wrong, axis=1).astype(np.float64),
+        np.where(union == 0, 1.0, inter / np.maximum(union, 1)),
+        np.where(denom == 0, 1.0, 2.0 * inter / np.maximum(denom, 1)),
+    ])
+
+
 def aggregate(per_instance):
-    """Arithmetic mean of per-instance metric tuples."""
-    if not per_instance:
+    """Arithmetic mean of per-instance metric tuples, or of the rows of an
+    (n, 4) array."""
+    if len(per_instance) == 0:
         raise ValueError("no instances to aggregate")
     arr = np.asarray(per_instance, dtype=np.float64)
     means = arr.mean(axis=0)

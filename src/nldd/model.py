@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .br import br_fit, br_predict_proba, br_predict_proba_matrix
+from .br import _one_or_batch, br_fit, br_predict_proba_matrix
 from .data import split_random, standardize_apply
 from .learner import TrainingError
 
@@ -207,31 +207,49 @@ def nldd_train(train, seed, lam=1.0, subsample_fraction=1.0,
                      distance_ops=distance_ops)
 
 
-def _candidate_distances(model, x):
-    p_hat = br_predict_proba(model.br, x)
-    x_std = standardize_apply(model.stats, np.atleast_2d(x))[0]
-    dxsq = kernels.sq_dists(x_std, model.train_features_std)
-    dysq = kernels.sq_dists(p_hat, np.asarray(model.train_labelsets,
-                                              dtype=np.float64))
-    return np.sqrt(dxsq), np.sqrt(dysq)
+def _best_rows(model, features):
+    """Winning training row, dx and dy for each row of an (n, d) batch.
 
-
-def _best_row(model, x):
-    dx, dy = _candidate_distances(model, x)
-    score = model.fit.beta1 * dx + model.fit.beta2 * dy
-    # argmin theta == argmin score (theta is monotone in the linear score);
-    # ties break by smaller dy, then dx, then row index.
-    j = int(np.lexsort((np.arange(dx.shape[0]), dx, dy, score))[0])
-    return j, dx[j], dy[j]
+    The winner minimizes the score beta1*dx + beta2*dy (theta is monotone
+    in it); ties among the minimizers break by smaller dy, then dx, then
+    row index.
+    """
+    p_hat = br_predict_proba_matrix(model.br, features)
+    x_std = standardize_apply(model.stats, features)
+    train_labelsets = np.asarray(model.train_labelsets, dtype=np.float64)
+    beta1, beta2 = model.fit.beta1, model.fit.beta2
+    n = x_std.shape[0]
+    rows = np.empty(n, dtype=np.intp)
+    best_dx, best_dy = np.empty(n), np.empty(n)
+    for i in range(n):
+        dx = np.sqrt(kernels.sq_dists(x_std[i], model.train_features_std))
+        dy = np.sqrt(kernels.sq_dists(p_hat[i], train_labelsets))
+        score = beta1 * dx + beta2 * dy
+        cand = np.flatnonzero(score == score.min())
+        for key in (dy, dx):
+            if cand.size > 1:
+                cand = cand[key[cand] == key[cand].min()]
+        j = cand[0]
+        rows[i], best_dx[i], best_dy[i] = j, dx[j], dy[j]
+    return rows, best_dx, best_dy
 
 
 def nldd_predict(model, x):
-    """Labelset of the training row minimizing the estimated loss."""
-    j, _, _ = _best_row(model, x)
-    return model.train_labelsets[j].copy()
+    """Labelset of the training row minimizing the estimated loss, for an
+    (n, d) batch, (n, L), or one (d,) row, (L,)."""
+    rows, _, _ = _best_rows(model, np.atleast_2d(x))
+    return _one_or_batch(x, model.train_labelsets[rows])
 
 
 def predict_with_confidence(model, x):
-    """(labelset, theta-hat) of the winning training row."""
-    j, dx, dy = _best_row(model, x)
-    return model.train_labelsets[j].copy(), theta(model.fit, dx, dy)
+    """(labelset, theta-hat) of the winning training row: for an (n, d)
+    batch an (n, L) array and an (n,) array, for one (d,) row an (L,) array
+    and a float."""
+    rows, dx, dy = _best_rows(model, np.atleast_2d(x))
+    # The scalar theta() on each winner, so theta-hat does not depend on
+    # how the rows were batched.
+    thetas = [theta(model.fit, a, b) for a, b in zip(dx, dy)]
+    labelsets = model.train_labelsets[rows]
+    if np.ndim(x) == 1:
+        return labelsets[0], thetas[0]
+    return labelsets, np.array(thetas)

@@ -192,3 +192,68 @@ class TestScalingAndSummary:
                    "--format", "sparse"])
         assert rc == 0
         assert "n: 4" in capsys.readouterr().out
+
+
+class TestBoundaries:
+    def test_threads_flag_removed(self, csv_path, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--data", csv_path, "--labels", "3", "--method", "br",
+                  "--model", str(tmp_path / "m.json"), "--threads", "2"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_query_row_exit_3(self, csv_path, tmp_path, capsys, cell):
+        model_path = _train(csv_path, tmp_path)
+        query = tmp_path / "q.csv"
+        query.write_text(f"a,b,c,d,e\n1,2,3,4,5\n1,{cell},3,4,5\n")
+        out_path = tmp_path / "pred.txt"
+        rc = main(["predict", "--model", model_path, "--data", str(query),
+                   "--out", str(out_path), "--confidence"])
+        assert rc == 3
+        assert "query row 2" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_model_without_fit_exit_3(self, csv_path, tmp_path):
+        model_path = _train(csv_path, tmp_path)
+        doc = json.loads(open(model_path).read())
+        del doc["fit"]
+        with open(model_path, "w") as fh:
+            json.dump(doc, fh)
+        rc = main(["predict", "--model", model_path, "--data", csv_path,
+                   "--labels", "3"])
+        assert rc == 3
+
+    def test_truncated_labelsets_exit_3(self, csv_path, tmp_path):
+        model_path = _train(csv_path, tmp_path)
+        doc = json.loads(open(model_path).read())
+        doc["train_labelsets"] = doc["train_labelsets"][:-5]
+        with open(model_path, "w") as fh:
+            json.dump(doc, fh)
+        rc = main(["predict", "--model", model_path, "--data", csv_path,
+                   "--labels", "3"])
+        assert rc == 3
+
+    def test_batch_output_matches_row_api(self, csv_path, tmp_path):
+        from nldd.model import predict_with_confidence
+        from nldd.persist import load_model
+        model_path = _train(csv_path, tmp_path)
+        out_path = str(tmp_path / "pred.txt")
+        assert main(["predict", "--model", model_path, "--data", csv_path,
+                     "--labels", "3", "--out", out_path, "--confidence"]) == 0
+        _, model = load_model(model_path)
+        ds = generate_synthetic(120, 5, 3, 0.8, 0.3, seed=0)
+        want = []
+        for x in ds.features:
+            pred, th = predict_with_confidence(model, x)
+            want.append(",".join(str(int(v)) for v in pred) + f",{th!r}")
+        assert open(out_path).read().splitlines() == want
+
+    def test_non_finite_training_row_exit_3(self, tmp_path, capsys):
+        data = tmp_path / "nf.csv"
+        data.write_text("a,b,l1,l2\n1,2,0,1\nnan,3,1,0\n2,1,1,1\n0,0,0,0\n"
+                        "3,1,1,0\n1,1,0,1\n")
+        for argv in (["train", "--method", "nldd", "--model", str(tmp_path / "m.json")],
+                     ["eval", "--method", "smbr", "--cv", "2"]):
+            rc = main(argv[:1] + ["--data", str(data), "--labels", "2"] + argv[1:])
+            assert rc == 3
+            assert "not finite" in capsys.readouterr().err

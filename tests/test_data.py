@@ -199,3 +199,10 @@ class TestDatasetInvariants:
     def test_rejects_row_mismatch(self):
         with pytest.raises(DataError):
             Dataset(np.zeros((2, 1)), np.array([[0]]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_features(self, value):
+        features = np.zeros((3, 2))
+        features[1, 1] = value
+        with pytest.raises(DataError, match="row 1, column 1 is not finite"):
+            Dataset(features, np.array([[0], [1], [0]]))

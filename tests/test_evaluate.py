@@ -9,6 +9,7 @@ from nldd.data import DataError, Dataset, dataset_summary
 from nldd.evaluate import (cross_validate, generate_synthetic, holdout_eval,
                            make_folds, observed_labelset_split,
                            scaling_experiment, wilcoxon_signed_rank)
+from nldd.learner import TrainingError
 
 
 def wilcoxon_oracle(a, b, alternative):
@@ -223,3 +224,41 @@ class TestObservedSplit:
         te = generate_synthetic(30, 4, 4, 0.3, 0.5, seed=3)
         observed, unobserved = observed_labelset_split(tr, te)
         assert sorted(observed + unobserved) == list(range(30))
+
+
+class TestFoldErrors:
+    def _fail_with(self, monkeypatch, exc):
+        def train_predictor(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr("nldd.evaluate.train_predictor", train_predictor)
+
+    @pytest.mark.parametrize("exc_type", [DataError, TrainingError, ValueError])
+    def test_tagged_with_fold(self, monkeypatch, exc_type):
+        self._fail_with(monkeypatch, exc_type("boom"))
+        ds = generate_synthetic(30, 4, 3, 0.7, 0.3, seed=2)
+        with pytest.raises(exc_type, match="^fold 0: boom$") as info:
+            cross_validate(ds, "br", k=3, seed=0)
+        assert type(info.value) is exc_type
+
+    def test_other_constructors_propagate_unchanged(self, monkeypatch):
+        # UnicodeDecodeError is a ValueError whose constructor takes five
+        # arguments; rebuilding it from a message would raise TypeError.
+        original = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+        self._fail_with(monkeypatch, original)
+        ds = generate_synthetic(30, 4, 3, 0.7, 0.3, seed=2)
+        with pytest.raises(UnicodeDecodeError) as info:
+            cross_validate(ds, "br", k=3, seed=0)
+        assert info.value is original
+
+
+class TestBatchedEvaluation:
+    @pytest.mark.parametrize("method", ["br", "smbr", "nldd"])
+    def test_holdout_equals_row_by_row(self, method):
+        from nldd.evaluate import train_predictor
+        from nldd.metrics import aggregate, instance_metrics
+        ds = generate_synthetic(90, 4, 3, 0.7, 0.3, seed=4)
+        tr, te = ds.subset(np.arange(60)), ds.subset(np.arange(60, 90))
+        predict = train_predictor(method, tr, seed=1)
+        want = aggregate([instance_metrics(te.labels[i], predict(te.features[i]))
+                          for i in range(te.n)])
+        assert holdout_eval(tr, te, method, seed=1) == want

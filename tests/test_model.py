@@ -330,3 +330,23 @@ class TestPredict:
         thetas = np.array(thetas)
         cutoff = np.quantile(thetas, 0.25)
         assert losses[thetas <= cutoff].mean() <= losses.mean()
+
+
+class TestNonFiniteQueries:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejected_by_every_predict(self, value):
+        from nldd.br import br_predict, smbr_predict
+        from nldd.data import DataError
+        train, test = _train_test(12)
+        model = nldd_train(train, seed=8)
+        X = test.features[:4].copy()
+        X[2, 1] = value
+        predictors = [lambda x: nldd_predict(model, x),
+                      lambda x: predict_with_confidence(model, x),
+                      lambda x: br_predict(model.br, x),
+                      lambda x: smbr_predict(model.br, train, x)]
+        for predict in predictors:
+            with pytest.raises(DataError, match="query row 3"):
+                predict(X)
+            with pytest.raises(DataError, match="query row 1"):
+                predict(X[2])

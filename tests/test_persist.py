@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -60,3 +62,54 @@ def test_garbage_file_rejected(tmp_path):
     path.write_text("not json at all")
     with pytest.raises(DataError):
         load_model(str(path))
+
+
+def _nldd_doc(dataset, tmp_path):
+    path = tmp_path / "m.json"
+    save_model(nldd_train(dataset, seed=2), str(path))
+    return json.loads(path.read_text())
+
+
+def _load_doc(doc, tmp_path):
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return load_model(str(path))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.pop("fit"), "missing field 'fit'"),
+    (lambda doc: doc["fit"].pop("beta2"), "missing field 'beta2'"),
+    (lambda doc: doc["br"].pop("stats"), "missing field 'stats'"),
+    (lambda doc: doc.pop("train_labelsets"), "missing field 'train_labelsets'"),
+    (lambda doc: doc.__setitem__("train_labelsets", doc["train_labelsets"][:-5]),
+     "feature rows but"),
+    (lambda doc: doc.__setitem__("train_features_std",
+                                 [r[:-1] for r in doc["train_features_std"]]),
+     "columns for 5 features"),
+    (lambda doc: doc.__setitem__("train_labelsets",
+                                 [r[:-1] for r in doc["train_labelsets"]]),
+     "columns for 3 classifiers"),
+    (lambda doc: doc["br"]["classifiers"].pop(), "columns for 2 classifiers"),
+    (lambda doc: doc["br"]["classifiers"][0]["weights"].pop(), "weights for 5"),
+    (lambda doc: doc.__setitem__("train_labelsets", [[0, 1], [1]]),
+     "not a numeric array"),
+])
+def test_malformed_nldd_model_rejected(dataset, tmp_path, edit, message):
+    doc = _nldd_doc(dataset, tmp_path)
+    edit(doc)
+    with pytest.raises(DataError, match=message):
+        _load_doc(doc, tmp_path)
+
+
+def test_non_object_document_rejected(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(DataError, match="not a valid model file"):
+        load_model(str(path))
+
+
+def test_loaded_arrays_are_column_major(dataset, tmp_path):
+    _, back = _load_doc(_nldd_doc(dataset, tmp_path), tmp_path)
+    assert back.train_features_std.flags.f_contiguous
+    assert back.train_labelsets.flags.f_contiguous
+    assert back.train_labelsets.dtype == np.int64
