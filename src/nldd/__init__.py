@@ -9,7 +9,6 @@ from .data import (Dataset, DataError, StandardizationStats, SplitPair,
 from .evaluate import (cross_validate, generate_synthetic, holdout_eval,
                        observed_labelset_split, scaling_experiment,
                        wilcoxon_signed_rank, WilcoxonResult)
-from .kernels import BACKEND
 from .learner import (ConstantProbModel, LinearProbModel, TrainingError,
                       fit_fallback, fit_logistic, predict_proba)
 from .metrics import (MetricsReport, aggregate, f_measure, hamming_loss,

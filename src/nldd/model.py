@@ -35,45 +35,99 @@ class BinomialFit:
 class NlddModel:
     br: object  # BRModel fit on the full (possibly subsampled) training data
     fit: BinomialFit
-    train_features_std: np.ndarray  # column-major, the scan's fast layout
+    train_features_std: np.ndarray  # column-major
     train_labelsets: np.ndarray  # column-major int64
     stats: object
     pair_count: int  # |S|
     distance_ops: int  # pairwise distance computations during mining
 
 
+def _labelset_table(labels):
+    """Distinct labelsets as a float64 (K, L) table, and each row's index
+    into it."""
+    table, inverse = np.unique(labels, axis=0, return_inverse=True)
+    return np.asarray(table, dtype=np.float64), inverse.ravel()
+
+
+def _survivors(keep):
+    """(query row, training row) index arrays of the True entries of a
+    (block, N) mask, in row-major order."""
+    return np.divmod(np.flatnonzero(keep), keep.shape[1])
+
+
+def _first_per_row(query, keys):
+    """Index of the smallest ``keys`` tuple (most significant first) among
+    the survivors of each query row; ``query`` is sorted and covers every
+    row of the block."""
+    order = np.lexsort(tuple(reversed(keys)) + (query,))
+    q = query[order]
+    return order[np.r_[True, q[1:] != q[:-1]]]
+
+
+def _nearest_rows(x_std, p_hat, t1_std, labelsets, inverse):
+    """Per query row, the T1 row minimizing (dx², dy², row) and the one
+    minimizing (dy², dx², row), with their exact squared distances: three
+    (2, n) arrays."""
+    n = x_std.shape[0]
+    rows = np.empty((2, n), dtype=np.intp)
+    dxsq, dysq = np.empty((2, n)), np.empty((2, n))
+    for block in kernels.blocks(n, t1_std.shape[0]):
+        rows[:, block], dxsq[:, block], dysq[:, block] = _nearest_in_block(
+            x_std[block], p_hat[block], t1_std, labelsets, inverse)
+    return rows, dxsq, dysq
+
+
+def _nearest_in_block(x, p_hat, t1_std, labelsets, inverse):
+    G, margin = kernels.screen(x, t1_std)
+    dy_table = kernels.cross_sq_dists(p_hat, labelsets)
+    y_cand = (dy_table == dy_table.min(axis=1, keepdims=True))[:, inverse]
+    # Rows the G screen leaves in the running: among all rows, then among
+    # the rows of the dy-nearest labelsets (G masked in place).
+    keep_x = G <= (G.min(axis=1) + margin)[:, None]
+    np.copyto(G, np.inf, where=~y_cand)
+    keep_y = G <= (G.min(axis=1) + margin)[:, None]
+    out = []
+    for k, keep in enumerate((keep_x, keep_y)):
+        q, j = _survivors(keep)
+        dx = kernels.paired_sq_dists(x, t1_std, q, j)
+        dy = dy_table[q, inverse[j]]
+        first = _first_per_row(q, (dx, dy, j) if k == 0 else (dy, dx, j))
+        out.append((j[first], dx[first], dy[first]))
+    return tuple(np.stack(arrays) for arrays in zip(*out))
+
+
 def mine_pairs(p_hat, true_labels, t1_features_std, t1_labels, x_std):
-    """Select the two informative (dx, dy) pairs for one validation instance.
+    """Select the two informative (dx, dy) pairs for each validation instance.
 
     The first pair minimizes dx (ties broken by smaller dy), the second
     minimizes dy (ties broken by smaller dx); remaining ties go to the
     lowest row index. When both selections hit the same row, a single
-    pair is returned.
+    pair is returned. For an (n, .) batch the pairs of row 0, then of
+    row 1, and so on, come in one list; a 1-D row is a batch of one.
 
-    The ties are decided on the exact squared distances that
-    ``kernels.sq_dists`` returns: per row, the squared differences added in
-    feature (or label) order with one accumulator, bit-identical on every
-    backend. Pass ``t1_features_std`` and ``t1_labels`` column-major
-    (``np.asfortranarray``, labels as float64) to avoid a per-call copy.
+    The ties are decided on the exact squared distances of the
+    ``kernels`` module (per row, the squared differences added in feature
+    or label order with one accumulator); the GEMM screen only decides
+    which rows need them.
     """
     if t1_features_std.shape[0] == 0:
         raise ValueError("empty T1")
-    p_hat = np.asarray(p_hat, dtype=np.float64)
-    x_std = np.asarray(x_std, dtype=np.float64)
-    dxsq = kernels.sq_dists(x_std, np.asarray(t1_features_std, dtype=np.float64))
-    dysq = kernels.sq_dists(p_hat, np.asarray(t1_labels, dtype=np.float64))
+    p_hat = np.atleast_2d(np.asarray(p_hat, dtype=np.float64))
+    x_std = np.atleast_2d(np.asarray(x_std, dtype=np.float64))
+    true_labels = np.atleast_2d(np.asarray(true_labels))
+    t1_features_std = np.asarray(t1_features_std, dtype=np.float64)
+    t1_labels = np.asarray(t1_labels)
+    labelsets, inverse = _labelset_table(t1_labels)
+    rows, dxsq, dysq = _nearest_rows(x_std, p_hat, t1_features_std,
+                                     labelsets, inverse)
+    losses = np.sum(true_labels[None] != t1_labels[rows], axis=2)
 
-    cand_x = np.flatnonzero(dxsq == dxsq.min())
-    i1 = cand_x[np.argmin(dysq[cand_x])]
-    cand_y = np.flatnonzero(dysq == dysq.min())
-    i2 = cand_y[np.argmin(dxsq[cand_y])]
-
-    true_labels = np.asarray(true_labels)
     pairs = []
-    for idx in ([i1] if i1 == i2 else [i1, i2]):
-        loss = int(np.sum(true_labels != t1_labels[idx]))
-        pairs.append(DistancePair(dx=math.sqrt(dxsq[idx]),
-                                  dy=math.sqrt(dysq[idx]), loss=loss))
+    for i in range(x_std.shape[0]):
+        for k in ((0,) if rows[0, i] == rows[1, i] else (0, 1)):
+            pairs.append(DistancePair(dx=math.sqrt(dxsq[k, i]),
+                                      dy=math.sqrt(dysq[k, i]),
+                                      loss=int(losses[k, i])))
     return pairs
 
 
@@ -168,18 +222,12 @@ def nldd_train(train, seed, lam=1.0, subsample_fraction=1.0,
     t2 = sub.subset(split.t2_indices)
 
     br_star = br_fit(t1, lam=lam)
-    # Column-major once here, so no mining call copies T1.
-    t1_std = np.asfortranarray(standardize_apply(br_star.stats, t1.features))
-    t1_labels = np.asfortranarray(t1.labels, dtype=np.float64)
+    t1_std = standardize_apply(br_star.stats, t1.features)
     t2_std = standardize_apply(br_star.stats, t2.features)
     p_hat = br_predict_proba_matrix(br_star, t2.features)
 
-    pairs = []
-    distance_ops = 0
-    for i in range(t2.n):
-        pairs.extend(mine_pairs(p_hat[i], t2.labels[i], t1_std,
-                                t1_labels, x_std=t2_std[i]))
-        distance_ops += t1.n
+    pairs = mine_pairs(p_hat, t2.labels, t1_std, t1.labels, x_std=t2_std)
+    distance_ops = t1.n * t2.n
 
     try:
         fit = fit_binomial_glm(pairs, sub.n_labels,
@@ -216,22 +264,41 @@ def _best_rows(model, features):
     """
     p_hat = br_predict_proba_matrix(model.br, features)
     x_std = standardize_apply(model.stats, features)
-    train_labelsets = np.asarray(model.train_labelsets, dtype=np.float64)
-    beta1, beta2 = model.fit.beta1, model.fit.beta2
+    labelsets, inverse = _labelset_table(model.train_labelsets)
     n = x_std.shape[0]
     rows = np.empty(n, dtype=np.intp)
     best_dx, best_dy = np.empty(n), np.empty(n)
-    for i in range(n):
-        dx = np.sqrt(kernels.sq_dists(x_std[i], model.train_features_std))
-        dy = np.sqrt(kernels.sq_dists(p_hat[i], train_labelsets))
-        score = beta1 * dx + beta2 * dy
-        cand = np.flatnonzero(score == score.min())
-        for key in (dy, dx):
-            if cand.size > 1:
-                cand = cand[key[cand] == key[cand].min()]
-        j = cand[0]
-        rows[i], best_dx[i], best_dy[i] = j, dx[j], dy[j]
+    for block in kernels.blocks(n, model.train_features_std.shape[0]):
+        rows[block], best_dx[block], best_dy[block] = _best_in_block(
+            model, x_std[block], p_hat[block], labelsets, inverse)
     return rows, best_dx, best_dy
+
+
+def _best_in_block(model, x, p_hat, labelsets, inverse):
+    """dy is exact per distinct labelset. Rounded sqrt, products and sums
+    are monotone, so the score at dx = sqrt(max(G - m, 0)) and at
+    dx = sqrt(G + m) brackets each row's exact score; only rows whose lower
+    bound reaches the smallest upper bound get their exact dx."""
+    beta1, beta2 = model.fit.beta1, model.fit.beta2
+    G, margin = kernels.screen(x, model.train_features_std)
+    dy_table = np.sqrt(kernels.cross_sq_dists(p_hat, labelsets))
+    y_term = (beta2 * dy_table)[:, inverse]
+    # In place, so that a block holds three (block, N) arrays.
+    bounds = (np.subtract(G, margin[:, None]), np.add(G, margin[:, None], out=G))
+    np.maximum(bounds[0], 0.0, out=bounds[0])
+    with np.errstate(invalid="ignore"):
+        for bound in bounds:
+            np.sqrt(bound, out=bound)
+            bound *= beta1
+            bound += y_term
+    lo, hi = bounds if beta1 >= 0 else bounds[::-1]
+    keep = lo <= hi.min(axis=1, keepdims=True)
+    keep[np.isinf(margin)] = True
+    q, j = _survivors(keep)
+    dx = np.sqrt(kernels.paired_sq_dists(x, model.train_features_std, q, j))
+    dy = dy_table[q, inverse[j]]
+    first = _first_per_row(q, (beta1 * dx + beta2 * dy, dy, dx, j))
+    return j[first], dx[first], dy[first]
 
 
 def nldd_predict(model, x):

@@ -2,10 +2,13 @@
 
 A batch gives every row the result it gets on its own, however the batch is
 cut into blocks; batched SMBR and the vectorised metrics equal their
-row-by-row oracles exactly.
+row-by-row oracles exactly; the screened mining and predict equal exact
+full scans.
 """
 
 import copy
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,8 +21,11 @@ from nldd.data import Dataset, StandardizationStats, standardize_apply
 from nldd.evaluate import generate_synthetic
 from nldd.learner import PROB_CLAMP, LinearProbModel, predict_proba_matrix
 from nldd.metrics import instance_metrics, instance_metrics_matrix
-from nldd.model import (BinomialFit, _best_rows, nldd_predict, nldd_train,
-                        predict_with_confidence)
+from nldd.model import (BinomialFit, NlddModel, _best_rows, mine_pairs,
+                        nldd_predict, nldd_train, predict_with_confidence,
+                        theta)
+from nldd.persist import load_model, save_model
+from test_model import mine_pairs_oracle
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -206,3 +212,165 @@ def test_ties_break_by_dy_then_dx_then_row(fitted, beta1, beta2):
         want.append(np.lexsort((np.arange(dx.shape[0]), dx, dy, score))[0])
     rows, _, _ = _best_rows(tied, X)
     assert rows.tolist() == want
+
+
+def best_rows_loop(model, features):
+    """The per-row exact scan that the screened ``_best_rows`` replaces:
+    both distances to every training row, then the smallest score, with
+    ties among the minimizers broken by dy, then dx, then row index."""
+    p_hat = br_predict_proba_matrix(model.br, features)
+    x_std = standardize_apply(model.stats, features)
+    train_labelsets = np.asarray(model.train_labelsets, dtype=np.float64)
+    beta1, beta2 = model.fit.beta1, model.fit.beta2
+    n = x_std.shape[0]
+    rows = np.empty(n, dtype=np.intp)
+    best_dx, best_dy = np.empty(n), np.empty(n)
+    for i in range(n):
+        dx = np.sqrt(kernels.sq_dists(x_std[i], model.train_features_std))
+        dy = np.sqrt(kernels.sq_dists(p_hat[i], train_labelsets))
+        score = beta1 * dx + beta2 * dy
+        cand = np.flatnonzero(score == score.min())
+        for key in (dy, dx):
+            if cand.size > 1:
+                cand = cand[key[cand] == key[cand].min()]
+        j = cand[0]
+        rows[i], best_dx[i], best_dy[i] = j, dx[j], dy[j]
+    return rows, best_dx, best_dy
+
+
+def _block_bytes(n_train, rows_per_block):
+    """BLOCK_BYTES that makes the screen take ``rows_per_block`` query rows
+    at a time (None: the whole batch at once)."""
+    return 8 * n_train * (10**6 if rows_per_block is None else rows_per_block)
+
+
+@st.composite
+def engine_cases(draw, huge=False):
+    """Standardised training rows and query rows that stress the screen:
+    an offset of 1e4 (G cancels), duplicated training rows, rows one ulp
+    apart, queries that copy a training row, and few labels (dy ties);
+    with ``huge``, also query features near 1e155, 1e200 and 1.7e308
+    (G overflows to inf, or to inf - inf = NaN)."""
+    d = draw(st.integers(1, 6))
+    n_labels = draw(st.integers(1, 3))
+    offset = draw(st.sampled_from([0.0, 1e4, -1e4]))
+    values = st.one_of(st.floats(-3.0, 3.0, allow_nan=False),
+                       st.sampled_from([-1.0, 0.0, 0.5]))
+    train = draw(arrays(np.float64, (draw(st.integers(1, 30)), d),
+                        elements=values)) + offset
+    queries = draw(arrays(np.float64, (draw(st.integers(1, 10)), d),
+                          elements=values)) + offset
+    for rows in (train, queries):
+        kinds = ["own", "copy", "ulp"] + (["huge"] if huge and rows is queries else [])
+        for i in range(rows.shape[0]):
+            kind = draw(st.sampled_from(kinds))
+            j = draw(st.integers(0, train.shape[0] - 1))
+            if kind == "copy":
+                rows[i] = train[j]
+            elif kind == "ulp":
+                rows[i] = np.nextafter(train[j], draw(st.sampled_from([-np.inf, np.inf])))
+            elif kind == "huge":
+                rows[i, draw(st.integers(0, d - 1))] = draw(
+                    st.sampled_from([1e155, -1e155, 1e200, 1.7e308]))
+    labels = draw(arrays(np.int64, (train.shape[0], n_labels),
+                         elements=st.integers(0, 1)))
+    return train, labels, queries
+
+
+@PROPERTY
+@pytest.mark.parametrize("rows_per_block", [1, 2, 7, None])
+@given(case=engine_cases(huge=True), data=st.data())
+def test_screened_mining_equals_exhaustive_oracle(rows_per_block, case, data):
+    t1, t1_labels, x = case
+    n, n_labels = x.shape[0], t1_labels.shape[1]
+    # p-hat on the labelset vertices and midpoints, so dy ties are common.
+    p_hat = data.draw(arrays(np.float64, (n, n_labels), elements=st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.01, 0.99))))
+    true = data.draw(arrays(np.int64, (n, n_labels), elements=st.integers(0, 1)))
+    with mock.patch.object(kernels, "BLOCK_BYTES",
+                           _block_bytes(t1.shape[0], rows_per_block)), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = mine_pairs(p_hat, true, np.asfortranarray(t1), t1_labels, x_std=x)
+    want = []
+    for i in range(n):
+        want += mine_pairs_oracle(p_hat[i], true[i], t1, t1_labels, x[i])
+    assert [(p.dx, p.dy, p.loss) for p in got] == want
+
+
+def _linear_br(weights):
+    """BR of one logistic model per row of ``weights`` on unscaled features."""
+    d = weights.shape[1] - 1
+    return BRModel(
+        classifiers=[LinearProbModel(w, 1.0, True, 0) for w in weights],
+        stats=StandardizationStats(means=np.zeros(d), sds=np.ones(d)),
+        label_names=[f"l{j}" for j in range(weights.shape[0])])
+
+
+@PROPERTY
+@pytest.mark.parametrize("rows_per_block", [1, 2, 7, None])
+@given(case=engine_cases(), data=st.data())
+def test_screened_predict_equals_row_loop(rows_per_block, case, data):
+    train, labels, X = case
+    d, n_labels = train.shape[1], labels.shape[1]
+    coef = st.sampled_from([-2.0, -0.3, 0.0, 0.7, 1.9])
+    weights = data.draw(arrays(np.float64, (n_labels, d + 1), elements=st.one_of(
+        coef, st.floats(-1.0, 1.0))))
+    br = _linear_br(weights)
+    model = NlddModel(br=br,
+                      fit=BinomialFit(-2.0, data.draw(coef), data.draw(coef),
+                                      True, 0, 0.0),
+                      train_features_std=np.asfortranarray(train),
+                      train_labelsets=np.asfortranarray(labels),
+                      stats=br.stats, pair_count=0, distance_ops=0)
+    with mock.patch.object(kernels, "BLOCK_BYTES",
+                           _block_bytes(train.shape[0], rows_per_block)):
+        got = _best_rows(model, X)
+    want = best_rows_loop(model, X)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def _queries_with_ties(train, seed):
+    X = generate_synthetic(40, train.d, train.n_labels, 0.8, 0.3, seed=seed).features
+    return np.vstack([X, train.features[:10], train.features[200:205]])
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, 7, None])
+def test_fitted_model_predict_equals_row_loop(fitted, rows_per_block):
+    train, model = fitted
+    X = _queries_with_ties(train, seed=6)
+    with mock.patch.object(kernels, "BLOCK_BYTES",
+                           _block_bytes(train.n, rows_per_block)):
+        got = _best_rows(model, X)
+    for g, w in zip(got, best_rows_loop(model, X)):
+        assert np.array_equal(g, w)
+
+
+def test_reloaded_model_predicts_identical_bits(fitted, tmp_path):
+    train, model = fitted
+    X = _queries_with_ties(train, seed=7)
+    save_model(model, tmp_path / "m.json")
+    _, back = load_model(tmp_path / "m.json")
+    labelsets, thetas = predict_with_confidence(model, X)
+    back_labelsets, back_thetas = predict_with_confidence(back, X)
+    assert np.array_equal(labelsets, back_labelsets)
+    assert thetas.tobytes() == back_thetas.tobytes()
+
+
+@pytest.mark.parametrize("huge", [1e155, 1e200])
+def test_huge_finite_query_rows_get_the_full_scan(fitted, huge):
+    # A standardised feature near 1e155 overflows ||a||^2, so the screen
+    # has nothing to go on; every distance of the row is inf, all rows tie
+    # on the score and dy decides, as in the row loop.
+    train, model = fitted
+    X = _queries_with_ties(train, seed=8)[:12]
+    X[3, 0] = huge
+    X[7, 2] = -huge
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        labelsets, thetas = predict_with_confidence(model, X)
+        rows, dx, dy = best_rows_loop(model, X)
+    assert np.array_equal(labelsets, model.train_labelsets[rows])
+    assert thetas.tolist() == [theta(model.fit, a, b) for a, b in zip(dx, dy)]
+    assert thetas[3] == thetas[7] == 1.0 - 1e-12

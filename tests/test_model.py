@@ -25,10 +25,14 @@ def sq_dist_oracle(row, x):
 
 
 def mine_pairs_oracle(p_hat, true_labels, t1_features_std, t1_labels, x_std):
-    """Independent exhaustive two-pass scan with explicit tie handling."""
-    dx = [math.sqrt(sq_dist_oracle(t1_features_std[i], x_std))
+    """Independent exhaustive two-pass scan with explicit tie handling.
+
+    Ties are decided on the squared distances, as ``mine_pairs`` documents:
+    two squares one ulp apart can have the same square root.
+    """
+    dx = [sq_dist_oracle(t1_features_std[i], x_std)
           for i in range(len(t1_features_std))]
-    dy = [math.sqrt(sq_dist_oracle(t1_labels[i], p_hat))
+    dy = [sq_dist_oracle(t1_labels[i], p_hat)
           for i in range(len(t1_labels))]
     min_dx = min(dx)
     tied_x = [i for i in range(len(dx)) if dx[i] == min_dx]
@@ -37,7 +41,8 @@ def mine_pairs_oracle(p_hat, true_labels, t1_features_std, t1_labels, x_std):
     tied_y = [i for i in range(len(dy)) if dy[i] == min_dy]
     i2 = min(tied_y, key=lambda i: (dx[i], i))
     chosen = [i1] if i1 == i2 else [i1, i2]
-    return [(dx[i], dy[i], int(np.sum(np.asarray(true_labels) != t1_labels[i])))
+    return [(math.sqrt(dx[i]), math.sqrt(dy[i]),
+             int(np.sum(np.asarray(true_labels) != t1_labels[i])))
             for i in chosen]
 
 
