@@ -40,8 +40,9 @@ the rows with G <= min G + m, or using [G - m, G + m] as an interval for E,
 therefore never drops a winner, with a factor of two to spare for the
 rounding of m and of the threshold; the tiny term covers underflow.
 
-A query row for which 4 S overflows (a standardised feature near 1e155)
-would make G inf - inf = NaN. Its margin is inf and its G is 0, so every
+A query row for which 4 S overflows (a standardised feature near 1e154 or
+larger) has no usable screen: G overflows to inf, or to inf - inf = NaN
+when a.b overflows too. Its margin is inf and its G is 0, so every
 training row survives and the row gets the exact full scan.
 
 Memory: blocks of query rows are sized so that a (block, N) float64
@@ -73,7 +74,7 @@ def _add_squares(diff):
 
 def _chunk(d, width):
     """Number of columns of a (d, columns) float64 array within BLOCK_BYTES."""
-    return max(1, BLOCK_BYTES // (8 * max(d, 1) * max(width, 1)))
+    return max(1, BLOCK_BYTES // (8 * d * width))
 
 
 def sq_dists(x, mat):

@@ -78,6 +78,7 @@ def _nearest_rows(x_std, p_hat, t1_std, labelsets, inverse):
 
 
 def _nearest_in_block(x, p_hat, t1_std, labelsets, inverse):
+    """``_nearest_rows`` for one block of query rows."""
     G, margin = kernels.screen(x, t1_std)
     dy_table = kernels.cross_sq_dists(p_hat, labelsets)
     y_cand = (dy_table == dy_table.min(axis=1, keepdims=True))[:, inverse]
@@ -293,7 +294,7 @@ def _best_in_block(model, x, p_hat, labelsets, inverse):
             bound += y_term
     lo, hi = bounds if beta1 >= 0 else bounds[::-1]
     keep = lo <= hi.min(axis=1, keepdims=True)
-    keep[np.isinf(margin)] = True
+    keep[np.isinf(margin)] = True  # no usable screen: the full scan
     q, j = _survivors(keep)
     dx = np.sqrt(kernels.paired_sq_dists(x, model.train_features_std, q, j))
     dy = dy_table[q, inverse[j]]
