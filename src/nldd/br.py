@@ -23,13 +23,12 @@ def br_fit(train, lam=1.0):
     """
     stats = standardize_fit(train)
     z = standardize_apply(stats, train.features)
-    classifiers = []
-    for j in range(train.n_labels):
-        col = train.labels[:, j]
-        if col.min() == col.max():
-            classifiers.append(fit_fallback(col))
-        else:
-            classifiers.append(fit_logistic(z, col, lam=lam))
+    labels = train.labels
+    constant = labels.min(axis=0) == labels.max(axis=0)
+    # Every varying column in one stacked IRLS loop.
+    fitted = iter(fit_logistic(z, labels[:, ~constant], lam=lam))
+    classifiers = [fit_fallback(labels[:, j]) if constant[j] else next(fitted)
+                   for j in range(train.n_labels)]
     return BRModel(classifiers=classifiers, stats=stats,
                    label_names=list(train.label_names))
 

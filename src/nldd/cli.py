@@ -158,9 +158,9 @@ def cmd_compare(args):
     means = {m: {} for m in methods}
     folds = {m: {} for m in methods}
     for di, data in enumerate(datasets):
-        for m in methods:
-            fold_reports, mean_report = cross_validate(
-                data, m, args.cv, args.seed, params=params)
+        results = cross_validate(data, tuple(methods), args.cv, args.seed,
+                                 params=params)
+        for m, (fold_reports, mean_report) in results.items():
             means[m][di] = mean_report
             folds[m][di] = fold_reports
 

@@ -45,49 +45,79 @@ def make_folds(n, k, seed):
     return FoldPlan(fold_assignments=assignments)
 
 
+def _method_ids(method):
+    return (method,) if isinstance(method, str) else tuple(method)
+
+
+def _one_or_many(method, results):
+    # One method id gets its own result back, a tuple of ids a dict by id.
+    return results[method] if isinstance(method, str) else results
+
+
 def train_predictor(method, train, seed=0, params=None):
     """Fit ``method`` on ``train``, returning a callable that maps raw
-    feature rows, (n, d) or one (d,) row, to labelsets."""
+    feature rows, (n, d) or one (d,) row, to labelsets. A tuple of method
+    ids returns a dict of callables by id.
+
+    The methods share one Binary Relevance fit on ``train``: the one inside
+    the nldd model when nldd trains on every row, else one ``br_fit``.
+    """
     params = params or {}
     lam = params.get("lam", 1.0)
-    if method == "br":
-        m = br_fit(train, lam=lam)
-        return lambda x: br_predict(m, x)
-    if method == "smbr":
-        m = br_fit(train, lam=lam)
-        return lambda x: smbr_predict(m, train, x)
-    if method == "nldd":
-        m = nldd_train(train, seed, lam=lam,
-                       subsample_fraction=params.get("subsample_fraction", 1.0))
-        return lambda x: nldd_predict(m, x)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    fraction = params.get("subsample_fraction", 1.0)
+    methods = _method_ids(method)
+    for m in methods:
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+    predictors = {}
+    br = None
+    if "nldd" in methods:
+        nldd = nldd_train(train, seed, lam=lam, subsample_fraction=fraction)
+        predictors["nldd"] = lambda x: nldd_predict(nldd, x)
+        if fraction == 1.0:
+            br = nldd.br  # br_fit(train, lam) exactly
+    if "br" in methods or "smbr" in methods:
+        if br is None:
+            br = br_fit(train, lam=lam)
+        predictors["br"] = lambda x: br_predict(br, x)
+        predictors["smbr"] = lambda x: smbr_predict(br, train, x)
+    return _one_or_many(method, {m: predictors[m] for m in methods})
 
 
 def _evaluate_rows(predict, test):
     return aggregate(instance_metrics_matrix(test.labels, predict(test.features)))
 
 
+def _mean_report(fold_reports, n):
+    means = np.array([[r.hamming, r.zero_one, r.jaccard, r.f_measure]
+                      for r in fold_reports]).mean(axis=0)
+    return MetricsReport(hamming=float(means[0]), zero_one=float(means[1]),
+                         jaccard=float(means[2]), f_measure=float(means[3]),
+                         n_instances=n)
+
+
 def cross_validate(data, method, k, seed, params=None):
-    """k-fold CV; returns (per-fold reports, mean report)."""
+    """k-fold CV; returns (per-fold reports, mean report). A tuple of
+    method ids returns a dict of those pairs by id; each fold fits Binary
+    Relevance once for all of them (see ``train_predictor``)."""
+    methods = _method_ids(method)
     plan = make_folds(data.n, k, seed)
-    fold_reports = []
+    fold_reports = {m: [] for m in methods}
     for fold in range(k):
         test_idx = np.flatnonzero(plan.fold_assignments == fold)
         train_idx = np.flatnonzero(plan.fold_assignments != fold)
         try:
-            predict = train_predictor(method, data.subset(train_idx),
-                                      seed=seed, params=params)
-            fold_reports.append(_evaluate_rows(predict, data.subset(test_idx)))
+            predictors = train_predictor(methods, data.subset(train_idx),
+                                         seed=seed, params=params)
+            test = data.subset(test_idx)
+            for m in fold_reports:
+                fold_reports[m].append(_evaluate_rows(predictors[m], test))
         except _FOLD_TAGGED as exc:
             if type(exc) not in _FOLD_TAGGED:
                 raise
             raise type(exc)(f"fold {fold}: {exc}") from exc
-    means = np.array([[r.hamming, r.zero_one, r.jaccard, r.f_measure]
-                      for r in fold_reports]).mean(axis=0)
-    mean_report = MetricsReport(hamming=float(means[0]), zero_one=float(means[1]),
-                                jaccard=float(means[2]), f_measure=float(means[3]),
-                                n_instances=data.n)
-    return fold_reports, mean_report
+    return _one_or_many(method, {m: (reports, _mean_report(reports, data.n))
+                                 for m, reports in fold_reports.items()})
 
 
 def holdout_eval(train, test, method, seed=0, params=None):

@@ -29,19 +29,35 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _penalized_loglik(X1, y, w, lam):
+def _scores(X1, W):
+    # One gemv per row of W: the call X1 @ w makes for a single label.
+    return (X1[None] @ W[:, :, None])[:, :, 0]
+
+
+def _logliks(X1, Y, W, lam):
+    """Scores and penalized log-likelihoods of the (a, d+1) weight rows
+    ``W`` against the (a, n) target rows ``Y``."""
     # X1 carries the intercept column; the intercept is unpenalized.
-    z = X1 @ w
+    Z = _scores(X1, W)
     # log(1+e^z) computed stably
-    ll = np.sum(y * z - np.logaddexp(0.0, z))
-    return ll - 0.5 * lam * np.sum(w[1:] ** 2)
+    ll = np.sum(Y * Z - np.logaddexp(0.0, Z), axis=1)
+    return Z, ll - 0.5 * lam * np.sum(W[:, 1:] ** 2, axis=1)
+
+
+def _gradients(X1, Y, Z, W, lam):
+    """Probabilities and penalized gradients at the scores ``Z = X1 @ W``."""
+    P = _sigmoid(Z)
+    G = (X1.T[None] @ (Y - P)[:, :, None])[:, :, 0]
+    G[:, 1:] -= lam * W[:, 1:]
+    return P, G
+
+
+def _penalized_loglik(X1, y, w, lam):
+    return _logliks(X1, y[None], w[None], lam)[1][0]
 
 
 def _penalized_gradient(X1, y, w, lam):
-    p = _sigmoid(X1 @ w)
-    g = X1.T @ (y - p)
-    g[1:] -= lam * w[1:]
-    return g
+    return _gradients(X1, y[None], _scores(X1, w[None]), w[None], lam)[1][0]
 
 
 def fit_logistic(features, targets, lam=1.0, max_iter=100, tol=1e-8):
@@ -49,49 +65,78 @@ def fit_logistic(features, targets, lam=1.0, max_iter=100, tol=1e-8):
 
     Step halving (up to 20 halvings) keeps the ascent monotone. The intercept
     is unpenalized. Raises TrainingError for single-class targets.
+
+    ``targets`` of shape (n,) gives one LinearProbModel; an (n, L) matrix
+    gives a list of L, one per column, fit in one Newton loop. Each label
+    runs the single-label iteration on its own, with its own step halving
+    and stop rule, so its weights, iterations and convergence are the same
+    bits as a fit of that column alone.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
+    if X.ndim != 2 or y.ndim not in (1, 2) or X.shape[0] != y.shape[0]:
         raise ValueError("features rows must match targets")
     if not np.isfinite(X).all():
         raise TrainingError("non-finite feature values")
     if lam <= 0:
         raise ValueError("lambda must be > 0")
-    if y.min() == y.max():
+    if (y.min(axis=0) == y.max(axis=0)).any():
         raise TrainingError("targets contain a single class; use fit_fallback")
 
     n, d = X.shape
     X1 = np.hstack([np.ones((n, 1)), X])
-    w = np.zeros(d + 1)
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        p = _sigmoid(X1 @ w)
-        g = X1.T @ (y - p)
-        g[1:] -= lam * w[1:]
-        wt = np.clip(p * (1.0 - p), 1e-12, None)
-        H = X1.T @ (wt[:, None] * X1)
-        H[np.arange(1, d + 1), np.arange(1, d + 1)] += lam
-        delta = np.linalg.solve(H, g)
+    Y = np.ascontiguousarray(np.atleast_2d(y.T))  # (L, n): one row per label
+    n_labels = Y.shape[0]
+    weights = np.zeros((n_labels, d + 1))
+    iterations = np.zeros(n_labels, dtype=np.int64)
+    converged = np.zeros(n_labels, dtype=bool)
+    diag = np.arange(1, d + 1)
 
-        ll_old = _penalized_loglik(X1, y, w, lam)
-        step = 1.0
-        w_new = w + delta
-        for _ in range(20):
-            if _penalized_loglik(X1, y, w_new, lam) >= ll_old:
-                break
-            step *= 0.5
-            w_new = w + step * delta
-        change = np.max(np.abs(w_new - w))
-        w = w_new
-        grad_norm = np.max(np.abs(_penalized_gradient(X1, y, w, lam)))
-        if change < tol or grad_norm < tol:
-            converged = True
+    # State of the labels still iterating: their ids and targets, and their
+    # weights with the log-likelihoods, probabilities and gradients there.
+    active, Ya, W = np.arange(n_labels), Y, weights.copy()
+    Z, LL = _logliks(X1, Ya, W, lam)
+    P, G = _gradients(X1, Ya, Z, W, lam)
+    for it in range(1, max_iter + 1):
+        if not active.size:
             break
-    if not np.isfinite(w).all():
+        wt = np.clip(P * (1.0 - P), 1e-12, None)
+        # One Hessian per label: a stacked (a, n, d+1) temporary would cost
+        # a times the memory of X1.
+        H = np.stack([X1.T @ (w[:, None] * X1) for w in wt])
+        H[:, diag, diag] += lam
+        delta = np.linalg.solve(H, G[:, :, None])[:, :, 0]
+
+        step = np.ones(active.size)
+        Wn = W + delta
+        Z, LLn = _logliks(X1, Ya, Wn, lam)
+        pending = np.arange(active.size)
+        for _ in range(20):
+            pending = pending[~(LLn[pending] >= LL[pending])]
+            if not pending.size:
+                break
+            step[pending] *= 0.5
+            Wn[pending] = W[pending] + step[pending, None] * delta[pending]
+            # After the 20th halving the candidate is taken untested; it is
+            # evaluated all the same, for the next iteration's values.
+            Z[pending], LLn[pending] = _logliks(X1, Ya[pending], Wn[pending], lam)
+        change = np.max(np.abs(Wn - W), axis=1)
+        W, LL = Wn, LLn
+        P, G = _gradients(X1, Ya, Z, W, lam)
+        iterations[active] = it
+
+        stop = (change < tol) | (np.max(np.abs(G), axis=1) < tol)
+        converged[active[stop]] = True
+        weights[active[stop]] = W[stop]
+        go = ~stop
+        active, Ya, W, LL, P, G = active[go], Ya[go], W[go], LL[go], P[go], G[go]
+    weights[active] = W
+    if not np.isfinite(weights).all():
         raise TrainingError("logistic fit diverged to non-finite weights")
-    return LinearProbModel(weights=w, lam=lam, converged=converged, iterations=it)
+    models = [LinearProbModel(weights=w, lam=lam, converged=bool(c),
+                              iterations=int(i))
+              for w, c, i in zip(weights, converged, iterations)]
+    return models[0] if y.ndim == 1 else models
 
 
 def fit_fallback(targets):

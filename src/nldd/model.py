@@ -35,8 +35,8 @@ class BinomialFit:
 class NlddModel:
     br: object  # BRModel fit on the full (possibly subsampled) training data
     fit: BinomialFit
-    train_features_std: np.ndarray  # column-major
-    train_labelsets: np.ndarray  # column-major int64
+    train_features_std: np.ndarray
+    train_labelsets: np.ndarray  # int64
     stats: object
     pair_count: int  # |S|
     distance_ops: int  # pairwise distance computations during mining
@@ -248,9 +248,9 @@ def nldd_train(train, seed, lam=1.0, subsample_fraction=1.0,
 
     br_full = br_fit(sub, lam=lam)
     return NlddModel(br=br_full, fit=fit,
-                     train_features_std=np.asfortranarray(
-                         standardize_apply(br_full.stats, sub.features)),
-                     train_labelsets=np.array(sub.labels, order="F"),
+                     train_features_std=standardize_apply(br_full.stats,
+                                                          sub.features),
+                     train_labelsets=np.array(sub.labels),
                      stats=br_full.stats,
                      pair_count=len(pairs),
                      distance_ops=distance_ops)

@@ -25,7 +25,7 @@ def _get(doc, key):
 
 def _array(value, name, ndim, dtype=np.float64):
     try:
-        arr = np.array(value, dtype=dtype, order="F")
+        arr = np.array(value, dtype=dtype)
     except (TypeError, ValueError):
         raise DataError(f"{name} is not a numeric array") from None
     if arr.ndim != ndim or 0 in arr.shape:

@@ -12,14 +12,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nldd import kernels
 from nldd.br import BRModel, br_fit, br_predict, br_predict_proba_matrix, smbr_predict
 from nldd.data import Dataset, StandardizationStats, standardize_apply
 from nldd.evaluate import generate_synthetic
-from nldd.learner import PROB_CLAMP, LinearProbModel, predict_proba_matrix
+from nldd.learner import (PROB_CLAMP, LinearProbModel, TrainingError,
+                          predict_proba_matrix)
 from nldd.metrics import instance_metrics, instance_metrics_matrix
 from nldd.model import (BinomialFit, NlddModel, _best_rows, mine_pairs,
                         nldd_predict, nldd_train, predict_with_confidence,
@@ -83,6 +84,26 @@ def test_blocks_equal_rows(fitted, data):
                           np.vstack([p for p, _ in parts]))
     assert [th for _, th in singles] == np.concatenate(
         [th for _, th in parts]).tolist()
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.integers(40, 120), d=st.integers(2, 5),
+       n_labels=st.integers(2, 4), fraction=st.sampled_from([1.0, 0.6]),
+       data=st.data())
+def test_predicted_labelsets_are_training_labelsets(seed, n, d, n_labels,
+                                                    fraction, data):
+    train = generate_synthetic(n, d, n_labels, 0.5, 0.5, seed=seed)
+    try:
+        model = nldd_train(train, seed, subsample_fraction=fraction)
+    except TrainingError:
+        assume(False)  # degenerate mined losses on a tiny training set
+    X = _queries(data.draw, train)
+    X[0] *= data.draw(st.sampled_from([1.0, 1e3, -1e6]))
+    seen = {tuple(row) for row in train.labels}
+    model_rows = {tuple(row) for row in model.train_labelsets}
+    assert model_rows <= seen
+    for labelset in nldd_predict(model, X):
+        assert tuple(labelset) in model_rows
 
 
 @pytest.fixture(scope="module")

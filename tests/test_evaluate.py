@@ -1,12 +1,15 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata
 
 from nldd.data import DataError, Dataset, dataset_summary
-from nldd.evaluate import (cross_validate, generate_synthetic, holdout_eval,
+from nldd import br as br_module
+from nldd.evaluate import (METHODS, cross_validate, generate_synthetic, holdout_eval,
                            make_folds, observed_labelset_split,
                            scaling_experiment, wilcoxon_signed_rank)
 from nldd.learner import TrainingError
@@ -262,3 +265,53 @@ class TestBatchedEvaluation:
         want = aggregate([instance_metrics(te.labels[i], predict(te.features[i]))
                           for i in range(te.n)])
         assert holdout_eval(tr, te, method, seed=1) == want
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (DataError, TrainingError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestSharedBrFit:
+    """One BR fit per fold serves every requested method, and changes no
+    result: a batch of methods equals one run per method, each with its
+    own BR fit."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**16), fraction=st.sampled_from([1.0, 0.5]),
+           methods=st.permutations(METHODS), size=st.integers(1, 3))
+    def test_batch_equals_single_method_runs(self, seed, fraction, methods, size):
+        ds = generate_synthetic(80, 4, 3, 0.7, 0.3, seed=seed)
+        methods = tuple(methods[:size])
+        params = {"lam": 1.0, "subsample_fraction": fraction}
+        got = _outcome(cross_validate, ds, methods, 4, seed, params=params)
+        want = {m: _outcome(cross_validate, ds, m, 4, seed, params=params)
+                for m in methods}
+        if isinstance(got, dict):
+            assert list(got) == list(methods)
+            assert got == want
+        else:  # a fold failed: the same error as the first failing method's
+            assert got in want.values()
+
+    @pytest.mark.parametrize("fraction, br_fits", [(1.0, 2), (0.5, 3)])
+    def test_br_fits_per_fold(self, fraction, br_fits):
+        # nldd fits BR on T1 and on all rows; at fraction 1 the latter
+        # also serves br and smbr.
+        ds = generate_synthetic(80, 4, 3, 0.7, 0.3, seed=3)
+        params = {"subsample_fraction": fraction}
+        with mock.patch.object(br_module, "fit_logistic",
+                               wraps=br_module.fit_logistic) as fits:
+            cross_validate(ds, METHODS, 4, 0, params=params)
+        assert fits.call_count == 4 * br_fits
+
+    def test_single_method_returns_pair(self):
+        ds = generate_synthetic(60, 4, 3, 0.7, 0.3, seed=0)
+        single = cross_validate(ds, "br", k=3, seed=0)
+        assert cross_validate(ds, ("br",), k=3, seed=0) == {"br": single}
+
+    def test_unknown_method_in_batch(self):
+        ds = generate_synthetic(30, 4, 3, 0.7, 0.3, seed=2)
+        with pytest.raises(ValueError, match="rakel"):
+            cross_validate(ds, ("br", "rakel"), k=3, seed=0)

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nldd.learner import (ConstantProbModel, TrainingError, fit_fallback,
-                          fit_logistic, predict_proba, predict_proba_matrix,
-                          _penalized_gradient, _penalized_loglik)
+from nldd.br import br_fit
+from nldd.data import Dataset, standardize_apply
+from nldd.learner import (ConstantProbModel, LinearProbModel, TrainingError,
+                          fit_fallback, fit_logistic, predict_proba,
+                          predict_proba_matrix, _penalized_gradient,
+                          _penalized_loglik)
 
 
 def _synthetic(seed=0, n=50, d=2):
@@ -156,3 +160,186 @@ class TestFallback:
     def test_constant_model_predicts_p(self):
         m = ConstantProbModel(p=0.25)
         assert predict_proba(m, [1.0, 2.0]) == 0.25
+
+
+def fit_logistic_loop(X, y, lam=1.0, max_iter=100, tol=1e-8):
+    """The single-label IRLS loop the stacked fit must reproduce bit for
+    bit: (weights, iterations, converged, steps taken after 20 failed
+    halvings)."""
+    n, d = X.shape
+    X1 = np.hstack([np.ones((n, 1)), X])
+    y = np.asarray(y, dtype=np.float64)
+
+    def loglik(w):
+        z = X1 @ w
+        ll = np.sum(y * z - np.logaddexp(0.0, z))
+        return ll - 0.5 * lam * np.sum(w[1:] ** 2)
+
+    def gradient(w):
+        p = 1.0 / (1.0 + np.exp(-(X1 @ w)))
+        g = X1.T @ (y - p)
+        g[1:] -= lam * w[1:]
+        return p, g
+
+    w = np.zeros(d + 1)
+    converged, exhausted, it = False, 0, 0
+    for it in range(1, max_iter + 1):
+        p, g = gradient(w)
+        wt = np.clip(p * (1.0 - p), 1e-12, None)
+        H = X1.T @ (wt[:, None] * X1)
+        H[np.arange(1, d + 1), np.arange(1, d + 1)] += lam
+        delta = np.linalg.solve(H, g)
+        ll_old = loglik(w)
+        step = 1.0
+        w_new = w + delta
+        for _ in range(20):
+            if loglik(w_new) >= ll_old:
+                break
+            step *= 0.5
+            w_new = w + step * delta
+        else:
+            exhausted += 1
+        change = np.max(np.abs(w_new - w))
+        w = w_new
+        if change < tol or np.max(np.abs(gradient(w)[1])) < tol:
+            converged = True
+            break
+    return w, it, converged, exhausted
+
+
+def _assert_stacked_equals_loop(X, Y, **kw):
+    """Fit the columns of Y stacked and one by one; return the loop's
+    (iterations, converged, exhausted) per column."""
+    with np.errstate(over="ignore"):
+        stacked = fit_logistic(X, Y, **kw)
+        loops = [fit_logistic_loop(X, Y[:, j], **kw) for j in range(Y.shape[1])]
+    assert len(stacked) == Y.shape[1]
+    for model, (w, it, conv, _) in zip(stacked, loops):
+        assert model.weights.tobytes() == w.tobytes()
+        assert model.iterations == it
+        assert model.converged == conv
+    return [loop[1:] for loop in loops]
+
+
+def _two_class(Y):
+    Y = np.array(Y, dtype=np.int64)
+    for j in range(Y.shape[1]):
+        if Y[:, j].min() == Y[:, j].max():
+            Y[0, j] = 1 - Y[0, j]
+    return Y
+
+
+@st.composite
+def irls_cases(draw):
+    """Features and 0/1 targets: shapes with n < d, scales from 1e-2 to
+    1e2, an optional near-constant feature that makes the Hessian
+    ill-conditioned, and columns from noise to separable."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d, L = draw(st.integers(2, 40)), draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    X = rng.standard_normal((n, d)) * draw(st.sampled_from([1e-2, 1.0, 1e2]))
+    if draw(st.booleans()):
+        X[:, 0] = 1e6 + 1e-3 * rng.standard_normal(n)
+    signal = draw(st.sampled_from([0.0, 1.0, 10.0, 1e3]))
+    scores = signal * X[:, -1:] + rng.standard_normal((n, L))
+    return X, _two_class(scores > 0)
+
+
+class TestStackedIRLS:
+    @settings(max_examples=60, deadline=None)
+    @given(case=irls_cases(),
+           lam=st.sampled_from([1e-8, 1e-3, 1.0, 100.0]),
+           max_iter=st.sampled_from([1, 2, 5, 100]),
+           tol=st.sampled_from([0.0, 1e-8, 1e-3]))
+    def test_equals_per_label_loop(self, case, lam, max_iter, tol):
+        X, Y = case
+        kw = dict(lam=lam, max_iter=max_iter, tol=tol)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                loops = [fit_logistic_loop(X, Y[:, j], **kw)[0]
+                         for j in range(Y.shape[1])]
+            except np.linalg.LinAlgError:
+                loops = None  # a singular Hessian on some column
+        if loops is not None and np.isfinite(loops).all():
+            _assert_stacked_equals_loop(X, Y, **kw)
+        else:
+            with pytest.raises((TrainingError, np.linalg.LinAlgError)), \
+                    np.errstate(over="ignore", invalid="ignore"):
+                fit_logistic(X, Y, **kw)
+
+    def test_labels_stop_at_different_iterations(self):
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((200, 5))
+        Y = _two_class(np.column_stack([
+            X[:, 0] + rng.standard_normal(200) > 0,  # noisy: stops early
+            X[:, 1] > 0,  # separable: runs long
+            rng.standard_normal(200) > 0]))
+        runs = _assert_stacked_equals_loop(X, Y, lam=1e-6)
+        assert len({it for it, _, _ in runs}) == 3
+        assert all(conv for _, conv, _ in runs)
+
+    @pytest.mark.parametrize("max_iter", [1, 2])
+    def test_unconverged_labels(self, max_iter):
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((100, 4))
+        Y = _two_class(np.column_stack([X[:, 0] > 0, X[:, 1] + X[:, 2] > 0]))
+        runs = _assert_stacked_equals_loop(X, Y, lam=1e-3, max_iter=max_iter)
+        assert [it for it, _, _ in runs] == [max_iter, max_iter]
+        assert not any(conv for _, conv, _ in runs)
+
+    def test_column_that_exhausts_halving(self):
+        # A feature nearly constant at 1e6 makes the Hessian so
+        # ill-conditioned that the solved step is no ascent direction, and
+        # all 20 halvings fail.
+        rng = np.random.default_rng(2)
+        X = np.column_stack([1e6 + 1e-3 * rng.standard_normal(40),
+                             rng.standard_normal(40)])
+        Y = _two_class(rng.standard_normal((40, 3)) > 0)
+        runs = _assert_stacked_equals_loop(X, Y, lam=1e-8, max_iter=10)
+        assert sum(exhausted for _, _, exhausted in runs) > 0
+
+    def test_near_separable_columns(self):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((60, 3))
+        Y = _two_class(np.column_stack([X[:, 0] > 0, X[:, 0] + 1e-3 * X[:, 1] > 0,
+                                        X[:, 2] > 0.5]))
+        runs = _assert_stacked_equals_loop(X, Y, lam=1e-8)
+        assert min(it for it, _, _ in runs) > 5
+
+    def test_fewer_rows_than_features(self):
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((6, 15))
+        Y = _two_class(rng.standard_normal((6, 4)) > 0)
+        _assert_stacked_equals_loop(X, Y)
+
+    def test_one_dimensional_target_is_a_batch_of_one(self):
+        X, y = _synthetic(8)
+        one = fit_logistic(X, y)
+        assert isinstance(one, LinearProbModel)
+        (batch,) = fit_logistic(X, y[:, None])
+        assert one.weights.tobytes() == batch.weights.tobytes()
+        assert (one.iterations, one.converged) == (batch.iterations, batch.converged)
+
+    def test_any_single_class_column_errors(self):
+        X, y = _synthetic(9)
+        with pytest.raises(TrainingError, match="fallback"):
+            fit_logistic(X, np.column_stack([y, np.ones_like(y)]))
+
+    def test_no_columns(self):
+        X, _ = _synthetic(10)
+        assert fit_logistic(X, np.zeros((X.shape[0], 0))) == []
+
+    def test_br_fit_with_constant_columns(self):
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((80, 4))
+        Y = _two_class(np.column_stack([X[:, 0] > 0, X[:, 1] + X[:, 2] > 0]))
+        labels = np.column_stack([np.zeros(80, int), Y[:, 0], np.ones(80, int), Y[:, 1]])
+        train = Dataset(X, labels)
+        model = br_fit(train)
+        z = standardize_apply(model.stats, X)
+        for j, clf in enumerate(model.classifiers):
+            if j in (0, 2):
+                assert clf == fit_fallback(labels[:, j])
+            else:
+                w, it, conv, _ = fit_logistic_loop(z, labels[:, j])
+                assert clf.weights.tobytes() == w.tobytes()
+                assert (clf.iterations, clf.converged) == (it, conv)

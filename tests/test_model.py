@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nldd.data import Dataset
 from nldd.evaluate import generate_synthetic
@@ -189,6 +190,29 @@ class TestBinomialGlm:
                 e[j] = h
                 fd = (loglik(beta + e) - loglik(beta - e)) / (2 * h)
                 assert abs(fd - g[j]) <= 1e-4 * max(1.0, abs(g[j]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n_labels=st.integers(1, 6),
+           tol=st.sampled_from([1e-8, 1e-6, 1e-3]))
+    def test_converged_means_gradient_below_tol(self, data, n_labels, tol):
+        n = data.draw(st.integers(1, 60))
+        dx = data.draw(st.lists(st.one_of(st.floats(0.0, 20.0),
+                                          st.sampled_from([0.0, 1.0, 2.5])),
+                                min_size=n, max_size=n))
+        dy = data.draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
+        loss = data.draw(st.lists(st.integers(0, n_labels), min_size=n, max_size=n))
+        pairs = [DistancePair(a, b, c) for a, b, c in zip(dx, dy, loss)]
+        try:
+            fit = fit_binomial_glm(pairs, n_labels, tol=tol)
+        except TrainingError:
+            assume(False)  # every loss 0 or every loss n_labels
+        assume(fit.converged)
+        X = np.column_stack([np.ones(n), dx, dy])
+        beta = np.array([fit.beta0, fit.beta1, fit.beta2])
+        th = 1.0 / (1.0 + np.exp(-(X @ beta)))
+        grad = np.max(np.abs(X.T @ (np.array(loss) - n_labels * th)))
+        assert grad < tol
+        assert grad == fit.final_gradient_norm
 
 
 class TestTheta:
