@@ -4,14 +4,14 @@ Exit codes: 2 usage errors, 3 data errors, 4 training failures.
 """
 
 import argparse
-import csv
 import json
 import sys
 
 import numpy as np
 
 from .br import br_fit, br_predict
-from .data import DataError, dataset_summary, load_csv, load_sparse
+from .data import (DataError, dataset_summary, load_csv, load_sparse,
+                   read_dense_csv)
 from .evaluate import (cross_validate, holdout_eval, scaling_experiment,
                        wilcoxon_signed_rank, METHODS)
 from .learner import TrainingError
@@ -34,23 +34,7 @@ def _load_features(path, labels, fmt):
         return _load_dataset(path, labels, fmt).features
     if fmt == "sparse":
         raise DataError("sparse input requires --labels >= 1")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: column count mismatch")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric cell") from None
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    return np.array(rows)
+    return read_dense_csv(path, 0)[1]
 
 
 def _write_report(path, records):

@@ -77,10 +77,73 @@ class SplitPair:
     t2_indices: np.ndarray
 
 
+# The characters of a CSV body that np.loadtxt and float() read alike. Cells
+# of other characters can differ: loadtxt strips \x1c-\x1f as whitespace,
+# float() takes "1_0" and non-ASCII digits, csv.reader splits quoted cells.
+_FAST_CSV_CHARS = b"0123456789+-.eE, \t\r\n"
+
+
 def load_csv(path, label_count):
     """Load a dense CSV file; the last ``label_count`` columns are labels."""
     if label_count < 1:
         raise DataError("label_count must be >= 1")
+    header, features, labels = read_dense_csv(path, label_count)
+    d = len(header) - label_count
+    return Dataset(features, labels, header[:d], header[d:])
+
+
+def read_dense_csv(path, label_count):
+    """Header, (N, d) float features and (N, label_count) 0/1 int labels.
+
+    Feature cells are anything ``float()`` parses; label cells are ``0`` or
+    ``1`` after stripping whitespace. ``label_count`` may be 0. Raises
+    DataError, with the file's line number, on a malformed file.
+    """
+    parsed = _read_csv_fast(path, label_count)
+    if parsed is None:
+        parsed = _read_csv_cells(path, label_count)
+    return parsed
+
+
+def _read_csv_fast(path, label_count):
+    """What ``_read_csv_cells`` returns, parsed by np.loadtxt; None for a
+    file on which the two could differ, malformed files among them."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            header = next(csv.reader(fh))
+            body = fh.read()
+        except (StopIteration, UnicodeDecodeError, csv.Error):
+            return None
+    ncols = len(header)
+    d = ncols - label_count
+    # Lone "\r" ends a csv record but not a loadtxt line.
+    if (d < 1 or not body.isascii()
+            or body.encode("ascii").translate(None, _FAST_CSV_CHARS)
+            or body.count("\r") != body.count("\r\n")):
+        return None
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    # loadtxt skips blank lines, which csv.reader reads as rows of 0 cells,
+    # and has no limit on a field's length.
+    if (not lines or not all(map(str.strip, lines))
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    if not {cell.strip() for line in lines
+            for cell in line.rsplit(",", label_count)[1:]} <= {"0", "1"}:
+        return None
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(lines), ncols):
+        return None
+    return (header, np.ascontiguousarray(values[:, :d]),
+            values[:, d:].astype(np.int64))
+
+
+def _read_csv_cells(path, label_count):
+    """The cell-by-cell reader: ``csv.reader`` rows, ``float()`` per feature."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -88,7 +151,8 @@ def load_csv(path, label_count):
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         ncols = len(header)
-        if label_count >= ncols:
+        d = ncols - label_count
+        if d < 1:
             raise DataError(f"{path}: no feature columns "
                             f"(label_count={label_count}, columns={ncols})")
         feat_rows, label_rows = [], []
@@ -96,11 +160,11 @@ def load_csv(path, label_count):
             if len(row) != ncols:
                 raise DataError(f"{path}:{lineno}: expected {ncols} columns, got {len(row)}")
             try:
-                feats = [float(v) for v in row[:-label_count]]
+                feats = [float(v) for v in row[:d]]
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric feature cell") from None
             labs = []
-            for v in row[-label_count:]:
+            for v in row[d:]:
                 if v.strip() not in ("0", "1"):
                     raise DataError(f"{path}:{lineno}: label cell {v!r} not in {{0,1}}")
                 labs.append(int(v))
@@ -108,8 +172,7 @@ def load_csv(path, label_count):
             label_rows.append(labs)
     if not feat_rows:
         raise DataError(f"{path}: no data rows")
-    return Dataset(np.array(feat_rows), np.array(label_rows),
-                   header[:-label_count], header[-label_count:])
+    return header, np.array(feat_rows), np.array(label_rows, dtype=np.int64)
 
 
 def save_csv(data, path):
@@ -219,11 +282,10 @@ def split_random(train, seed):
 
 def dataset_summary(data):
     """N, d, L, label cardinality and distinct labelset count."""
-    distinct = {tuple(row) for row in data.labels}
     return {
         "n": data.n,
         "d": data.d,
         "labels": data.n_labels,
         "lcard": float(data.labels.sum()) / data.n,
-        "distinct_labelsets": len(distinct),
+        "distinct_labelsets": len(np.unique(data.labels, axis=0)),
     }

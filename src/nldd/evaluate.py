@@ -251,8 +251,9 @@ def observed_labelset_split(train, test):
     """Test indices whose exact labelset occurs in train, and the rest."""
     if train.n_labels != test.n_labels:
         raise DataError("label dimension mismatch")
-    seen = {tuple(row) for row in train.labels}
-    observed, unobserved = [], []
-    for i in range(test.n):
-        (observed if tuple(test.labels[i]) in seen else unobserved).append(i)
-    return observed, unobserved
+    # Row ids of one labelset table over both sets, train rows first.
+    _, ids = np.unique(np.vstack([train.labels, test.labels]), axis=0,
+                       return_inverse=True)
+    ids = ids.ravel()
+    seen = np.isin(ids[train.n:], ids[:train.n])
+    return np.flatnonzero(seen).tolist(), np.flatnonzero(~seen).tolist()

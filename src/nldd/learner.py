@@ -64,7 +64,8 @@ def fit_logistic(features, targets, lam=1.0, max_iter=100, tol=1e-8):
     """Maximize the L2-penalized Bernoulli log-likelihood by Newton/IRLS.
 
     Step halving (up to 20 halvings) keeps the ascent monotone. The intercept
-    is unpenalized. Raises TrainingError for single-class targets.
+    is unpenalized. Raises TrainingError for single-class targets and for
+    a Hessian that is singular to working precision.
 
     ``targets`` of shape (n,) gives one LinearProbModel; an (n, L) matrix
     gives a list of L, one per column, fit in one Newton loop. Each label
@@ -105,7 +106,11 @@ def fit_logistic(features, targets, lam=1.0, max_iter=100, tol=1e-8):
         # a times the memory of X1.
         H = np.stack([X1.T @ (w[:, None] * X1) for w in wt])
         H[:, diag, diag] += lam
-        delta = np.linalg.solve(H, G[:, :, None])[:, :, 0]
+        try:
+            delta = np.linalg.solve(H, G[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            raise TrainingError(f"singular Hessian at IRLS iteration {it}; "
+                                "try a larger lambda") from None
 
         step = np.ones(active.size)
         Wn = W + delta

@@ -117,16 +117,36 @@ def save_model(model, path):
                     "beta2": model.fit.beta2, "converged": model.fit.converged,
                     "iterations": model.fit.iterations,
                     "final_gradient_norm": model.fit.final_gradient_norm},
-            "train_features_std": model.train_features_std.tolist(),
-            "train_labelsets": model.train_labelsets.tolist(),
+            "train_features_std": model.train_features_std,
+            "train_labelsets": model.train_labelsets,
             "pair_count": model.pair_count,
             "distance_ops": model.distance_ops,
         }
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
-        fh.write("\n")
+        _write_doc(fh, doc)
+
+
+def _write_doc(fh, doc):
+    """Write ``doc`` as ``json.dump(doc, fh, separators=(",", ":"))`` would
+    with its arrays as lists, and a newline; the 2-D arrays go row by row,
+    so the whole document is never held as text."""
+    sep = "{"
+    for key, value in doc.items():
+        fh.write(sep + json.dumps(key) + ":")
+        sep = ","
+        if not isinstance(value, np.ndarray):
+            fh.write(json.dumps(value, separators=(",", ":")))
+            continue
+        # repr is json's text for an int or a finite float; json.dumps
+        # writes NaN and Infinity, which repr spells differently.
+        cell = repr if np.isfinite(value).all() else json.dumps
+        fh.write("[")
+        for i, row in enumerate(value):
+            fh.write(("," if i else "") + "[" + ",".join(map(cell, row.tolist())) + "]")
+        fh.write("]")
+    fh.write("}\n")
 
 
 def load_model(path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nldd.cli import main
-from nldd.data import save_csv
+from nldd.data import Dataset, save_csv
 from nldd.evaluate import generate_synthetic
 
 
@@ -55,6 +55,20 @@ class TestTrain:
         a = _train(csv_path, tmp_path, seed="7", name="a.json")
         b = _train(csv_path, tmp_path, seed="7", name="b.json")
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    def test_singular_hessian_training_error(self, tmp_path, capsys):
+        # A duplicated feature makes the IRLS Hessian exactly singular once
+        # lambda is too small to change its diagonal.
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(60)
+        labels = (x[:, None] + rng.standard_normal((60, 2)) > 0).astype(int)
+        path = str(tmp_path / "dup.csv")
+        save_csv(Dataset(np.column_stack([x, x, rng.standard_normal(60)]),
+                         labels), path)
+        rc = main(["train", "--data", path, "--labels", "2", "--method", "br",
+                   "--lambda", "1e-300", "--model", str(tmp_path / "m.json")])
+        assert rc == 4
+        assert "singular Hessian" in capsys.readouterr().err
 
     def test_bad_subsample_usage_error(self, csv_path, tmp_path):
         rc = main(["train", "--data", csv_path, "--labels", "3",

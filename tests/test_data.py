@@ -1,8 +1,14 @@
+import csv
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from nldd import data as data_module
+from nldd.cli import _load_features
 from nldd.data import (DataError, Dataset, dataset_summary, load_csv,
                        load_sparse, save_csv, split_random, standardize_apply,
                        standardize_fit)
@@ -53,6 +59,189 @@ class TestLoadCsv:
         back = load_csv(path, 2)
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.labels, ds.labels)
+
+
+def load_csv_cells(path, label_count):
+    """Oracle: the cell-by-cell reader, a csv.reader row and float() per
+    feature cell, as load_csv was before its np.loadtxt path; label_count
+    may be 0, which gives the features alone."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        ncols = len(header)
+        d = ncols - label_count
+        if d < 1:
+            raise DataError(f"{path}: no feature columns "
+                            f"(label_count={label_count}, columns={ncols})")
+        feat_rows, label_rows = [], []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != ncols:
+                raise DataError(f"{path}:{lineno}: expected {ncols} columns, got {len(row)}")
+            try:
+                feats = [float(v) for v in row[:d]]
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: non-numeric feature cell") from None
+            labs = []
+            for v in row[d:]:
+                if v.strip() not in ("0", "1"):
+                    raise DataError(f"{path}:{lineno}: label cell {v!r} not in {{0,1}}")
+                labs.append(int(v))
+            feat_rows.append(feats)
+            label_rows.append(labs)
+    if not feat_rows:
+        raise DataError(f"{path}: no data rows")
+    if not label_count:
+        return np.array(feat_rows)
+    return Dataset(np.array(feat_rows), np.array(label_rows),
+                   header[:d], header[d:])
+
+
+def _outcome(read, path, label_count):
+    """What ``read`` returns, as comparable bytes, or its exception."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = read(path, label_count)
+    except Exception as exc:  # compared by type and message
+        return ("error", type(exc), str(exc))
+    if isinstance(got, Dataset):
+        return ("ok", got.features.dtype, got.features.shape,
+                got.features.tobytes(), got.labels.dtype, got.labels.tobytes(),
+                got.feature_names, got.label_names)
+    return ("ok", got.dtype, got.shape, got.tobytes())
+
+
+_SPECIAL_CELLS = ["0", "1", "-0", "+1", "1.0", "01", " 1 ", "1e0", "0.", "1_0",
+                  "\u0661", "0x1p3", "", " ", "\t", '"1"', '"1,0"', '""', "nan",
+                  "-inf", "Infinity", "1e5000", "5e-324", "#3", "abc", "\x1c1",
+                  "\xa02", "0.1000000000000000055511151231257827", "1e", ".e1"]
+_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(_SPECIAL_CELLS),
+    st.text(alphabet="0123456789.eE+- _", max_size=6),
+    st.tuples(st.sampled_from(["", " ", "\t"]), st.floats(-1e3, 1e3).map(repr),
+              st.sampled_from(["", " ", "\t"])).map("".join))
+_LABEL_CELLS = st.one_of(st.sampled_from(["0", "1"]), _CELLS)
+_PAD = st.sampled_from(["", " ", "\t"])
+_CLEAN_CELLS = st.tuples(_PAD, st.floats(allow_nan=False, allow_infinity=False)
+                         .map(repr), _PAD).map("".join)
+_CLEAN_LABEL_CELLS = st.tuples(_PAD, st.sampled_from(["0", "1"]), _PAD).map("".join)
+
+
+@st.composite
+def csv_files(draw):
+    """A CSV file as bytes and its label count. Half the files hold only
+    finite float and 0/1 cells; the rest draw any cell and add the blank,
+    comment, short and undecodable lines that the fast reader must refer to
+    the cell-by-cell reader."""
+    d, n_labels = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    clean = draw(st.booleans())
+    cells, label_cells = ((_CLEAN_CELLS, _CLEAN_LABEL_CELLS) if clean
+                          else (_CELLS, _LABEL_CELLS))
+    header = [f"f{j}" for j in range(d)] + [f"l{j}" for j in range(n_labels)]
+    if draw(st.integers(0, 3)) == 0:
+        header[0] = '"f,0"'
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 4))):
+        row = ([draw(cells) for _ in range(d)]
+               + [draw(label_cells) for _ in range(n_labels)])
+        if not clean and draw(st.integers(0, 9)) == 0:
+            row = row[:-1] if draw(st.booleans()) else row + ["1"]
+        lines.append(",".join(row))
+    for _ in range(0 if clean else draw(st.integers(0, 2))):
+        extra = draw(st.sampled_from(["", " ", "# note", "\r"]))
+        lines.insert(draw(st.integers(1, len(lines))), extra)
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(lines) + draw(st.sampled_from([eol, "", eol + eol]))
+    raw = text.encode("utf-8")
+    if not clean and draw(st.integers(0, 9)) == 0:
+        raw += b"\xff"
+    return raw, n_labels
+
+
+def _read_as_cli(path, label_count):
+    """The reader a CLI call uses: ``--labels 0`` reads features alone."""
+    if label_count:
+        return load_csv(path, label_count)
+    return _load_features(path, 0, "csv")
+
+
+def _as_dataset(header, features, labels, label_count):
+    if not label_count:
+        return features
+    d = len(header) - label_count
+    return Dataset(features, labels, header[:d], header[d:])
+
+
+class TestDenseCsvReader:
+    """The np.loadtxt reader against the cell-by-cell oracle."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=csv_files())
+    def test_matches_cell_loop(self, tmp_path, case):
+        raw, n_labels = case
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
+        path = str(path)
+        expected = _outcome(load_csv_cells, path, n_labels)
+        assert _outcome(_read_as_cli, path, n_labels) == expected
+        fast = data_module._read_csv_fast(path, n_labels)
+        if fast is not None:
+            assert _outcome(lambda *_: _as_dataset(*fast, n_labels),
+                            path, n_labels) == expected
+
+    @pytest.mark.parametrize("label_count", [0, 2])
+    def test_clean_files_take_loadtxt(self, tmp_path, label_count):
+        rng = np.random.default_rng(8)
+        ds = Dataset(rng.standard_normal((30, 4)) * 10.0 ** rng.integers(-300, 300, (30, 4)),
+                     rng.integers(0, 2, (30, 2)))
+        path = str(tmp_path / "d.csv")
+        save_csv(ds, path)
+        fast = data_module._read_csv_fast(path, label_count)
+        assert fast is not None
+        header, features, labels = fast
+        d = 6 - label_count
+        assert features.flags["C_CONTIGUOUS"] and labels.dtype == np.int64
+        expected = np.hstack([ds.features, ds.labels])
+        assert features.tobytes() == expected[:, :d].tobytes()
+        assert labels.tolist() == expected[:, d:].astype(int).tolist()
+
+    def test_crlf_file_takes_loadtxt(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"f1,l1\r\n 2.5 ,1\r\n-0.0,0")
+        assert data_module._read_csv_fast(str(path), 1) is not None
+        ds = load_csv(str(path), 1)
+        assert ds.features.tobytes() == np.array([[2.5], [-0.0]]).tobytes()
+        assert ds.labels.tolist() == [[1], [0]]
+
+    @pytest.mark.parametrize("cell, value", [
+        ("1_0", 10.0), ("\u0661", 1.0), ("\xa02\u2003", 2.0), ("1e5000", None)])
+    def test_cells_only_float_reads(self, tmp_path, cell, value):
+        path = _write(tmp_path, "d.csv", f"f1,l1\n{cell},1\n")
+        if value is None:  # parsed, then refused as not finite
+            with pytest.raises(DataError, match="row 0, column 0 is not finite"):
+                load_csv(path, 1)
+        else:
+            assert load_csv(path, 1).features.tolist() == [[value]]
+
+    @pytest.mark.parametrize("body, message", [
+        ("1.0,1\n\n2.0,0\n", ":3: expected 2 columns, got 0"),
+        ("\x1c1,1\n", ":2: non-numeric feature cell"),
+        ("0x1p3,1\n", ":2: non-numeric feature cell"),
+        ("1.0,1.0\n", ":2: label cell '1.0' not in {0,1}"),
+        ("1.0,+1\n", ":2: label cell '+1' not in {0,1}"),
+        ('"1.0",1\n2.0\n', ":3: expected 2 columns, got 1"),
+        ("1.0\n2.0\n", ":2: expected 2 columns, got 1"),
+        ("1.0,1,0\n", ":2: expected 2 columns, got 3"),
+    ])
+    def test_malformed_cells_keep_their_messages(self, tmp_path, body, message):
+        path = _write(tmp_path, "d.csv", "f1,l1\n" + body)
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_csv(path, 1)
 
 
 class TestLoadSparse:

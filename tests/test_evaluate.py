@@ -222,6 +222,19 @@ class TestObservedSplit:
         observed, unobserved = observed_labelset_split(tr, te)
         assert observed == [1] and unobserved == [0]
 
+    @settings(max_examples=60, deadline=None)
+    @given(n_train=st.integers(1, 12), n_test=st.integers(1, 12),
+           n_labels=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_equals_tuple_set_loop(self, n_train, n_test, n_labels, seed):
+        rng = np.random.default_rng(seed)
+        tr = Dataset(np.zeros((n_train, 1)), rng.integers(0, 2, (n_train, n_labels)))
+        te = Dataset(np.zeros((n_test, 1)), rng.integers(0, 2, (n_test, n_labels)))
+        seen = {tuple(row) for row in tr.labels}
+        expected = ([i for i in range(te.n) if tuple(te.labels[i]) in seen],
+                    [i for i in range(te.n) if tuple(te.labels[i]) not in seen])
+        assert observed_labelset_split(tr, te) == expected
+        assert dataset_summary(tr)["distinct_labelsets"] == len(seen)
+
     def test_partition(self):
         tr = generate_synthetic(50, 4, 4, 0.3, 0.5, seed=2)
         te = generate_synthetic(30, 4, 4, 0.3, 0.5, seed=3)

@@ -1,13 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from nldd.br import br_fit, br_predict_proba
+from nldd.br import BRModel, br_fit, br_predict_proba
 from nldd.data import DataError
 from nldd.evaluate import generate_synthetic
 from nldd.model import nldd_train, predict_with_confidence
-from nldd.persist import load_model, save_model
+from nldd.persist import FORMAT_VERSION, _br_doc, load_model, save_model
 
 
 @pytest.fixture
@@ -48,6 +49,66 @@ def test_save_deterministic_bytes(dataset, tmp_path):
     save_model(nldd_train(dataset, seed=4), a)
     save_model(nldd_train(dataset, seed=4), b)
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def save_model_json_dump(model, path):
+    """Oracle: the whole document built with lists, then one json.dump."""
+    if isinstance(model, BRModel):
+        doc = {"format_version": FORMAT_VERSION, "method": "br",
+               "br": _br_doc(model)}
+    else:
+        doc = {
+            "format_version": FORMAT_VERSION,
+            "method": "nldd",
+            "br": _br_doc(model.br),
+            "fit": {"beta0": model.fit.beta0, "beta1": model.fit.beta1,
+                    "beta2": model.fit.beta2, "converged": model.fit.converged,
+                    "iterations": model.fit.iterations,
+                    "final_gradient_norm": model.fit.final_gradient_norm},
+            "train_features_std": model.train_features_std.tolist(),
+            "train_labelsets": model.train_labelsets.tolist(),
+            "pair_count": model.pair_count,
+            "distance_ops": model.distance_ops,
+        }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, separators=(",", ":"))
+        fh.write("\n")
+
+
+def _edge_rows(model):
+    features = model.train_features_std.copy()
+    features[0, :5] = [-0.0, 5e-324, 1e308, 0.1, 2.0]
+    features[1, :5] = [-5e-324, -1e308, 1e-7, 1e16, 123456789.0]
+    return dataclasses.replace(model, train_features_std=features)
+
+
+def _one_row_one_label(model):
+    br = dataclasses.replace(model.br, classifiers=model.br.classifiers[:1],
+                             label_names=model.br.label_names[:1])
+    return dataclasses.replace(model, br=br,
+                               train_features_std=model.train_features_std[:1],
+                               train_labelsets=model.train_labelsets[:1, :1])
+
+
+def _non_finite_rows(model):
+    features = model.train_features_std.copy()
+    features[0, :3] = [np.nan, np.inf, -np.inf]
+    return dataclasses.replace(model, train_features_std=features)
+
+
+@pytest.mark.parametrize("make", [
+    lambda ds: br_fit(ds),
+    lambda ds: nldd_train(ds, seed=2),
+    lambda ds: _edge_rows(nldd_train(ds, seed=2)),
+    lambda ds: _one_row_one_label(nldd_train(ds, seed=2)),
+    lambda ds: _non_finite_rows(nldd_train(ds, seed=2)),
+], ids=["br", "nldd", "edge_floats", "one_row_one_label", "non_finite"])
+def test_save_matches_json_dump_bytes(dataset, tmp_path, make):
+    model = make(dataset)
+    streamed, dumped = tmp_path / "streamed.json", tmp_path / "dumped.json"
+    save_model(model, str(streamed))
+    save_model_json_dump(model, str(dumped))
+    assert streamed.read_bytes() == dumped.read_bytes()
 
 
 def test_unknown_format_version_rejected(tmp_path):
