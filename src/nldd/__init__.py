@@ -1,20 +1,20 @@
 """Multi-label classification by nearest labelset with double distances,
 with Binary Relevance and Subset-Mapping baselines."""
 
-from .br import (BRModel, br_fit, br_predict, br_predict_proba,
-                 br_predict_proba_matrix, smbr_predict)
-from .data import (Dataset, DataError, StandardizationStats, SplitPair,
+from .br import (BRModel, br_fit, br_predict, br_predict_proba_matrix,
+                 smbr_predict)
+from .data import (Dataset, DataError, StandardizationStats,
                    dataset_summary, load_csv, load_sparse, save_csv,
                    split_random, standardize_apply, standardize_fit)
 from .evaluate import (cross_validate, generate_synthetic, holdout_eval,
                        observed_labelset_split, scaling_experiment,
                        wilcoxon_signed_rank, WilcoxonResult)
 from .learner import (ConstantProbModel, LinearProbModel, TrainingError,
-                      fit_fallback, fit_logistic, predict_proba)
+                      fit_fallback, fit_logistic)
 from .metrics import (MetricsReport, aggregate, f_measure, hamming_loss,
                       instance_metrics, instance_metrics_matrix, jaccard,
                       zero_one_loss)
-from .model import (BinomialFit, DistancePair, NlddModel, fit_binomial_glm,
+from .model import (BinomialFit, NlddModel, fit_binomial_glm,
                     mine_pairs, nldd_predict, nldd_train,
                     predict_with_confidence, theta)
 from .persist import load_model, save_model

@@ -33,11 +33,6 @@ def br_fit(train, lam=1.0):
                    label_names=list(train.label_names))
 
 
-def br_predict_proba(model, x):
-    """Length-L probability vector for one raw feature row."""
-    return br_predict_proba_matrix(model, np.atleast_2d(x))[0]
-
-
 def br_predict_proba_matrix(model, features):
     """(n, L) probability matrix for raw feature rows, (n, d) or one (d,) row.
 

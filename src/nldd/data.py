@@ -71,12 +71,6 @@ class StandardizationStats:
     sds: np.ndarray
 
 
-@dataclass
-class SplitPair:
-    t1_indices: np.ndarray
-    t2_indices: np.ndarray
-
-
 # The characters of a CSV body that np.loadtxt and float() read alike. Cells
 # of other characters can differ: loadtxt strips \x1c-\x1f as whitespace,
 # float() takes "1_0" and non-ASCII digits, csv.reader splits quoted cells.
@@ -88,6 +82,10 @@ def load_csv(path, label_count):
     if label_count < 1:
         raise DataError("label_count must be >= 1")
     header, features, labels = read_dense_csv(path, label_count)
+    bad = ~np.isfinite(features).all(axis=1)
+    if bad.any():
+        # Data row i is on line i + 2, after the header, as in the readers.
+        raise DataError(f"{path}:{int(np.argmax(bad)) + 2}: non-finite feature cell")
     d = len(header) - label_count
     return Dataset(features, labels, header[:d], header[d:])
 
@@ -270,14 +268,15 @@ def standardize_apply(stats, features):
 
 
 def split_random(train, seed):
-    """Seeded shuffle; first ceil(N/2) indices form T1, the rest T2."""
+    """Seeded shuffle: ``(t1, t2)`` index arrays, the first ceil(N/2)
+    indices and the rest."""
     n = train.n
     if n < 4:
         raise DataError("split needs at least 4 rows")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     half = math.ceil(n / 2)
-    return SplitPair(t1_indices=perm[:half], t2_indices=perm[half:])
+    return perm[:half], perm[half:]
 
 
 def dataset_summary(data):

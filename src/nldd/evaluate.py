@@ -3,7 +3,7 @@ Wilcoxon signed-rank test, synthetic data generation, and the
 training-subsample scaling experiment."""
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import norm, rankdata
@@ -11,7 +11,7 @@ from scipy.stats import norm, rankdata
 from .br import br_fit, br_predict, smbr_predict
 from .data import DataError, Dataset
 from .learner import TrainingError
-from .metrics import aggregate, instance_metrics_matrix, MetricsReport
+from .metrics import aggregate, instance_metrics_matrix
 from .model import nldd_predict, nldd_train
 
 METHODS = ("br", "smbr", "nldd")
@@ -19,11 +19,6 @@ METHODS = ("br", "smbr", "nldd")
 # other exception type may take other constructor arguments, so it
 # propagates as it is.
 _FOLD_TAGGED = (DataError, TrainingError, ValueError)
-
-
-@dataclass
-class FoldPlan:
-    fold_assignments: np.ndarray  # length N, fold ids in [0, k)
 
 
 @dataclass
@@ -35,14 +30,15 @@ class WilcoxonResult:
 
 
 def make_folds(n, k, seed):
-    """Seeded fold assignment with sizes differing by at most 1."""
+    """Seeded fold assignment: the fold id in [0, k) of each of the n rows,
+    with fold sizes differing by at most 1."""
     if k < 2 or k > n:
         raise ValueError(f"k must be in [2, {n}]")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     assignments = np.empty(n, dtype=np.int64)
     assignments[perm] = np.arange(n) % k
-    return FoldPlan(fold_assignments=assignments)
+    return assignments
 
 
 def _method_ids(method):
@@ -88,24 +84,16 @@ def _evaluate_rows(predict, test):
     return aggregate(instance_metrics_matrix(test.labels, predict(test.features)))
 
 
-def _mean_report(fold_reports, n):
-    means = np.array([[r.hamming, r.zero_one, r.jaccard, r.f_measure]
-                      for r in fold_reports]).mean(axis=0)
-    return MetricsReport(hamming=float(means[0]), zero_one=float(means[1]),
-                         jaccard=float(means[2]), f_measure=float(means[3]),
-                         n_instances=n)
-
-
 def cross_validate(data, method, k, seed, params=None):
     """k-fold CV; returns (per-fold reports, mean report). A tuple of
     method ids returns a dict of those pairs by id; each fold fits Binary
     Relevance once for all of them (see ``train_predictor``)."""
     methods = _method_ids(method)
-    plan = make_folds(data.n, k, seed)
+    folds = make_folds(data.n, k, seed)
     fold_reports = {m: [] for m in methods}
     for fold in range(k):
-        test_idx = np.flatnonzero(plan.fold_assignments == fold)
-        train_idx = np.flatnonzero(plan.fold_assignments != fold)
+        test_idx = np.flatnonzero(folds == fold)
+        train_idx = np.flatnonzero(folds != fold)
         try:
             predictors = train_predictor(methods, data.subset(train_idx),
                                          seed=seed, params=params)
@@ -116,8 +104,12 @@ def cross_validate(data, method, k, seed, params=None):
             if type(exc) not in _FOLD_TAGGED:
                 raise
             raise type(exc)(f"fold {fold}: {exc}") from exc
-    return _one_or_many(method, {m: (reports, _mean_report(reports, data.n))
-                                 for m, reports in fold_reports.items()})
+    results = {}
+    for m, reports in fold_reports.items():
+        rows = [(r.hamming, r.zero_one, r.jaccard, r.f_measure) for r in reports]
+        # The mean over folds, reported against all of the data's rows.
+        results[m] = (reports, replace(aggregate(rows), n_instances=data.n))
+    return _one_or_many(method, results)
 
 
 def holdout_eval(train, test, method, seed=0, params=None):

@@ -3,10 +3,9 @@
 Exact distances. Every squared distance that decides a result is computed
 one way: for each pair of rows, the squares of the differences are added in
 feature order, j = 0 to d-1, into one accumulator, with no fused
-multiply-add. ``sq_dists`` scans one row against a matrix,
-``paired_sq_dists`` computes listed pairs of rows and ``cross_sq_dists``
-every pair of two row sets; all three give the same bits for the same pair
-of rows, whatever the layout, batch or block.
+multiply-add. ``paired_sq_dists`` computes listed pairs of rows and
+``cross_sq_dists`` every pair of two row sets; both give the same bits for
+the same pair of rows, whatever the layout, batch or block.
 
 The screen. Scanning every training row exactly for every query is slow, so
 ``screen`` first computes, for a block of query rows a against all rows b,
@@ -75,11 +74,6 @@ def _add_squares(diff):
 def _chunk(d, width):
     """Number of columns of a (d, columns) float64 array within BLOCK_BYTES."""
     return max(1, BLOCK_BYTES // (8 * d * width))
-
-
-def sq_dists(x, mat):
-    """Squared Euclidean distances from row vector ``x`` to every row of ``mat``."""
-    return _add_squares(np.subtract(mat.T, x[:, None], order="C"))
 
 
 def paired_sq_dists(a, b, rows, cols):

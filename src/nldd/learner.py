@@ -26,7 +26,9 @@ class ConstantProbModel:
 
 
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+    # exp(-z) overflows to inf for z < -709, which gives the right limit 0.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def _scores(X1, W):
@@ -50,14 +52,6 @@ def _gradients(X1, Y, Z, W, lam):
     G = (X1.T[None] @ (Y - P)[:, :, None])[:, :, 0]
     G[:, 1:] -= lam * W[:, 1:]
     return P, G
-
-
-def _penalized_loglik(X1, y, w, lam):
-    return _logliks(X1, y[None], w[None], lam)[1][0]
-
-
-def _penalized_gradient(X1, y, w, lam):
-    return _gradients(X1, y[None], _scores(X1, w[None]), w[None], lam)[1][0]
 
 
 def fit_logistic(features, targets, lam=1.0, max_iter=100, tol=1e-8):
@@ -152,11 +146,6 @@ def fit_fallback(targets):
         return ConstantProbModel(p=0.5)
     k = int(np.sum(y))
     return ConstantProbModel(p=(k + 1) / (n + 2))
-
-
-def predict_proba(model, features):
-    """Probability of the positive class for a single feature row."""
-    return float(predict_proba_matrix(model, np.ravel(features))[0])
 
 
 def predict_proba_matrix(model, features):

@@ -15,13 +15,6 @@ from .learner import TrainingError
 
 
 @dataclass
-class DistancePair:
-    dx: float  # Euclidean distance in standardized feature space
-    dy: float  # Euclidean distance between p-hat and a labelset vertex
-    loss: int  # mismatched labels against the true labelset
-
-
-@dataclass
 class BinomialFit:
     beta0: float
     beta1: float
@@ -37,7 +30,6 @@ class NlddModel:
     fit: BinomialFit
     train_features_std: np.ndarray
     train_labelsets: np.ndarray  # int64
-    stats: object
     pair_count: int  # |S|
     distance_ops: int  # pairwise distance computations during mining
 
@@ -103,8 +95,11 @@ def mine_pairs(p_hat, true_labels, t1_features_std, t1_labels, x_std):
     The first pair minimizes dx (ties broken by smaller dy), the second
     minimizes dy (ties broken by smaller dx); remaining ties go to the
     lowest row index. When both selections hit the same row, a single
-    pair is returned. For an (n, .) batch the pairs of row 0, then of
-    row 1, and so on, come in one list; a 1-D row is a batch of one.
+    pair is kept. Returns ``(dx, dy, loss)``, three 1-D arrays: dx is the
+    Euclidean distance in standardized feature space, dy the one between
+    p-hat and the chosen labelset vertex, loss the count of labels that
+    vertex gets wrong. For an (n, .) batch the pairs of row 0 come first,
+    then those of row 1, and so on; a 1-D row is a batch of one.
 
     The ties are decided on the exact squared distances of the
     ``kernels`` module (per row, the squared differences added in feature
@@ -122,14 +117,10 @@ def mine_pairs(p_hat, true_labels, t1_features_std, t1_labels, x_std):
     rows, dxsq, dysq = _nearest_rows(x_std, p_hat, t1_features_std,
                                      labelsets, inverse)
     losses = np.sum(true_labels[None] != t1_labels[rows], axis=2)
-
-    pairs = []
-    for i in range(x_std.shape[0]):
-        for k in ((0,) if rows[0, i] == rows[1, i] else (0, 1)):
-            pairs.append(DistancePair(dx=math.sqrt(dxsq[k, i]),
-                                      dy=math.sqrt(dysq[k, i]),
-                                      loss=int(losses[k, i])))
-    return pairs
+    # Masking the (n, 2) transposes takes row 0's pairs, then row 1's, ...
+    keep = np.column_stack([np.ones(x_std.shape[0], dtype=bool),
+                            rows[0] != rows[1]])
+    return np.sqrt(dxsq.T[keep]), np.sqrt(dysq.T[keep]), losses.T[keep]
 
 
 def _binomial_loglik(X, losses, n_trials, beta):
@@ -137,25 +128,29 @@ def _binomial_loglik(X, losses, n_trials, beta):
     return float(np.sum(losses * z - n_trials * np.logaddexp(0.0, z)))
 
 
-def fit_binomial_glm(pairs, n_labels, max_iter=50, tol=1e-8):
+def fit_binomial_glm(dx, dy, losses, n_labels, max_iter=50, tol=1e-8):
     """Newton-Raphson MLE of the logit-link binomial regression of the loss
-    count (out of ``n_labels`` trials) on (dx, dy).
+    count (out of ``n_labels`` trials) on (dx, dy), three equal-length 1-D
+    arrays as ``mine_pairs`` returns them.
 
-    Raises TrainingError when every loss is 0 or every loss is n_labels.
-    Non-convergence is reported via ``converged=False``, not an exception.
+    Raises ValueError on empty or unequal-length arrays, TrainingError when
+    every loss is 0 or every loss is n_labels. Non-convergence is reported
+    via ``converged=False``, not an exception.
     """
-    if not pairs:
+    dx, dy = np.asarray(dx, dtype=np.float64), np.asarray(dy, dtype=np.float64)
+    losses = np.asarray(losses, dtype=np.float64)
+    if dx.ndim != 1 or dx.shape != dy.shape or dx.shape != losses.shape:
+        raise ValueError("dx, dy and losses must be 1-D arrays of one length")
+    n = losses.shape[0]
+    if n == 0:
         raise ValueError("no distance pairs")
-    losses = np.array([p.loss for p in pairs], dtype=np.float64)
-    X = np.column_stack([np.ones(len(pairs)),
-                         np.array([p.dx for p in pairs]),
-                         np.array([p.dy for p in pairs])])
+    X = np.column_stack([np.ones(n), dx, dy])
     total = losses.sum()
-    if total == 0 or total == n_labels * len(pairs):
+    if total == 0 or total == n_labels * n:
         raise TrainingError("degenerate losses: all 0 or all L, "
                             "binomial regression is unidentifiable")
 
-    rate = total / (n_labels * len(pairs))
+    rate = total / (n_labels * n)
     beta = np.array([math.log(rate / (1.0 - rate)), 0.0, 0.0])
     converged = False
     grad_norm = np.inf
@@ -205,8 +200,7 @@ def theta(fit, dx, dy):
     return float(min(max(t, 1e-12), 1.0 - 1e-12))
 
 
-def nldd_train(train, seed, lam=1.0, subsample_fraction=1.0,
-               glm_max_iter=50, glm_tol=1e-8):
+def nldd_train(train, seed, lam=1.0, subsample_fraction=1.0):
     """Full training pipeline: optional subsample, T1/T2 split, pair mining
     on T2 against T1, binomial regression, and a final fit on all rows."""
     if not 0.0 < subsample_fraction <= 1.0:
@@ -218,21 +212,20 @@ def nldd_train(train, seed, lam=1.0, subsample_fraction=1.0,
         keep = np.sort(rng.permutation(train.n)[:m])
         sub = train.subset(keep)
 
-    split = split_random(sub, seed)
-    t1 = sub.subset(split.t1_indices)
-    t2 = sub.subset(split.t2_indices)
+    t1_indices, t2_indices = split_random(sub, seed)
+    t1 = sub.subset(t1_indices)
+    t2 = sub.subset(t2_indices)
 
     br_star = br_fit(t1, lam=lam)
     t1_std = standardize_apply(br_star.stats, t1.features)
     t2_std = standardize_apply(br_star.stats, t2.features)
     p_hat = br_predict_proba_matrix(br_star, t2.features)
 
-    pairs = mine_pairs(p_hat, t2.labels, t1_std, t1.labels, x_std=t2_std)
+    dx, dy, losses = mine_pairs(p_hat, t2.labels, t1_std, t1.labels, x_std=t2_std)
     distance_ops = t1.n * t2.n
 
     try:
-        fit = fit_binomial_glm(pairs, sub.n_labels,
-                               max_iter=glm_max_iter, tol=glm_tol)
+        fit = fit_binomial_glm(dx, dy, losses, sub.n_labels)
     except TrainingError as exc:
         raise TrainingError(f"binomial regression failed on mined pairs: {exc}") from exc
     if not fit.converged:
@@ -240,7 +233,7 @@ def nldd_train(train, seed, lam=1.0, subsample_fraction=1.0,
         warnings.warn("binomial regression did not converge; falling back to "
                       "label-space-only weights (beta1=0, beta2=1)",
                       RuntimeWarning, stacklevel=2)
-        rate = sum(p.loss for p in pairs) / (sub.n_labels * len(pairs))
+        rate = int(losses.sum()) / (sub.n_labels * losses.size)
         rate = min(max(rate, 1e-12), 1.0 - 1e-12)
         fit = BinomialFit(beta0=math.log(rate / (1.0 - rate)), beta1=0.0,
                           beta2=1.0, converged=False, iterations=fit.iterations,
@@ -251,8 +244,7 @@ def nldd_train(train, seed, lam=1.0, subsample_fraction=1.0,
                      train_features_std=standardize_apply(br_full.stats,
                                                           sub.features),
                      train_labelsets=np.array(sub.labels),
-                     stats=br_full.stats,
-                     pair_count=len(pairs),
+                     pair_count=losses.size,
                      distance_ops=distance_ops)
 
 
@@ -264,7 +256,7 @@ def _best_rows(model, features):
     row index.
     """
     p_hat = br_predict_proba_matrix(model.br, features)
-    x_std = standardize_apply(model.stats, features)
+    x_std = standardize_apply(model.br.stats, features)
     labelsets, inverse = _labelset_table(model.train_labelsets)
     n = x_std.shape[0]
     rows = np.empty(n, dtype=np.intp)

@@ -98,7 +98,7 @@ def _nldd_from(doc):
         raise DataError(f"train_labelsets has {labelsets.shape[1]} columns "
                         f"for {len(br.classifiers)} classifiers")
     return NlddModel(br=br, fit=fit, train_features_std=features,
-                     train_labelsets=labelsets, stats=br.stats,
+                     train_labelsets=labelsets,
                      pair_count=_get(doc, "pair_count"),
                      distance_ops=_get(doc, "distance_ops"))
 

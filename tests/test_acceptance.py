@@ -6,17 +6,17 @@ import time
 
 import numpy as np
 
-from nldd.br import br_fit, br_predict_proba, smbr_predict
+from nldd.br import br_fit, br_predict_proba_matrix, smbr_predict
 from nldd.evaluate import (generate_synthetic, holdout_eval,
                            scaling_experiment, wilcoxon_signed_rank)
 from nldd.metrics import instance_metrics
-from nldd.model import (BinomialFit, DistancePair, fit_binomial_glm,
-                        mine_pairs, nldd_predict, nldd_train, theta)
+from nldd.model import (BinomialFit, fit_binomial_glm, mine_pairs,
+                        nldd_predict, nldd_train, theta)
 from nldd.persist import load_model, save_model
 
 from test_evaluate import wilcoxon_oracle
 from test_metrics import set_oracle
-from test_model import mine_pairs_oracle
+from test_model import mine_pairs_oracle, pair_tuples
 
 SCENE_COEFS = (-3.5023, 0.0134, 1.8269)
 
@@ -62,8 +62,7 @@ def test_criterion_02_pair_mining_oracle():
         p_hat = rng.uniform(0.01, 0.99, L)
         x = rng.standard_normal(d)
         true = rng.integers(0, 2, L)
-        got = [(p.dx, p.dy, p.loss)
-               for p in mine_pairs(p_hat, true, feats, labels, x_std=x)]
+        got = pair_tuples(mine_pairs(p_hat, true, feats, labels, x_std=x))
         want = mine_pairs_oracle(p_hat, true, feats, labels, x)
         ok = ok and len(got) == len(want) and all(
             g[2] == w[2] and abs(g[0] - w[0]) < 1e-12 and abs(g[1] - w[1]) < 1e-12
@@ -76,9 +75,9 @@ def test_criterion_02_pair_mining_oracle():
 def test_criterion_03_glm_correctness():
     t0 = time.perf_counter()
     # (a) intercept-only MLE is the empirical logit
-    pairs = [DistancePair(0.0, 0.0, loss) for loss in (2, 0, 1, 3, 1, 2)]
-    fit = fit_binomial_glm(pairs, 5)
-    rate = sum(p.loss for p in pairs) / (5 * len(pairs))
+    losses = np.array([2, 0, 1, 3, 1, 2])
+    fit = fit_binomial_glm(np.zeros(6), np.zeros(6), losses, 5)
+    rate = losses.sum() / (5 * losses.size)
     ok_a = abs(fit.beta0 - math.log(rate / (1 - rate))) < 1e-8
 
     # (b) simulated recovery of the published coefficient triple
@@ -89,8 +88,7 @@ def test_criterion_03_glm_correctness():
     th = 1 / (1 + np.exp(-(SCENE_COEFS[0] + SCENE_COEFS[1] * dx
                            + SCENE_COEFS[2] * dy)))
     losses = rng.binomial(L, th)
-    fit_b = fit_binomial_glm(
-        [DistancePair(dx[i], dy[i], int(losses[i])) for i in range(n)], L)
+    fit_b = fit_binomial_glm(dx, dy, losses, L)
     ok_b = all(abs(got - want) <= 0.10 * abs(want)
                for got, want in zip((fit_b.beta0, fit_b.beta1, fit_b.beta2),
                                     SCENE_COEFS))
@@ -121,7 +119,7 @@ def test_criterion_05_structural_invariants():
         x = test.features[i]
         ok = ok and tuple(nldd_predict(model, x)) in observed
         ok = ok and tuple(smbr_predict(br, train, x)) in observed
-        p = br_predict_proba(br, x)
+        p = br_predict_proba_matrix(br, x)[0]
         ok = ok and np.all(p > 0) and np.all(p < 1)
     half = math.ceil(train.n / 2)
     ok = ok and half <= model.pair_count <= 2 * half

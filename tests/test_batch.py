@@ -26,7 +26,7 @@ from nldd.model import (BinomialFit, NlddModel, _best_rows, mine_pairs,
                         nldd_predict, nldd_train, predict_with_confidence,
                         theta)
 from nldd.persist import load_model, save_model
-from test_model import mine_pairs_oracle
+from test_model import mine_pairs_oracle, pair_tuples, sq_dists
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -224,11 +224,11 @@ def test_ties_break_by_dy_then_dx_then_row(fitted, beta1, beta2):
     X = generate_synthetic(30, train.d, train.n_labels, 0.8, 0.3, seed=5).features
     X = np.vstack([X, train.features[:5]])
     p_hat = br_predict_proba_matrix(model.br, X)
-    z = standardize_apply(model.stats, X)
+    z = standardize_apply(model.br.stats, X)
     want = []
     for i in range(X.shape[0]):
-        dx = np.sqrt(kernels.sq_dists(z[i], model.train_features_std))
-        dy = np.sqrt(kernels.sq_dists(p_hat[i], model.train_labelsets.astype(float)))
+        dx = np.sqrt(sq_dists(z[i], model.train_features_std))
+        dy = np.sqrt(sq_dists(p_hat[i], model.train_labelsets.astype(float)))
         score = beta1 * dx + beta2 * dy
         want.append(np.lexsort((np.arange(dx.shape[0]), dx, dy, score))[0])
     rows, _, _ = _best_rows(tied, X)
@@ -240,15 +240,15 @@ def best_rows_loop(model, features):
     both distances to every training row, then the smallest score, with
     ties among the minimizers broken by dy, then dx, then row index."""
     p_hat = br_predict_proba_matrix(model.br, features)
-    x_std = standardize_apply(model.stats, features)
+    x_std = standardize_apply(model.br.stats, features)
     train_labelsets = np.asarray(model.train_labelsets, dtype=np.float64)
     beta1, beta2 = model.fit.beta1, model.fit.beta2
     n = x_std.shape[0]
     rows = np.empty(n, dtype=np.intp)
     best_dx, best_dy = np.empty(n), np.empty(n)
     for i in range(n):
-        dx = np.sqrt(kernels.sq_dists(x_std[i], model.train_features_std))
-        dy = np.sqrt(kernels.sq_dists(p_hat[i], train_labelsets))
+        dx = np.sqrt(sq_dists(x_std[i], model.train_features_std))
+        dy = np.sqrt(sq_dists(p_hat[i], train_labelsets))
         score = beta1 * dx + beta2 * dy
         cand = np.flatnonzero(score == score.min())
         for key in (dy, dx):
@@ -316,7 +316,7 @@ def test_screened_mining_equals_exhaustive_oracle(rows_per_block, case, data):
     want = []
     for i in range(n):
         want += mine_pairs_oracle(p_hat[i], true[i], t1, t1_labels, x[i])
-    assert [(p.dx, p.dy, p.loss) for p in got] == want
+    assert pair_tuples(got) == want
 
 
 def _linear_br(weights):
@@ -343,7 +343,7 @@ def test_screened_predict_equals_row_loop(rows_per_block, case, data):
                                       True, 0, 0.0),
                       train_features_std=np.asfortranarray(train),
                       train_labelsets=np.asfortranarray(labels),
-                      stats=br.stats, pair_count=0, distance_ops=0)
+                      pair_count=0, distance_ops=0)
     # Queries 1e4 away saturate the logistic models' exp.
     with mock.patch.object(kernels, "BLOCK_BYTES",
                            _block_bytes(train.shape[0], rows_per_block)), \

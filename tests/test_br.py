@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from nldd.br import (br_fit, br_predict, br_predict_proba, smbr_predict)
+from nldd.br import br_fit, br_predict, br_predict_proba_matrix, smbr_predict
 from nldd.data import Dataset, standardize_apply
-from nldd.learner import ConstantProbModel, predict_proba
+from nldd.learner import ConstantProbModel, predict_proba_matrix
 
 
 def _dataset(seed=0, n=60, d=3, n_labels=3):
@@ -40,7 +40,7 @@ class TestBrPredict:
         model = br_fit(ds)
         rng = np.random.default_rng(3)
         for _ in range(200):
-            p = br_predict_proba(model, rng.standard_normal(ds.d) * 10)
+            p = br_predict_proba_matrix(model, rng.standard_normal(ds.d) * 10)
             assert np.all(p > 0) and np.all(p < 1)
 
     def test_compositional_oracle(self):
@@ -48,8 +48,8 @@ class TestBrPredict:
         model = br_fit(ds)
         x = np.array([0.3, -1.2, 0.7])
         z = standardize_apply(model.stats, x[None, :])[0]
-        manual = [predict_proba(c, z) for c in model.classifiers]
-        assert br_predict_proba(model, x) == pytest.approx(manual)
+        manual = [predict_proba_matrix(c, z)[0] for c in model.classifiers]
+        assert br_predict_proba_matrix(model, x)[0] == pytest.approx(manual)
 
     def test_threshold_rule(self):
         ds = _dataset(5)
@@ -57,13 +57,13 @@ class TestBrPredict:
         rng = np.random.default_rng(6)
         for _ in range(50):
             x = rng.standard_normal(ds.d)
-            p = br_predict_proba(model, x)
+            p = br_predict_proba_matrix(model, x)[0]
             assert np.array_equal(br_predict(model, x), (p >= 0.5).astype(int))
 
     def test_dimension_mismatch(self):
         model = br_fit(_dataset(7))
         with pytest.raises(Exception):
-            br_predict_proba(model, np.zeros(5))
+            br_predict_proba_matrix(model, np.zeros(5))
 
 
 class TestSmbr:

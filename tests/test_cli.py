@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nldd
 from nldd.cli import main
 from nldd.data import Dataset, save_csv
 from nldd.evaluate import generate_synthetic
@@ -227,6 +231,22 @@ class TestBoundaries:
         assert "query row 2" in capsys.readouterr().err
         assert not out_path.exists()
 
+    def test_huge_feature_predicts_without_warnings(self, csv_path, tmp_path):
+        # Features of +-1e6 drive logistic scores far beyond exp's range;
+        # the probabilities saturate, which is nothing to warn about. A
+        # separate process, so that stderr is what a user would see.
+        model_path = _train(csv_path, tmp_path)
+        query = tmp_path / "q.csv"
+        query.write_text("a,b,c,d,e\n1e6,-1e6,3,4,5\n-1e6,1e6,-1e6,4,1e6\n")
+        src = os.path.dirname(os.path.dirname(nldd.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "nldd.cli", "predict",
+             "--model", model_path, "--data", str(query), "--confidence"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert len(proc.stdout.splitlines()) == 2
+
     def test_model_without_fit_exit_3(self, csv_path, tmp_path):
         model_path = _train(csv_path, tmp_path)
         doc = json.loads(open(model_path).read())
@@ -270,4 +290,4 @@ class TestBoundaries:
                      ["eval", "--method", "smbr", "--cv", "2"]):
             rc = main(argv[:1] + ["--data", str(data), "--labels", "2"] + argv[1:])
             assert rc == 3
-            assert "not finite" in capsys.readouterr().err
+            assert f"{data}:3: non-finite feature cell" in capsys.readouterr().err

@@ -95,6 +95,9 @@ def load_csv_cells(path, label_count):
         raise DataError(f"{path}: no data rows")
     if not label_count:
         return np.array(feat_rows)
+    for lineno, feats in enumerate(feat_rows, start=2):
+        if not all(map(math.isfinite, feats)):
+            raise DataError(f"{path}:{lineno}: non-finite feature cell")
     return Dataset(np.array(feat_rows), np.array(label_rows),
                    header[:d], header[d:])
 
@@ -223,7 +226,7 @@ class TestDenseCsvReader:
     def test_cells_only_float_reads(self, tmp_path, cell, value):
         path = _write(tmp_path, "d.csv", f"f1,l1\n{cell},1\n")
         if value is None:  # parsed, then refused as not finite
-            with pytest.raises(DataError, match="row 0, column 0 is not finite"):
+            with pytest.raises(DataError, match=":2: non-finite feature cell"):
                 load_csv(path, 1)
         else:
             assert load_csv(path, 1).features.tolist() == [[value]]
@@ -333,23 +336,22 @@ class TestSplitRandom:
                        np.zeros((n, 1), dtype=int) | (np.arange(n)[:, None] % 2))
 
     def test_even_split(self):
-        split = split_random(self._ds(20), seed=0)
-        assert len(split.t1_indices) == 10 and len(split.t2_indices) == 10
+        t1, t2 = split_random(self._ds(20), seed=0)
+        assert len(t1) == 10 and len(t2) == 10
 
     def test_odd_split_ceiling(self):
-        split = split_random(self._ds(21), seed=0)
-        assert len(split.t1_indices) == 11 and len(split.t2_indices) == 10
+        t1, t2 = split_random(self._ds(21), seed=0)
+        assert len(t1) == 11 and len(t2) == 10
 
     def test_determinism(self):
         a = split_random(self._ds(20), seed=5)
         b = split_random(self._ds(20), seed=5)
-        assert np.array_equal(a.t1_indices, b.t1_indices)
-        assert np.array_equal(a.t2_indices, b.t2_indices)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_partition_property(self):
         for seed in range(10):
-            split = split_random(self._ds(17), seed=seed)
-            both = np.concatenate([split.t1_indices, split.t2_indices])
+            both = np.concatenate(split_random(self._ds(17), seed=seed))
             assert sorted(both.tolist()) == list(range(17))
 
     def test_too_small(self):

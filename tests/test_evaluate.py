@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import rankdata
+from scipy.stats import rankdata, wilcoxon
 
 from nldd.data import DataError, Dataset, dataset_summary
 from nldd import br as br_module
@@ -84,19 +84,38 @@ class TestWilcoxon:
         with pytest.raises(ValueError):
             wilcoxon_signed_rank([1.0], [2.0], alternative="both")
 
+    @settings(max_examples=60, deadline=None)
+    @given(diffs=st.integers(15, 20).flatmap(lambda n: st.lists(
+        st.integers(-1000, 1000).filter(bool), min_size=n, max_size=n,
+        unique_by=abs)))
+    def test_exact_path_near_its_limit(self, diffs):
+        # Tie-free differences, n = 15..20: the last sizes that take the
+        # exact path. It equals scipy's exact test bit for bit and stays
+        # close to the normal approximation used from n = 21 on.
+        a, b = np.array(diffs, dtype=float), np.zeros(len(diffs))
+        for alt in ("greater", "less", "two_sided"):
+            res = wilcoxon_signed_rank(a, b, alternative=alt)
+            scipy_alt = alt.replace("_", "-")
+            assert res.exact
+            assert res.p_value == wilcoxon(a, b, alternative=scipy_alt,
+                                           method="exact").pvalue
+            approx = wilcoxon(a, b, alternative=scipy_alt, method="approx",
+                              correction=False).pvalue
+            assert abs(res.p_value - approx) <= 0.04
+
 
 class TestFolds:
     def test_partition_and_balance(self):
         for seed in range(5):
-            plan = make_folds(23, 4, seed)
-            sizes = np.bincount(plan.fold_assignments, minlength=4)
+            folds = make_folds(23, 4, seed)
+            sizes = np.bincount(folds, minlength=4)
             assert sizes.sum() == 23
             assert sizes.max() - sizes.min() <= 1
 
     def test_determinism(self):
         a = make_folds(30, 10, 7)
         b = make_folds(30, 10, 7)
-        assert np.array_equal(a.fold_assignments, b.fold_assignments)
+        assert np.array_equal(a, b)
 
     def test_k_bounds(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nldd import kernels
-from test_model import sq_dist_oracle
+from test_model import sq_dist_oracle, sq_dists
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -22,7 +22,7 @@ def test_python_backend_matches_direct_computation():
         mat = rng.standard_normal((n, d))
         want = np.array([sq_dist_oracle(row, x) for row in mat])
         for order in ("C", "F"):
-            got = kernels.sq_dists(x, np.array(mat, order=order))
+            got = sq_dists(x, np.array(mat, order=order))
             assert np.array_equal(got, want), (n, d, order)
 
 

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from nldd.br import br_fit
 from nldd.data import Dataset, standardize_apply
 from nldd.learner import (ConstantProbModel, LinearProbModel, TrainingError,
-                          fit_fallback, fit_logistic, predict_proba,
-                          predict_proba_matrix, _penalized_gradient,
-                          _penalized_loglik)
+                          fit_fallback, fit_logistic, predict_proba_matrix,
+                          _gradients, _logliks)
 
 
 def _synthetic(seed=0, n=50, d=2):
@@ -21,6 +20,14 @@ def _synthetic(seed=0, n=50, d=2):
     if y.min() == y.max():  # force both classes
         y[0] = 1 - y[0]
     return X, y
+
+
+def _penalized(X1, y, w, lam):
+    """Penalized log-likelihood and gradient of one target vector ``y`` at
+    one weight vector ``w``, as the stacked fit computes them."""
+    Y, W = y[None], w[None]
+    Z, ll = _logliks(X1, Y, W, lam)
+    return ll[0], _gradients(X1, Y, Z, W, lam)[1][0]
 
 
 class TestFitLogistic:
@@ -44,7 +51,7 @@ class TestFitLogistic:
         lam = 1.0
         m = fit_logistic(X, y, lam=lam)
         X1 = np.hstack([np.ones((len(y), 1)), X])
-        ll_fit = _penalized_loglik(X1, y.astype(float), m.weights, lam)
+        ll_fit, _ = _penalized(X1, y.astype(float), m.weights, lam)
         grid = np.linspace(-5, 5, 51)
         best = -np.inf
         for b0 in grid:
@@ -69,7 +76,7 @@ class TestFitLogistic:
         tol = 1e-8
         m = fit_logistic(X, y, tol=tol)
         X1 = np.hstack([np.ones((len(y), 1)), X])
-        g = _penalized_gradient(X1, y.astype(float), m.weights, 1.0)
+        _, g = _penalized(X1, y.astype(float), m.weights, 1.0)
         assert np.max(np.abs(g)) < 10 * tol
 
     def test_gradient_matches_finite_differences(self):
@@ -80,12 +87,12 @@ class TestFitLogistic:
         h = 1e-5
         for _ in range(20):
             w = rng.uniform(-2, 2, size=3)
-            g = _penalized_gradient(X1, yf, w, 1.0)
+            _, g = _penalized(X1, yf, w, 1.0)
             for j in range(3):
                 e = np.zeros(3)
                 e[j] = h
-                fd = (_penalized_loglik(X1, yf, w + e, 1.0)
-                      - _penalized_loglik(X1, yf, w - e, 1.0)) / (2 * h)
+                fd = (_penalized(X1, yf, w + e, 1.0)[0]
+                      - _penalized(X1, yf, w - e, 1.0)[0]) / (2 * h)
                 assert abs(fd - g[j]) <= 1e-4 * max(1.0, abs(g[j]))
 
     def test_determinism_bit_identical(self):
@@ -104,7 +111,7 @@ class TestFitLogistic:
         probs = []
         for t in np.linspace(-3, 3, 13):
             x[j] = t
-            probs.append(predict_proba(m, x))
+            probs.append(predict_proba_matrix(m, x)[0])
         assert all(a <= b for a, b in zip(probs, probs[1:]))
 
 
@@ -112,30 +119,31 @@ class TestPredictProba:
     def test_zero_weights(self):
         from nldd.learner import LinearProbModel
         m = LinearProbModel(np.zeros(3), 1.0, True, 0)
-        assert predict_proba(m, [4.2, -1.0]) == 0.5
+        assert predict_proba_matrix(m, [4.2, -1.0])[0] == 0.5
 
     def test_logistic_symmetry(self):
         from nldd.learner import LinearProbModel
         m = LinearProbModel(np.array([0.0, 1.0]), 1.0, True, 0)
-        assert predict_proba(m, [0.0]) == 0.5
+        assert predict_proba_matrix(m, [0.0])[0] == 0.5
         for t in (0.3, 1.7, 9.0):
-            assert predict_proba(m, [t]) + predict_proba(m, [-t]) == pytest.approx(1.0)
+            assert (predict_proba_matrix(m, [t])[0]
+                    + predict_proba_matrix(m, [-t])[0]) == pytest.approx(1.0)
 
     def test_hand_score(self):
         from nldd.learner import LinearProbModel
         m = LinearProbModel(np.array([0.5, 1.5]), 1.0, True, 0)
-        assert predict_proba(m, [1.0]) == pytest.approx(1 / (1 + math.exp(-2.0)))
+        assert predict_proba_matrix(m, [1.0])[0] == pytest.approx(1 / (1 + math.exp(-2.0)))
 
     def test_dimension_mismatch(self):
         from nldd.learner import LinearProbModel
         m = LinearProbModel(np.zeros(3), 1.0, True, 0)
         with pytest.raises(ValueError):
-            predict_proba(m, [1.0])
+            predict_proba_matrix(m, [1.0])
 
     def test_clamping(self):
         from nldd.learner import LinearProbModel
         m = LinearProbModel(np.array([0.0, 100.0]), 1.0, True, 0)
-        p = predict_proba(m, [100.0])
+        p = predict_proba_matrix(m, [100.0])[0]
         assert 0.0 < p < 1.0
 
     def test_matrix_agrees_with_rows(self):
@@ -143,7 +151,7 @@ class TestPredictProba:
         m = LinearProbModel(np.array([0.1, -0.5, 2.0]), 1.0, True, 0)
         X = np.random.default_rng(8).standard_normal((9, 2))
         batch = predict_proba_matrix(m, X)
-        rows = [predict_proba(m, x) for x in X]
+        rows = [predict_proba_matrix(m, x)[0] for x in X]
         assert batch == pytest.approx(rows)
 
 
@@ -159,7 +167,7 @@ class TestFallback:
 
     def test_constant_model_predicts_p(self):
         m = ConstantProbModel(p=0.25)
-        assert predict_proba(m, [1.0, 2.0]) == 0.25
+        assert predict_proba_matrix(m, [1.0, 2.0])[0] == 0.25
 
 
 def fit_logistic_loop(X, y, lam=1.0, max_iter=100, tol=1e-8):

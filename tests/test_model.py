@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from nldd.data import Dataset
 from nldd.evaluate import generate_synthetic
 from nldd.learner import TrainingError
-from nldd.model import (BinomialFit, DistancePair, fit_binomial_glm,
+from nldd.model import (BinomialFit, fit_binomial_glm,
                         mine_pairs, nldd_predict, nldd_train,
                         predict_with_confidence, theta)
 
@@ -23,6 +23,20 @@ def sq_dist_oracle(row, x):
         diff = float(row[j]) - float(x[j])
         acc += diff * diff
     return acc
+
+
+def sq_dists(x, mat):
+    """Squared distances from row ``x`` to every row of ``mat``, vectorised
+    ``sq_dist_oracle``: ``np.add.accumulate`` adds the squared differences
+    in index order whatever the shapes."""
+    diff = np.subtract(mat.T, x[:, None], order="C")
+    diff *= diff
+    return np.add.accumulate(diff, axis=0)[-1]
+
+
+def pair_tuples(pairs):
+    """The (dx, dy, loss) arrays of ``mine_pairs`` as a list of tuples."""
+    return list(zip(*(a.tolist() for a in pairs)))
 
 
 def mine_pairs_oracle(p_hat, true_labels, t1_features_std, t1_labels, x_std):
@@ -54,21 +68,22 @@ class TestMinePairs:
         t1_feats = np.array([[1.0], [-1.0], [3.0]])
         t1_labels = np.array([[0, 0], [1, 0], [1, 1]])
         p_hat = np.array([0.9, 0.9])
-        got = mine_pairs(p_hat, [1, 1], t1_feats, t1_labels, x_std=np.array([0.0]))
-        assert len(got) == 2
-        assert got[0].dx == pytest.approx(1.0)
-        assert got[0].dy == pytest.approx(math.hypot(0.1, 0.9))
-        assert got[0].loss == 1
-        assert got[1].dx == pytest.approx(3.0)
-        assert got[1].dy == pytest.approx(math.hypot(0.1, 0.1))
-        assert got[1].loss == 0
+        dx, dy, loss = mine_pairs(p_hat, [1, 1], t1_feats, t1_labels,
+                                  x_std=np.array([0.0]))
+        assert len(dx) == len(dy) == len(loss) == 2
+        assert dx[0] == pytest.approx(1.0)
+        assert dy[0] == pytest.approx(math.hypot(0.1, 0.9))
+        assert loss[0] == 1
+        assert dx[1] == pytest.approx(3.0)
+        assert dy[1] == pytest.approx(math.hypot(0.1, 0.1))
+        assert loss[1] == 0
 
     def test_single_pair_when_both_minima_coincide(self):
         t1_feats = np.array([[0.0], [5.0]])
         t1_labels = np.array([[1, 0], [0, 1]])
         got = mine_pairs(np.array([0.9, 0.1]), [1, 0], t1_feats, t1_labels,
                          x_std=np.array([0.1]))
-        assert len(got) == 1
+        assert [len(a) for a in got] == [1, 1, 1]
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(0)
@@ -85,7 +100,7 @@ class TestMinePairs:
             true = rng.integers(0, 2, n_labels)
             got = mine_pairs(p_hat, true, t1_feats, t1_labels, x_std=x)
             want = mine_pairs_oracle(p_hat, true, t1_feats, t1_labels, x)
-            assert [(p.dx, p.dy, p.loss) for p in got] == want
+            assert pair_tuples(got) == want
 
     def test_dy_bounded_by_sqrt_l(self):
         rng = np.random.default_rng(1)
@@ -93,10 +108,10 @@ class TestMinePairs:
             n_labels = rng.integers(2, 8)
             t1_labels = rng.integers(0, 2, (20, n_labels))
             p_hat = rng.uniform(0, 1, n_labels)
-            got = mine_pairs(p_hat, t1_labels[0], rng.standard_normal((20, 3)),
-                             t1_labels, x_std=rng.standard_normal(3))
-            for p in got:
-                assert p.dy <= math.sqrt(n_labels) + 1e-12
+            _, dy, _ = mine_pairs(p_hat, t1_labels[0], rng.standard_normal((20, 3)),
+                                  t1_labels, x_std=rng.standard_normal(3))
+            for d in dy:
+                assert d <= math.sqrt(n_labels) + 1e-12
 
     def test_empty_t1(self):
         with pytest.raises(ValueError):
@@ -106,18 +121,26 @@ class TestMinePairs:
 
 class TestBinomialGlm:
     def test_intercept_only_is_empirical_logit(self):
-        pairs = [DistancePair(0.0, 0.0, loss) for loss in (1, 2, 0, 3, 1)]
+        losses = np.array([1, 2, 0, 3, 1])
         n_labels = 4
-        fit = fit_binomial_glm(pairs, n_labels)
-        rate = sum(p.loss for p in pairs) / (n_labels * len(pairs))
+        fit = fit_binomial_glm(np.zeros(5), np.zeros(5), losses, n_labels)
+        rate = losses.sum() / (n_labels * losses.size)
         assert fit.beta0 == pytest.approx(math.log(rate / (1 - rate)), abs=1e-8)
         assert fit.converged
 
     def test_degenerate_losses_raise(self):
         with pytest.raises(TrainingError):
-            fit_binomial_glm([DistancePair(1.0, 0.5, 0)] * 5, 3)
+            fit_binomial_glm(np.ones(5), np.full(5, 0.5), np.zeros(5), 3)
         with pytest.raises(TrainingError):
-            fit_binomial_glm([DistancePair(1.0, 0.5, 3)] * 5, 3)
+            fit_binomial_glm(np.ones(5), np.full(5, 0.5), np.full(5, 3), 3)
+
+    def test_empty_or_unequal_arrays_raise(self):
+        with pytest.raises(ValueError, match="no distance pairs"):
+            fit_binomial_glm(np.empty(0), np.empty(0), np.empty(0), 3)
+        with pytest.raises(ValueError, match="one length"):
+            fit_binomial_glm(np.ones(5), np.ones(4), np.ones(5), 3)
+        with pytest.raises(ValueError, match="one length"):
+            fit_binomial_glm(np.ones(5), np.ones(5), np.ones(6), 3)
 
     def test_simulated_recovery(self):
         rng = np.random.default_rng(4)
@@ -127,21 +150,19 @@ class TestBinomialGlm:
         th = 1 / (1 + np.exp(-(SCENE_COEFS[0] + SCENE_COEFS[1] * dx
                                + SCENE_COEFS[2] * dy)))
         losses = rng.binomial(n_labels, th)
-        pairs = [DistancePair(dx[i], dy[i], int(losses[i])) for i in range(n)]
-        fit = fit_binomial_glm(pairs, n_labels)
+        fit = fit_binomial_glm(dx, dy, losses, n_labels)
         assert fit.converged
         for got, want in zip((fit.beta0, fit.beta1, fit.beta2), SCENE_COEFS):
             assert abs(got - want) <= 0.10 * abs(want)
 
     def test_local_maximum_grid(self):
         rng = np.random.default_rng(5)
-        pairs = [DistancePair(rng.uniform(0, 5), rng.uniform(0, 2),
-                              int(rng.integers(0, 4))) for _ in range(200)]
+        dx, dy, losses = map(np.array, zip(*[
+            (rng.uniform(0, 5), rng.uniform(0, 2), int(rng.integers(0, 4)))
+            for _ in range(200)]))
         n_labels = 4
-        fit = fit_binomial_glm(pairs, n_labels)
-        X = np.column_stack([np.ones(200), [p.dx for p in pairs],
-                             [p.dy for p in pairs]])
-        losses = np.array([p.loss for p in pairs], dtype=float)
+        fit = fit_binomial_glm(dx, dy, losses, n_labels)
+        X = np.column_stack([np.ones(200), dx, dy])
 
         def loglik(beta):
             z = X @ np.asarray(beta)
@@ -157,21 +178,21 @@ class TestBinomialGlm:
 
     def test_gradient_norm_at_optimum(self):
         rng = np.random.default_rng(6)
-        pairs = [DistancePair(rng.uniform(0, 3), rng.uniform(0, 1.5),
-                              int(rng.integers(0, 5))) for _ in range(300)]
+        dx, dy, losses = map(np.array, zip(*[
+            (rng.uniform(0, 3), rng.uniform(0, 1.5), int(rng.integers(0, 5)))
+            for _ in range(300)]))
         tol = 1e-8
-        fit = fit_binomial_glm(pairs, 4, tol=tol)
+        fit = fit_binomial_glm(dx, dy, losses, 4, tol=tol)
         assert fit.converged
         assert fit.final_gradient_norm < 10 * tol
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        pairs = [DistancePair(rng.uniform(0, 3), rng.uniform(0, 1.5),
-                              int(rng.integers(0, 5))) for _ in range(100)]
+        dx, dy, losses = map(np.array, zip(*[
+            (rng.uniform(0, 3), rng.uniform(0, 1.5), int(rng.integers(0, 5)))
+            for _ in range(100)]))
         n_labels = 4
-        X = np.column_stack([np.ones(100), [p.dx for p in pairs],
-                             [p.dy for p in pairs]])
-        losses = np.array([p.loss for p in pairs], dtype=float)
+        X = np.column_stack([np.ones(100), dx, dy])
 
         def loglik(beta):
             z = X @ beta
@@ -201,9 +222,9 @@ class TestBinomialGlm:
                                 min_size=n, max_size=n))
         dy = data.draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
         loss = data.draw(st.lists(st.integers(0, n_labels), min_size=n, max_size=n))
-        pairs = [DistancePair(a, b, c) for a, b, c in zip(dx, dy, loss)]
         try:
-            fit = fit_binomial_glm(pairs, n_labels, tol=tol)
+            fit = fit_binomial_glm(np.array(dx), np.array(dy), np.array(loss),
+                                   n_labels, tol=tol)
         except TrainingError:
             assume(False)  # every loss 0 or every loss n_labels
         assume(fit.converged)
@@ -297,14 +318,14 @@ class TestPredict:
         assert np.array_equal(pred, model.train_labelsets[0])
 
     def test_brute_force_score_oracle(self):
-        from nldd.br import br_predict_proba
+        from nldd.br import br_predict_proba_matrix
         from nldd.data import standardize_apply
         train, test = _train_test(7)
         model = nldd_train(train, seed=3)
         for i in range(test.n):
             x = test.features[i]
-            p_hat = br_predict_proba(model.br, x)
-            z = standardize_apply(model.stats, x[None, :])[0]
+            p_hat = br_predict_proba_matrix(model.br, x)[0]
+            z = standardize_apply(model.br.stats, x[None, :])[0]
             dx = np.sqrt(((model.train_features_std - z) ** 2).sum(axis=1))
             dy = np.sqrt(((model.train_labelsets - p_hat) ** 2).sum(axis=1))
             score = model.fit.beta1 * dx + model.fit.beta2 * dy
@@ -329,8 +350,26 @@ class TestPredict:
             assert np.array_equal(nldd_predict(model, test.features[i]),
                                   nldd_predict(scaled, test.features[i]))
 
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 3),
+           exponents=st.lists(st.integers(-30, 30), min_size=6, max_size=6))
+    def test_power_of_two_feature_scaling_keeps_predictions(self, seed, exponents):
+        # Scaling feature j by 2**k_j in the training and the query rows is
+        # exact, so standardisation gives the same bits, and so does every
+        # step after it.
+        train, test = _train_test(seed, n=120)
+        scale = np.ldexp(1.0, exponents)
+
+        def fit_predict(s):
+            model = nldd_train(Dataset(train.features * s, train.labels), seed=seed)
+            return predict_with_confidence(model, test.features * s)
+
+        (labels, thetas), (labels_s, thetas_s) = fit_predict(1.0), fit_predict(scale)
+        assert np.array_equal(labels, labels_s)
+        assert thetas.tobytes() == thetas_s.tobytes()
+
     def test_confidence_matches_theta_of_winner(self):
-        from nldd.br import br_predict_proba
+        from nldd.br import br_predict_proba_matrix
         from nldd.data import standardize_apply
         train, test = _train_test(10)
         model = nldd_train(train, seed=6)
@@ -338,8 +377,8 @@ class TestPredict:
             x = test.features[i]
             pred, th = predict_with_confidence(model, x)
             assert 0.0 < th < 1.0
-            p_hat = br_predict_proba(model.br, x)
-            z = standardize_apply(model.stats, x[None, :])[0]
+            p_hat = br_predict_proba_matrix(model.br, x)[0]
+            z = standardize_apply(model.br.stats, x[None, :])[0]
             mask = np.all(model.train_labelsets == pred, axis=1)
             dx = np.sqrt(((model.train_features_std[mask] - z) ** 2).sum(axis=1))
             dy = np.sqrt(((model.train_labelsets[mask] - p_hat) ** 2).sum(axis=1))

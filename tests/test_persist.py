@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from nldd.br import BRModel, br_fit, br_predict_proba
+from nldd.br import BRModel, br_fit, br_predict_proba_matrix
 from nldd.data import DataError
 from nldd.evaluate import generate_synthetic
 from nldd.model import nldd_train, predict_with_confidence
@@ -25,8 +25,8 @@ def test_br_round_trip_bit_exact(dataset, tmp_path):
     rng = np.random.default_rng(1)
     for _ in range(100):
         x = rng.standard_normal(dataset.d)
-        assert np.array_equal(br_predict_proba(model, x),
-                              br_predict_proba(back, x))
+        assert np.array_equal(br_predict_proba_matrix(model, x),
+                              br_predict_proba_matrix(back, x))
 
 
 def test_nldd_round_trip_bit_exact(dataset, tmp_path):
