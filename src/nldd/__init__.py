@@ -11,9 +11,7 @@ from .evaluate import (cross_validate, generate_synthetic, holdout_eval,
                        wilcoxon_signed_rank, WilcoxonResult)
 from .learner import (ConstantProbModel, LinearProbModel, TrainingError,
                       fit_fallback, fit_logistic)
-from .metrics import (MetricsReport, aggregate, f_measure, hamming_loss,
-                      instance_metrics, instance_metrics_matrix, jaccard,
-                      zero_one_loss)
+from .metrics import MetricsReport, aggregate, instance_metrics_matrix
 from .model import (BinomialFit, NlddModel, fit_binomial_glm,
                     mine_pairs, nldd_predict, nldd_train,
                     predict_with_confidence, theta)

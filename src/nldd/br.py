@@ -34,11 +34,15 @@ def br_fit(train, lam=1.0):
 
 
 def br_predict_proba_matrix(model, features):
-    """(n, L) probability matrix for raw feature rows, (n, d) or one (d,) row.
+    """(n, L) probability matrix for an (n, d) batch of raw feature rows.
 
-    Raises DataError when a row holds a NaN or an infinity.
+    Raises DataError when the batch is not 2-D or a row holds a NaN or an
+    infinity.
     """
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2:
+        raise DataError(f"query rows must be an (n, d) matrix, got shape "
+                        f"{features.shape}")
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
         raise DataError(f"non-finite feature value in query row "
@@ -48,30 +52,24 @@ def br_predict_proba_matrix(model, features):
     return np.column_stack(cols)
 
 
-def _one_or_batch(x, rows):
-    # A (d,) query row gets its own result back, an (n, d) batch all n.
-    return rows[0] if np.ndim(x) == 1 else rows
-
-
 def br_predict(model, x):
-    """Hard BR prediction for an (n, d) batch, (n, L), or one (d,) row, (L,):
-    threshold each probability at 0.5 (>= maps to 1)."""
-    hard = (br_predict_proba_matrix(model, x) >= 0.5).astype(np.int64)
-    return _one_or_batch(x, hard)
+    """Hard BR prediction, (n, L), for an (n, d) batch: threshold each
+    probability at 0.5 (>= maps to 1)."""
+    return (br_predict_proba_matrix(model, x) >= 0.5).astype(np.int64)
 
 
 def smbr_predict(model, train, x):
-    """Map the hard BR output to the nearest observed training labelset,
-    for an (n, d) batch, (n, L), or one (d,) row, (L,).
+    """Map the hard BR output of an (n, d) batch to the nearest observed
+    training labelsets, (n, L).
 
     Ties in Hamming distance go to the more frequent training labelset,
     then the lexicographically smallest.
     """
-    hard = br_predict(model, np.atleast_2d(x))
+    hard = br_predict(model, x)
     # Distinct labelsets in lexicographic order, so argmin's first-index
     # rule picks the smallest among equal keys.
     labelsets, counts = np.unique(train.labels, axis=0, return_counts=True)
     dist = hard @ (1 - labelsets).T + (1 - hard) @ labelsets.T  # (n, K) Hamming
     # counts <= N, so this orders by distance first, then by frequency.
     best = np.argmin(dist * (train.n + 1) - counts, axis=1)
-    return _one_or_batch(x, labelsets[best])
+    return labelsets[best]

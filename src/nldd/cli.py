@@ -52,6 +52,8 @@ def _print_metrics_table(rows, header="split"):
 
 
 def cmd_train(args):
+    if args.method == "br" and args.subsample != 1.0:
+        raise ValueError("--subsample applies to --method nldd only")
     data = _load_dataset(args.data, args.labels, args.format)
     if args.method == "nldd":
         model = nldd_train(data, args.seed, lam=args.lam,
@@ -101,7 +103,7 @@ def cmd_eval(args):
     records = []
     if args.cv is not None:
         fold_reports, mean_report = cross_validate(
-            data, args.method, args.cv, args.seed, params=params)
+            data, (args.method,), args.cv, args.seed, params=params)[args.method]
         rows = [(f"fold {i}", rep) for i, rep in enumerate(fold_reports)]
         rows.append(("mean", mean_report))
         records = [dict(split=f"fold{i}", **rep.as_dict())
@@ -109,8 +111,8 @@ def cmd_eval(args):
         records.append(dict(split="mean", **mean_report.as_dict()))
     else:
         test = _load_dataset(args.test, args.labels, args.format)
-        report = holdout_eval(data, test, args.method,
-                              seed=args.seed, params=params)
+        report = holdout_eval(data, test, (args.method,), seed=args.seed,
+                              params=params)[args.method]
         rows = [("test", report)]
         records = [dict(split="test", **report.as_dict())]
     _print_metrics_table(rows)
@@ -215,16 +217,21 @@ def cmd_summary(args):
     return 0
 
 
-def _add_common(p, labels_required=True, multi_data=False):
+def _add_input(p, labels_required=True, multi_data=False):
     if multi_data:
         p.add_argument("--data", required=True, nargs="+")
     else:
         p.add_argument("--data", required=True)
     p.add_argument("--labels", type=int, required=labels_required, default=0)
     p.add_argument("--format", choices=("csv", "sparse"), default="csv")
+
+
+def _add_training(p, subsample=True):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--subsample", type=float, default=1.0)
+    if subsample:
+        p.add_argument("--subsample", type=float, default=1.0,
+                       help="fraction of the training rows nldd trains on")
 
 
 def build_parser():
@@ -234,20 +241,22 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="fit a model and write it to disk")
-    _add_common(p)
+    _add_input(p)
+    _add_training(p)
     p.add_argument("--method", choices=("br", "nldd"), required=True)
     p.add_argument("--model", required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict labelsets for new rows")
-    _add_common(p, labels_required=False)
+    _add_input(p, labels_required=False)
     p.add_argument("--model", required=True)
     p.add_argument("--out")
     p.add_argument("--confidence", action="store_true")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="holdout or cross-validated metrics")
-    _add_common(p)
+    _add_input(p)
+    _add_training(p)
     p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--test")
     p.add_argument("--cv", type=int)
@@ -255,7 +264,8 @@ def build_parser():
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("compare", help="compare methods with Wilcoxon tests")
-    _add_common(p, multi_data=True)
+    _add_input(p, multi_data=True)
+    _add_training(p)
     p.add_argument("--methods", required=True,
                    help="comma-separated method ids")
     p.add_argument("--cv", type=int, default=10)
@@ -263,14 +273,15 @@ def build_parser():
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("scaling", help="training-fraction scaling experiment")
-    _add_common(p)
+    _add_input(p)
+    _add_training(p, subsample=False)
     p.add_argument("--fractions",
                    default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
     p.add_argument("--out")
     p.set_defaults(func=cmd_scaling)
 
     p = sub.add_parser("summary", help="dataset summary statistics")
-    _add_common(p)
+    _add_input(p)
     p.set_defaults(func=cmd_summary)
     return parser
 

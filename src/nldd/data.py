@@ -256,8 +256,9 @@ def standardize_fit(train):
 
 
 def standardize_apply(stats, features):
-    """z = (x - mean)/sd per column; sd-zero columns map to all zeros."""
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    """z = (x - mean)/sd per column of an (n, d) matrix; sd-zero columns
+    map to all zeros."""
+    features = np.asarray(features, dtype=np.float64)
     if features.shape[1] != stats.means.shape[0]:
         raise DataError(f"feature dimension {features.shape[1]} does not match "
                         f"stats dimension {stats.means.shape[0]}")

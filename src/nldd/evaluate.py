@@ -41,30 +41,24 @@ def make_folds(n, k, seed):
     return assignments
 
 
-def _method_ids(method):
-    return (method,) if isinstance(method, str) else tuple(method)
-
-
-def _one_or_many(method, results):
-    # One method id gets its own result back, a tuple of ids a dict by id.
-    return results[method] if isinstance(method, str) else results
-
-
-def train_predictor(method, train, seed=0, params=None):
-    """Fit ``method`` on ``train``, returning a callable that maps raw
-    feature rows, (n, d) or one (d,) row, to labelsets. A tuple of method
-    ids returns a dict of callables by id.
+def train_predictor(methods, train, seed=0, params=None):
+    """Fit each method id of the tuple ``methods`` on ``train``, returning a
+    dict by id of callables that map an (n, d) batch of raw feature rows to
+    (n, L) labelsets.
 
     The methods share one Binary Relevance fit on ``train``: the one inside
     the nldd model when nldd trains on every row, else one ``br_fit``.
+    Raises ValueError for a training subsample when nldd, the only method
+    that reads it, is not among ``methods``.
     """
     params = params or {}
     lam = params.get("lam", 1.0)
     fraction = params.get("subsample_fraction", 1.0)
-    methods = _method_ids(method)
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+    if fraction != 1.0 and "nldd" not in methods:
+        raise ValueError("a training subsample applies to nldd only")
     predictors = {}
     br = None
     if "nldd" in methods:
@@ -77,18 +71,17 @@ def train_predictor(method, train, seed=0, params=None):
             br = br_fit(train, lam=lam)
         predictors["br"] = lambda x: br_predict(br, x)
         predictors["smbr"] = lambda x: smbr_predict(br, train, x)
-    return _one_or_many(method, {m: predictors[m] for m in methods})
+    return {m: predictors[m] for m in methods}
 
 
 def _evaluate_rows(predict, test):
     return aggregate(instance_metrics_matrix(test.labels, predict(test.features)))
 
 
-def cross_validate(data, method, k, seed, params=None):
-    """k-fold CV; returns (per-fold reports, mean report). A tuple of
-    method ids returns a dict of those pairs by id; each fold fits Binary
+def cross_validate(data, methods, k, seed, params=None):
+    """k-fold CV of each method id of the tuple ``methods``; returns a dict
+    by id of (per-fold reports, mean report). Each fold fits Binary
     Relevance once for all of them (see ``train_predictor``)."""
-    methods = _method_ids(method)
     folds = make_folds(data.n, k, seed)
     fold_reports = {m: [] for m in methods}
     for fold in range(k):
@@ -109,15 +102,16 @@ def cross_validate(data, method, k, seed, params=None):
         rows = [(r.hamming, r.zero_one, r.jaccard, r.f_measure) for r in reports]
         # The mean over folds, reported against all of the data's rows.
         results[m] = (reports, replace(aggregate(rows), n_instances=data.n))
-    return _one_or_many(method, results)
+    return results
 
 
-def holdout_eval(train, test, method, seed=0, params=None):
-    """Train on ``train`` and aggregate metrics over all ``test`` rows."""
+def holdout_eval(train, test, methods, seed=0, params=None):
+    """Train each method id of the tuple ``methods`` on ``train``; returns a
+    dict by id of the report aggregated over all ``test`` rows."""
     if train.d != test.d or train.n_labels != test.n_labels:
         raise DataError("train/test dimension mismatch")
-    predict = train_predictor(method, train, seed=seed, params=params)
-    return _evaluate_rows(predict, test)
+    predictors = train_predictor(methods, train, seed=seed, params=params)
+    return {m: _evaluate_rows(predictors[m], test) for m in methods}
 
 
 def _exact_sf_distribution(ranks2):

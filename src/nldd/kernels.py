@@ -57,18 +57,18 @@ _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny
 
 
-def _add_squares(diff):
-    """Square a C-contiguous (d, P) difference array in place and add its
-    rows in order: one accumulator per column."""
-    diff *= diff
-    if diff.shape[1] == 1:
+def add_rows(terms):
+    """Column sums of a C-contiguous (d, P) array, adding its rows in order,
+    j = 0 to d-1, into one accumulator per column. The distance kernels and
+    the BR linear score both add their feature terms this way."""
+    if terms.shape[1] == 1:
         # NumPy drops a length-1 axis and would then sum pairwise over d;
         # accumulate is sequential by definition.
-        return np.add.accumulate(diff, axis=0)[-1]
-    # Reducing a C-contiguous (d, P) array over axis 0 adds the feature rows
-    # one after another; NumPy's pairwise summation only runs along the
-    # inner axis.
-    return np.add.reduce(diff, axis=0)
+        return np.add.accumulate(terms, axis=0)[-1]
+    # Reducing a C-contiguous (d, P) array over axis 0 adds the rows one
+    # after another; NumPy's pairwise summation only runs along the inner
+    # axis.
+    return np.add.reduce(terms, axis=0)
 
 
 def _chunk(d, width):
@@ -83,7 +83,8 @@ def paired_sq_dists(a, b, rows, cols):
     for s in range(0, len(rows), step):
         diff = np.subtract(b.T[:, cols[s:s + step]], a.T[:, rows[s:s + step]],
                            order="C")
-        out[s:s + step] = _add_squares(diff)
+        diff *= diff
+        out[s:s + step] = add_rows(diff)
     return out
 
 
@@ -95,8 +96,9 @@ def cross_sq_dists(a, b):
     step = _chunk(d, m)
     for s in range(0, n, step):
         diff = np.subtract(b.T[:, None, :], a[s:s + step].T[:, :, None],
-                           order="C")
-        out[s:s + step] = _add_squares(diff.reshape(d, -1)).reshape(-1, m)
+                           order="C").reshape(d, -1)
+        diff *= diff
+        out[s:s + step] = add_rows(diff).reshape(-1, m)
     return out
 
 

@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import add_rows
+
 PROB_CLAMP = 1e-12
 
 
@@ -61,16 +63,17 @@ def fit_logistic(features, targets, lam=1.0, max_iter=100, tol=1e-8):
     is unpenalized. Raises TrainingError for single-class targets and for
     a Hessian that is singular to working precision.
 
-    ``targets`` of shape (n,) gives one LinearProbModel; an (n, L) matrix
-    gives a list of L, one per column, fit in one Newton loop. Each label
+    ``targets`` is an (n, L) matrix; the result is a list of L
+    LinearProbModels, one per column, fit in one Newton loop. Each label
     runs the single-label iteration on its own, with its own step halving
     and stop rule, so its weights, iterations and convergence are the same
     bits as a fit of that column alone.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
-    if X.ndim != 2 or y.ndim not in (1, 2) or X.shape[0] != y.shape[0]:
-        raise ValueError("features rows must match targets")
+    if X.ndim != 2 or y.ndim != 2 or X.shape[0] != y.shape[0]:
+        raise ValueError("targets must be an (n, L) matrix with one row "
+                         "per feature row")
     if not np.isfinite(X).all():
         raise TrainingError("non-finite feature values")
     if lam <= 0:
@@ -80,7 +83,7 @@ def fit_logistic(features, targets, lam=1.0, max_iter=100, tol=1e-8):
 
     n, d = X.shape
     X1 = np.hstack([np.ones((n, 1)), X])
-    Y = np.ascontiguousarray(np.atleast_2d(y.T))  # (L, n): one row per label
+    Y = np.ascontiguousarray(y.T)  # (L, n): one row per label
     n_labels = Y.shape[0]
     weights = np.zeros((n_labels, d + 1))
     iterations = np.zeros(n_labels, dtype=np.int64)
@@ -132,10 +135,9 @@ def fit_logistic(features, targets, lam=1.0, max_iter=100, tol=1e-8):
     weights[active] = W
     if not np.isfinite(weights).all():
         raise TrainingError("logistic fit diverged to non-finite weights")
-    models = [LinearProbModel(weights=w, lam=lam, converged=bool(c),
-                              iterations=int(i))
-              for w, c, i in zip(weights, converged, iterations)]
-    return models[0] if y.ndim == 1 else models
+    return [LinearProbModel(weights=w, lam=lam, converged=bool(c),
+                            iterations=int(i))
+            for w, c, i in zip(weights, converged, iterations)]
 
 
 def fit_fallback(targets):
@@ -149,28 +151,22 @@ def fit_fallback(targets):
 
 
 def predict_proba_matrix(model, features):
-    """Probability of the positive class for each row of an (n, d) matrix;
-    a (d,) row is a batch of one.
+    """Probability of the positive class for each row of an (n, d) matrix.
 
     The linear score adds ``x[j] * w[j+1]`` in feature order, j = 0 to d-1,
-    into one accumulator per row, and then the intercept, like the distance
-    kernel. A BLAS product would add in an order that depends on the batch
-    size, so a row's probability would depend on the rows batched with it.
+    into one accumulator per row (``kernels.add_rows``), and then the
+    intercept. A BLAS product would add in an order that depends on the
+    batch size, so a row's probability would depend on the rows batched
+    with it.
     """
-    X = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    X = np.asarray(features, dtype=np.float64)
     if isinstance(model, ConstantProbModel):
         return np.full(X.shape[0], model.p)
     w = model.weights
     if X.shape[1] != w.shape[0] - 1:
         raise ValueError(f"feature dimension {X.shape[1]} does not match "
                          f"model dimension {w.shape[0] - 1}")
-    # One row of products per feature. Reducing the C-contiguous (d, n)
-    # array over axis 0 adds the rows in feature order; a single row needs
-    # accumulate, as in the distance kernel, or NumPy would sum pairwise.
+    # One row of products per feature.
     prod = np.multiply(X.T, w[1:, None], order="C")
-    if prod.shape[1] == 1:
-        acc = np.add.accumulate(prod, axis=0)[-1]
-    else:
-        acc = np.add.reduce(prod, axis=0)
-    p = _sigmoid(w[0] + acc)
+    p = _sigmoid(w[0] + add_rows(prod))
     return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)

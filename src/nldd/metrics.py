@@ -17,58 +17,15 @@ class MetricsReport:
         return asdict(self)
 
 
-def _check(y, yhat):
-    y = np.asarray(y).ravel()
-    yhat = np.asarray(yhat).ravel()
-    if y.shape[0] != yhat.shape[0]:
-        raise ValueError(f"length mismatch: {y.shape[0]} vs {yhat.shape[0]}")
-    if y.shape[0] < 1:
-        raise ValueError("empty label vectors")
-    return y, yhat
-
-
-def hamming_loss(y, yhat):
-    """Fraction of label positions predicted incorrectly."""
-    y, yhat = _check(y, yhat)
-    return float(np.sum(y != yhat)) / y.shape[0]
-
-
-def zero_one_loss(y, yhat):
-    """0 iff the labelsets match exactly, else 1."""
-    y, yhat = _check(y, yhat)
-    return 0.0 if np.array_equal(y, yhat) else 1.0
-
-
-def jaccard(y, yhat):
-    """|intersection| / |union| of the positive labels; both-empty -> 1."""
-    y, yhat = _check(y, yhat)
-    union = np.sum((y == 1) | (yhat == 1))
-    if union == 0:
-        return 1.0
-    inter = np.sum((y == 1) & (yhat == 1))
-    return float(inter) / float(union)
-
-
-def f_measure(y, yhat):
-    """2|intersection| / (|y| + |yhat|); both-empty -> 1."""
-    y, yhat = _check(y, yhat)
-    denom = np.sum(y == 1) + np.sum(yhat == 1)
-    if denom == 0:
-        return 1.0
-    inter = np.sum((y == 1) & (yhat == 1))
-    return 2.0 * float(inter) / float(denom)
-
-
-def instance_metrics(y, yhat):
-    """(hamming, zero_one, jaccard, f_measure) for one instance."""
-    return (hamming_loss(y, yhat), zero_one_loss(y, yhat),
-            jaccard(y, yhat), f_measure(y, yhat))
-
-
 def instance_metrics_matrix(y, yhat):
     """(n, 4) array of (hamming, zero_one, jaccard, f_measure) per row of
-    two (n, L) labelset matrices; row i equals ``instance_metrics(y[i],
-    yhat[i])`` exactly."""
+    two (n, L) labelset matrices.
+
+    hamming is the fraction of label positions predicted wrong, zero_one 0
+    iff the labelsets match exactly, jaccard |intersection| / |union| of
+    the positive labels and f_measure 2|intersection| / (|y| + |yhat|);
+    jaccard and f_measure are 1 when both labelsets are empty.
+    """
     y = np.asarray(y)
     yhat = np.asarray(yhat)
     if y.ndim != 2 or y.shape != yhat.shape:
@@ -90,8 +47,8 @@ def instance_metrics_matrix(y, yhat):
 
 
 def aggregate(per_instance):
-    """Arithmetic mean of per-instance metric tuples, or of the rows of an
-    (n, 4) array."""
+    """Arithmetic mean of the rows of an (n, 4) per-instance metric array
+    (or a sequence of 4-tuples)."""
     if len(per_instance) == 0:
         raise ValueError("no instances to aggregate")
     arr = np.asarray(per_instance, dtype=np.float64)

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .br import _one_or_batch, br_fit, br_predict_proba_matrix
+from .br import br_fit, br_predict_proba_matrix
 from .data import split_random, standardize_apply
-from .learner import TrainingError
+from .learner import TrainingError, _sigmoid
 
 
 @dataclass
@@ -98,8 +98,9 @@ def mine_pairs(p_hat, true_labels, t1_features_std, t1_labels, x_std):
     pair is kept. Returns ``(dx, dy, loss)``, three 1-D arrays: dx is the
     Euclidean distance in standardized feature space, dy the one between
     p-hat and the chosen labelset vertex, loss the count of labels that
-    vertex gets wrong. For an (n, .) batch the pairs of row 0 come first,
-    then those of row 1, and so on; a 1-D row is a batch of one.
+    vertex gets wrong. ``p_hat``, ``true_labels`` and ``x_std`` hold one
+    row per validation instance; the pairs of row 0 come first, then those
+    of row 1, and so on.
 
     The ties are decided on the exact squared distances of the
     ``kernels`` module (per row, the squared differences added in feature
@@ -108,9 +109,9 @@ def mine_pairs(p_hat, true_labels, t1_features_std, t1_labels, x_std):
     """
     if t1_features_std.shape[0] == 0:
         raise ValueError("empty T1")
-    p_hat = np.atleast_2d(np.asarray(p_hat, dtype=np.float64))
-    x_std = np.atleast_2d(np.asarray(x_std, dtype=np.float64))
-    true_labels = np.atleast_2d(np.asarray(true_labels))
+    p_hat = np.asarray(p_hat, dtype=np.float64)
+    x_std = np.asarray(x_std, dtype=np.float64)
+    true_labels = np.asarray(true_labels)
     t1_features_std = np.asarray(t1_features_std, dtype=np.float64)
     t1_labels = np.asarray(t1_labels)
     labelsets, inverse = _labelset_table(t1_labels)
@@ -156,7 +157,7 @@ def fit_binomial_glm(dx, dy, losses, n_labels, max_iter=50, tol=1e-8):
     grad_norm = np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        theta_i = 1.0 / (1.0 + np.exp(-(X @ beta)))
+        theta_i = _sigmoid(X @ beta)
         g = X.T @ (losses - n_labels * theta_i)
         grad_norm = float(np.max(np.abs(g)))
         if grad_norm < tol:
@@ -184,7 +185,7 @@ def fit_binomial_glm(dx, dy, losses, n_labels, max_iter=50, tol=1e-8):
         converged = False
         beta = np.where(np.isfinite(beta), beta, 0.0)
     else:
-        theta_i = 1.0 / (1.0 + np.exp(-(X @ beta)))
+        theta_i = _sigmoid(X @ beta)
         grad_norm = float(np.max(np.abs(X.T @ (losses - n_labels * theta_i))))
         if grad_norm < tol:
             converged = True
@@ -295,21 +296,17 @@ def _best_in_block(model, x, p_hat, labelsets, inverse):
 
 
 def nldd_predict(model, x):
-    """Labelset of the training row minimizing the estimated loss, for an
-    (n, d) batch, (n, L), or one (d,) row, (L,)."""
-    rows, _, _ = _best_rows(model, np.atleast_2d(x))
-    return _one_or_batch(x, model.train_labelsets[rows])
+    """Labelsets, (n, L), of the training rows minimizing the estimated loss
+    for an (n, d) batch."""
+    rows, _, _ = _best_rows(model, x)
+    return model.train_labelsets[rows]
 
 
 def predict_with_confidence(model, x):
-    """(labelset, theta-hat) of the winning training row: for an (n, d)
-    batch an (n, L) array and an (n,) array, for one (d,) row an (L,) array
-    and a float."""
-    rows, dx, dy = _best_rows(model, np.atleast_2d(x))
+    """(labelsets, theta-hats) of the winning training rows of an (n, d)
+    batch: an (n, L) array and an (n,) array."""
+    rows, dx, dy = _best_rows(model, x)
     # The scalar theta() on each winner, so theta-hat does not depend on
     # how the rows were batched.
     thetas = [theta(model.fit, a, b) for a, b in zip(dx, dy)]
-    labelsets = model.train_labelsets[rows]
-    if np.ndim(x) == 1:
-        return labelsets[0], thetas[0]
-    return labelsets, np.array(thetas)
+    return model.train_labelsets[rows], np.array(thetas)

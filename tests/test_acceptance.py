@@ -9,7 +9,7 @@ import numpy as np
 from nldd.br import br_fit, br_predict_proba_matrix, smbr_predict
 from nldd.evaluate import (generate_synthetic, holdout_eval,
                            scaling_experiment, wilcoxon_signed_rank)
-from nldd.metrics import instance_metrics
+from nldd.metrics import instance_metrics_matrix
 from nldd.model import (BinomialFit, fit_binomial_glm, mine_pairs,
                         nldd_predict, nldd_train, theta)
 from nldd.persist import load_model, save_model
@@ -41,7 +41,8 @@ def test_criterion_01_metric_oracles():
         L = int(rng.integers(1, 11))
         y = rng.integers(0, 2, L)
         yhat = rng.integers(0, 2, L)
-        ok = ok and instance_metrics(y, yhat) == set_oracle(y, yhat)
+        got = tuple(instance_metrics_matrix([y], [yhat])[0])
+        ok = ok and got == set_oracle(y, yhat)
     elapsed = time.perf_counter() - t0
     _report(1, f"metrics equal brute-force set oracle on 1000 pairs "
                f"({elapsed:.2f}s)", ok and elapsed < 1.0)
@@ -62,7 +63,8 @@ def test_criterion_02_pair_mining_oracle():
         p_hat = rng.uniform(0.01, 0.99, L)
         x = rng.standard_normal(d)
         true = rng.integers(0, 2, L)
-        got = pair_tuples(mine_pairs(p_hat, true, feats, labels, x_std=x))
+        got = pair_tuples(mine_pairs(p_hat[None], true[None], feats, labels,
+                                     x_std=x[None]))
         want = mine_pairs_oracle(p_hat, true, feats, labels, x)
         ok = ok and len(got) == len(want) and all(
             g[2] == w[2] and abs(g[0] - w[0]) < 1e-12 and abs(g[1] - w[1]) < 1e-12
@@ -116,9 +118,9 @@ def test_criterion_05_structural_invariants():
     observed = {tuple(r) for r in train.labels}
     ok = True
     for i in range(test.n):
-        x = test.features[i]
-        ok = ok and tuple(nldd_predict(model, x)) in observed
-        ok = ok and tuple(smbr_predict(br, train, x)) in observed
+        x = test.features[i][None]
+        ok = ok and tuple(nldd_predict(model, x)[0]) in observed
+        ok = ok and tuple(smbr_predict(br, train, x)[0]) in observed
         p = br_predict_proba_matrix(br, x)[0]
         ok = ok and np.all(p > 0) and np.all(p < 1)
     half = math.ceil(train.n / 2)
@@ -147,7 +149,7 @@ def test_criterion_07_qualitative_ordering():
         ds = generate_synthetic(400, 10, 6, 0.8, 0.3, seed=seed)
         train, test = _split(ds, seed)
         for method in ("nldd", "br"):
-            rep = holdout_eval(train, test, method, seed=seed)
+            rep = holdout_eval(train, test, (method,), seed=seed)[method]
             zo[method] += rep.zero_one / 10
             hm[method] += rep.hamming / 10
     elapsed = time.perf_counter() - t0
@@ -202,7 +204,7 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
     _, back = load_model(a_path)
     rng = np.random.default_rng(11)
     for _ in range(100):
-        x = rng.standard_normal(train.d)
+        x = rng.standard_normal(train.d)[None]
         ok = ok and np.array_equal(nldd_predict(model, x),
                                    nldd_predict(back, x))
     _report(10, "fixed seed gives byte-identical models; save/load "

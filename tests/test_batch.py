@@ -21,11 +21,12 @@ from nldd.data import Dataset, StandardizationStats, standardize_apply
 from nldd.evaluate import generate_synthetic
 from nldd.learner import (PROB_CLAMP, LinearProbModel, TrainingError,
                           predict_proba_matrix)
-from nldd.metrics import instance_metrics, instance_metrics_matrix
+from nldd.metrics import instance_metrics_matrix
 from nldd.model import (BinomialFit, NlddModel, _best_rows, mine_pairs,
                         nldd_predict, nldd_train, predict_with_confidence,
                         theta)
 from nldd.persist import load_model, save_model
+from test_metrics import set_oracle
 from test_model import mine_pairs_oracle, pair_tuples, sq_dists
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -73,16 +74,16 @@ def test_blocks_equal_rows(fitted, data):
         "nldd_predict": lambda x: nldd_predict(model, x),
     }
     for name, predict in predictors.items():
-        rows = np.array([predict(x) for x in X])
+        rows = np.vstack([predict(x[None]) for x in X])
         batched = np.vstack([predict(X[a:b]) for a, b in blocks])
         assert np.array_equal(rows, batched), name
 
-    singles = [predict_with_confidence(model, x) for x in X]
-    assert all(isinstance(th, float) for _, th in singles)
+    singles = [predict_with_confidence(model, x[None]) for x in X]
+    assert all(th.shape == (1,) for _, th in singles)
     parts = [predict_with_confidence(model, X[a:b]) for a, b in blocks]
-    assert np.array_equal(np.array([p for p, _ in singles]),
+    assert np.array_equal(np.vstack([p for p, _ in singles]),
                           np.vstack([p for p, _ in parts]))
-    assert [th for _, th in singles] == np.concatenate(
+    assert np.concatenate([th for _, th in singles]).tolist() == np.concatenate(
         [th for _, th in parts]).tolist()
 
 
@@ -168,7 +169,7 @@ def test_smbr_matches_dict_oracle(data):
     for i in range(hard.shape[0]):
         want = smbr_oracle(hard[i], labels)
         assert np.array_equal(batched[i], want)
-        assert np.array_equal(smbr_predict(model, train, queries[i]), want)
+        assert np.array_equal(smbr_predict(model, train, queries[i][None])[0], want)
 
 
 def test_smbr_lexicographic_tie():
@@ -176,19 +177,19 @@ def test_smbr_lexicographic_tie():
     # both seen once, so the lexicographically smaller (0,1,0) wins.
     train = Dataset(np.zeros((3, 3)), np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     model = _identity_br(3)
-    assert smbr_predict(model, train, [1.0, 1.0, -1.0]).tolist() == [0, 1, 0]
+    assert smbr_predict(model, train, [[1.0, 1.0, -1.0]]).tolist() == [[0, 1, 0]]
 
 
 @PROPERTY
 @given(data=st.data())
-def test_metrics_matrix_matches_instance_metrics(data):
+def test_metrics_matrix_matches_set_oracle(data):
     shape = (data.draw(st.integers(1, 20)), data.draw(st.integers(1, 6)))
     # Mostly-zero rows, so empty labelsets on one or both sides are common.
     sparse = st.sampled_from([0, 0, 0, 1])
     y = data.draw(arrays(np.int64, shape, elements=sparse))
     yhat = data.draw(arrays(np.int64, shape, elements=sparse))
     got = instance_metrics_matrix(y, yhat)
-    want = [instance_metrics(y[i], yhat[i]) for i in range(shape[0])]
+    want = [set_oracle(y[i], yhat[i]) for i in range(shape[0])]
     assert [tuple(row) for row in got.tolist()] == want
 
 

@@ -40,7 +40,7 @@ class TestBrPredict:
         model = br_fit(ds)
         rng = np.random.default_rng(3)
         for _ in range(200):
-            p = br_predict_proba_matrix(model, rng.standard_normal(ds.d) * 10)
+            p = br_predict_proba_matrix(model, rng.standard_normal(ds.d)[None] * 10)
             assert np.all(p > 0) and np.all(p < 1)
 
     def test_compositional_oracle(self):
@@ -48,22 +48,22 @@ class TestBrPredict:
         model = br_fit(ds)
         x = np.array([0.3, -1.2, 0.7])
         z = standardize_apply(model.stats, x[None, :])[0]
-        manual = [predict_proba_matrix(c, z)[0] for c in model.classifiers]
-        assert br_predict_proba_matrix(model, x)[0] == pytest.approx(manual)
+        manual = [predict_proba_matrix(c, z[None])[0] for c in model.classifiers]
+        assert br_predict_proba_matrix(model, x[None])[0] == pytest.approx(manual)
 
     def test_threshold_rule(self):
         ds = _dataset(5)
         model = br_fit(ds)
         rng = np.random.default_rng(6)
         for _ in range(50):
-            x = rng.standard_normal(ds.d)
+            x = rng.standard_normal(ds.d)[None]
             p = br_predict_proba_matrix(model, x)[0]
-            assert np.array_equal(br_predict(model, x), (p >= 0.5).astype(int))
+            assert np.array_equal(br_predict(model, x)[0], (p >= 0.5).astype(int))
 
     def test_dimension_mismatch(self):
         model = br_fit(_dataset(7))
         with pytest.raises(Exception):
-            br_predict_proba_matrix(model, np.zeros(5))
+            br_predict_proba_matrix(model, np.zeros((1, 5)))
 
 
 class TestSmbr:
@@ -73,9 +73,9 @@ class TestSmbr:
         observed = {tuple(r) for r in ds.labels}
         rng = np.random.default_rng(9)
         for _ in range(50):
-            x = rng.standard_normal(ds.d)
-            hard = tuple(br_predict(model, x))
-            pred = smbr_predict(model, ds, x)
+            x = rng.standard_normal(ds.d)[None]
+            hard = tuple(br_predict(model, x)[0])
+            pred = smbr_predict(model, ds, x)[0]
             if hard in observed:
                 assert tuple(pred) == hard
 
@@ -91,8 +91,8 @@ class TestSmbr:
                          ConstantProbModel(0.1)],
             stats=StandardizationStats(means=np.zeros(1), sds=np.ones(1)),
             label_names=["a", "b", "c"])
-        assert br_predict(model, [0.0]).tolist() == [1, 1, 0]
-        assert smbr_predict(model, train, [0.0]).tolist() == [1, 0, 0]
+        assert br_predict(model, [[0.0]]).tolist() == [[1, 1, 0]]
+        assert smbr_predict(model, train, [[0.0]]).tolist() == [[1, 0, 0]]
 
     def test_prediction_is_training_labelset(self):
         ds = _dataset(10)
@@ -100,7 +100,7 @@ class TestSmbr:
         observed = {tuple(r) for r in ds.labels}
         rng = np.random.default_rng(11)
         for _ in range(100):
-            pred = smbr_predict(model, ds, rng.standard_normal(ds.d))
+            pred = smbr_predict(model, ds, rng.standard_normal(ds.d)[None])[0]
             assert tuple(pred) in observed
 
     def test_minimal_distance_against_full_scan(self):
@@ -108,9 +108,9 @@ class TestSmbr:
         model = br_fit(ds)
         rng = np.random.default_rng(13)
         for _ in range(50):
-            x = rng.standard_normal(ds.d)
-            hard = br_predict(model, x)
-            pred = smbr_predict(model, ds, x)
+            x = rng.standard_normal(ds.d)[None]
+            hard = br_predict(model, x)[0]
+            pred = smbr_predict(model, ds, x)[0]
             dist = np.sum(pred != hard)
             for row in ds.labels:
                 assert dist <= np.sum(row != hard)

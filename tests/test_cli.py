@@ -219,6 +219,28 @@ class TestBoundaries:
                   "--model", str(tmp_path / "m.json"), "--threads", "2"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--model", "m.json", "--seed", "1"],
+        ["summary", "--lambda", "1"],
+        ["scaling", "--subsample", "0.5"]])
+    def test_options_the_command_does_not_read_are_rejected(self, csv_path, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv[:1] + ["--data", csv_path, "--labels", "3"] + argv[1:])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--method", "br", "--model", "m.json", "--subsample", "1.5"],
+        ["eval", "--method", "smbr", "--cv", "3", "--subsample", "1.5"],
+        ["eval", "--method", "br", "--test", "TEST", "--subsample", "0.5"]])
+    def test_subsample_without_nldd_usage_error(self, csv_path, tmp_path,
+                                                capsys, argv):
+        argv = [str(tmp_path / a) if a == "m.json" else csv_path if a == "TEST"
+                else a for a in argv]
+        rc = main(argv[:1] + ["--data", csv_path, "--labels", "3"] + argv[1:])
+        assert rc == 2
+        assert "nldd only" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_query_row_exit_3(self, csv_path, tmp_path, capsys, cell):
         model_path = _train(csv_path, tmp_path)
@@ -278,7 +300,8 @@ class TestBoundaries:
         ds = generate_synthetic(120, 5, 3, 0.8, 0.3, seed=0)
         want = []
         for x in ds.features:
-            pred, th = predict_with_confidence(model, x)
+            labelsets, thetas = predict_with_confidence(model, x[None])
+            (pred,), (th,) = labelsets.tolist(), thetas.tolist()
             want.append(",".join(str(int(v)) for v in pred) + f",{th!r}")
         assert open(out_path).read().splitlines() == want
 

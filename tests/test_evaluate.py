@@ -127,7 +127,7 @@ class TestFolds:
 class TestCrossValidate:
     def test_structure_and_mean(self):
         ds = generate_synthetic(60, 4, 3, 0.7, 0.3, seed=0)
-        reports, mean = cross_validate(ds, "br", k=5, seed=0)
+        reports, mean = cross_validate(ds, ("br",), k=5, seed=0)["br"]
         assert len(reports) == 5
         for metric in ("hamming", "zero_one", "jaccard", "f_measure"):
             want = np.mean([getattr(r, metric) for r in reports])
@@ -136,14 +136,14 @@ class TestCrossValidate:
 
     def test_determinism(self):
         ds = generate_synthetic(60, 4, 3, 0.7, 0.3, seed=1)
-        _, a = cross_validate(ds, "smbr", k=3, seed=2)
-        _, b = cross_validate(ds, "smbr", k=3, seed=2)
+        _, a = cross_validate(ds, ("smbr",), k=3, seed=2)["smbr"]
+        _, b = cross_validate(ds, ("smbr",), k=3, seed=2)["smbr"]
         assert a == b
 
     def test_unknown_method(self):
         ds = generate_synthetic(30, 4, 3, 0.7, 0.3, seed=2)
         with pytest.raises(ValueError):
-            cross_validate(ds, "rakel", k=3, seed=0)
+            cross_validate(ds, ("rakel",), k=3, seed=0)
 
 
 class TestHoldout:
@@ -151,7 +151,7 @@ class TestHoldout:
         # Every test row duplicates a training row; the double-duplicate
         # property drives the expected loss to its minimum.
         ds = generate_synthetic(80, 4, 3, 0.9, 0.0, seed=3)
-        rep = holdout_eval(ds, ds, "nldd", seed=0)
+        rep = holdout_eval(ds, ds, ("nldd",), seed=0)["nldd"]
         # dx=0 for every row, but a rival labelset with smaller dy can still
         # edge out a handful of instances, so allow a small margin
         assert rep.hamming < 0.02
@@ -161,17 +161,17 @@ class TestHoldout:
         a = generate_synthetic(30, 4, 3, 0.7, 0.3, seed=4)
         b = generate_synthetic(30, 5, 3, 0.7, 0.3, seed=4)
         with pytest.raises(DataError):
-            holdout_eval(a, b, "br")
+            holdout_eval(a, b, ("br",))
 
     def test_matches_per_instance_oracle(self):
         from nldd.br import br_fit, br_predict
-        from nldd.metrics import instance_metrics, aggregate
+        from nldd.metrics import instance_metrics_matrix, aggregate
         tr = generate_synthetic(60, 4, 3, 0.7, 0.3, seed=5)
         te = generate_synthetic(20, 4, 3, 0.7, 0.3, seed=6)
-        rep = holdout_eval(tr, te, "br")
+        rep = holdout_eval(tr, te, ("br",))["br"]
         model = br_fit(tr)
-        want = aggregate([instance_metrics(te.labels[i],
-                                           br_predict(model, te.features[i]))
+        want = aggregate([instance_metrics_matrix(
+                              [te.labels[i]], br_predict(model, te.features[i][None]))[0]
                           for i in range(te.n)])
         assert rep == want
 
@@ -272,7 +272,7 @@ class TestFoldErrors:
         self._fail_with(monkeypatch, exc_type("boom"))
         ds = generate_synthetic(30, 4, 3, 0.7, 0.3, seed=2)
         with pytest.raises(exc_type, match="^fold 0: boom$") as info:
-            cross_validate(ds, "br", k=3, seed=0)
+            cross_validate(ds, ("br",), k=3, seed=0)
         assert type(info.value) is exc_type
 
     def test_other_constructors_propagate_unchanged(self, monkeypatch):
@@ -282,7 +282,7 @@ class TestFoldErrors:
         self._fail_with(monkeypatch, original)
         ds = generate_synthetic(30, 4, 3, 0.7, 0.3, seed=2)
         with pytest.raises(UnicodeDecodeError) as info:
-            cross_validate(ds, "br", k=3, seed=0)
+            cross_validate(ds, ("br",), k=3, seed=0)
         assert info.value is original
 
 
@@ -290,13 +290,14 @@ class TestBatchedEvaluation:
     @pytest.mark.parametrize("method", ["br", "smbr", "nldd"])
     def test_holdout_equals_row_by_row(self, method):
         from nldd.evaluate import train_predictor
-        from nldd.metrics import aggregate, instance_metrics
+        from nldd.metrics import aggregate, instance_metrics_matrix
         ds = generate_synthetic(90, 4, 3, 0.7, 0.3, seed=4)
         tr, te = ds.subset(np.arange(60)), ds.subset(np.arange(60, 90))
-        predict = train_predictor(method, tr, seed=1)
-        want = aggregate([instance_metrics(te.labels[i], predict(te.features[i]))
+        predict = train_predictor((method,), tr, seed=1)[method]
+        want = aggregate([instance_metrics_matrix([te.labels[i]],
+                                                  predict(te.features[i][None]))[0]
                           for i in range(te.n)])
-        assert holdout_eval(tr, te, method, seed=1) == want
+        assert holdout_eval(tr, te, (method,), seed=1)[method] == want
 
 
 def _outcome(fn, *args, **kwargs):
@@ -319,11 +320,17 @@ class TestSharedBrFit:
         methods = tuple(methods[:size])
         params = {"lam": 1.0, "subsample_fraction": fraction}
         got = _outcome(cross_validate, ds, methods, 4, seed, params=params)
-        want = {m: _outcome(cross_validate, ds, m, 4, seed, params=params)
+        # The subsample is nldd's alone: br and smbr run alone train on
+        # every row, and a batch without nldd rejects a subsample.
+        want = {m: _outcome(cross_validate, ds, (m,), 4, seed,
+                            params=params if m == "nldd" else None)
                 for m in methods}
-        if isinstance(got, dict):
+        if fraction != 1.0 and "nldd" not in methods:
+            assert got == (ValueError,
+                           "fold 0: a training subsample applies to nldd only")
+        elif isinstance(got, dict):
             assert list(got) == list(methods)
-            assert got == want
+            assert got == {m: want[m][m] for m in methods}
         else:  # a fold failed: the same error as the first failing method's
             assert got in want.values()
 
@@ -340,8 +347,10 @@ class TestSharedBrFit:
 
     def test_single_method_returns_pair(self):
         ds = generate_synthetic(60, 4, 3, 0.7, 0.3, seed=0)
-        single = cross_validate(ds, "br", k=3, seed=0)
-        assert cross_validate(ds, ("br",), k=3, seed=0) == {"br": single}
+        results = cross_validate(ds, ("br",), k=3, seed=0)
+        assert list(results) == ["br"]
+        reports, mean = results["br"]
+        assert len(reports) == 3 and mean.n_instances == 60
 
     def test_unknown_method_in_batch(self):
         ds = generate_synthetic(30, 4, 3, 0.7, 0.3, seed=2)

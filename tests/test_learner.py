@@ -34,12 +34,12 @@ class TestFitLogistic:
     def test_symmetric_data_zero_intercept(self):
         X = np.array([[-1.0], [1.0]] * 50)
         y = np.array([0, 1] * 50)
-        m = fit_logistic(X, y)
+        (m,) = fit_logistic(X, y[:, None])
         assert abs(m.weights[0]) < 1e-6
 
     def test_large_lambda_shrinks_slopes(self):
         X, y = _synthetic(1)
-        m = fit_logistic(X, y, lam=1e6)
+        (m,) = fit_logistic(X, y[:, None], lam=1e6)
         assert np.all(np.abs(m.weights[1:]) < 1e-3)
         rate = y.mean()
         assert m.weights[0] == pytest.approx(math.log(rate / (1 - rate)), abs=1e-3)
@@ -49,7 +49,7 @@ class TestFitLogistic:
         # 51^3 grid over [-5, 5]^3.
         X, y = _synthetic(2)
         lam = 1.0
-        m = fit_logistic(X, y, lam=lam)
+        (m,) = fit_logistic(X, y[:, None], lam=lam)
         X1 = np.hstack([np.ones((len(y), 1)), X])
         ll_fit, _ = _penalized(X1, y.astype(float), m.weights, lam)
         grid = np.linspace(-5, 5, 51)
@@ -65,16 +65,16 @@ class TestFitLogistic:
 
     def test_single_class_errors(self):
         with pytest.raises(TrainingError, match="fallback"):
-            fit_logistic(np.zeros((4, 1)), np.zeros(4))
+            fit_logistic(np.zeros((4, 1)), np.zeros((4, 1)))
 
     def test_non_finite_features(self):
         with pytest.raises(TrainingError):
-            fit_logistic(np.array([[np.inf], [0.0]]), np.array([0, 1]))
+            fit_logistic(np.array([[np.inf], [0.0]]), np.array([[0], [1]]))
 
     def test_gradient_small_at_optimum(self):
         X, y = _synthetic(3)
         tol = 1e-8
-        m = fit_logistic(X, y, tol=tol)
+        (m,) = fit_logistic(X, y[:, None], tol=tol)
         X1 = np.hstack([np.ones((len(y), 1)), X])
         _, g = _penalized(X1, y.astype(float), m.weights, 1.0)
         assert np.max(np.abs(g)) < 10 * tol
@@ -97,21 +97,21 @@ class TestFitLogistic:
 
     def test_determinism_bit_identical(self):
         X, y = _synthetic(6)
-        a = fit_logistic(X, y)
-        b = fit_logistic(X.copy(), y.copy())
+        (a,) = fit_logistic(X, y[:, None])
+        (b,) = fit_logistic(X.copy(), y[:, None].copy())
         assert np.array_equal(a.weights, b.weights)
         assert a.iterations == b.iterations
 
     def test_monotone_in_positive_weight_feature(self):
         X, y = _synthetic(7)
-        m = fit_logistic(X, y)
+        (m,) = fit_logistic(X, y[:, None])
         j = int(np.argmax(m.weights[1:]))
         assert m.weights[1 + j] > 0
         x = np.zeros(X.shape[1])
         probs = []
         for t in np.linspace(-3, 3, 13):
             x[j] = t
-            probs.append(predict_proba_matrix(m, x)[0])
+            probs.append(predict_proba_matrix(m, x[None])[0])
         assert all(a <= b for a, b in zip(probs, probs[1:]))
 
 
@@ -119,31 +119,31 @@ class TestPredictProba:
     def test_zero_weights(self):
         from nldd.learner import LinearProbModel
         m = LinearProbModel(np.zeros(3), 1.0, True, 0)
-        assert predict_proba_matrix(m, [4.2, -1.0])[0] == 0.5
+        assert predict_proba_matrix(m, [[4.2, -1.0]])[0] == 0.5
 
     def test_logistic_symmetry(self):
         from nldd.learner import LinearProbModel
         m = LinearProbModel(np.array([0.0, 1.0]), 1.0, True, 0)
-        assert predict_proba_matrix(m, [0.0])[0] == 0.5
+        assert predict_proba_matrix(m, [[0.0]])[0] == 0.5
         for t in (0.3, 1.7, 9.0):
-            assert (predict_proba_matrix(m, [t])[0]
-                    + predict_proba_matrix(m, [-t])[0]) == pytest.approx(1.0)
+            assert (predict_proba_matrix(m, [[t]])[0]
+                    + predict_proba_matrix(m, [[-t]])[0]) == pytest.approx(1.0)
 
     def test_hand_score(self):
         from nldd.learner import LinearProbModel
         m = LinearProbModel(np.array([0.5, 1.5]), 1.0, True, 0)
-        assert predict_proba_matrix(m, [1.0])[0] == pytest.approx(1 / (1 + math.exp(-2.0)))
+        assert predict_proba_matrix(m, [[1.0]])[0] == pytest.approx(1 / (1 + math.exp(-2.0)))
 
     def test_dimension_mismatch(self):
         from nldd.learner import LinearProbModel
         m = LinearProbModel(np.zeros(3), 1.0, True, 0)
         with pytest.raises(ValueError):
-            predict_proba_matrix(m, [1.0])
+            predict_proba_matrix(m, [[1.0]])
 
     def test_clamping(self):
         from nldd.learner import LinearProbModel
         m = LinearProbModel(np.array([0.0, 100.0]), 1.0, True, 0)
-        p = predict_proba_matrix(m, [100.0])[0]
+        p = predict_proba_matrix(m, [[100.0]])[0]
         assert 0.0 < p < 1.0
 
     def test_matrix_agrees_with_rows(self):
@@ -151,7 +151,7 @@ class TestPredictProba:
         m = LinearProbModel(np.array([0.1, -0.5, 2.0]), 1.0, True, 0)
         X = np.random.default_rng(8).standard_normal((9, 2))
         batch = predict_proba_matrix(m, X)
-        rows = [predict_proba_matrix(m, x)[0] for x in X]
+        rows = [predict_proba_matrix(m, x[None])[0] for x in X]
         assert batch == pytest.approx(rows)
 
 
@@ -167,7 +167,7 @@ class TestFallback:
 
     def test_constant_model_predicts_p(self):
         m = ConstantProbModel(p=0.25)
-        assert predict_proba_matrix(m, [1.0, 2.0])[0] == 0.25
+        assert predict_proba_matrix(m, [[1.0, 2.0]])[0] == 0.25
 
 
 def fit_logistic_loop(X, y, lam=1.0, max_iter=100, tol=1e-8):
@@ -326,13 +326,10 @@ class TestStackedIRLS:
         Y = _two_class(rng.standard_normal((6, 4)) > 0)
         _assert_stacked_equals_loop(X, Y)
 
-    def test_one_dimensional_target_is_a_batch_of_one(self):
+    def test_one_dimensional_target_is_rejected(self):
         X, y = _synthetic(8)
-        one = fit_logistic(X, y)
-        assert isinstance(one, LinearProbModel)
-        (batch,) = fit_logistic(X, y[:, None])
-        assert one.weights.tobytes() == batch.weights.tobytes()
-        assert (one.iterations, one.converged) == (batch.iterations, batch.converged)
+        with pytest.raises(ValueError, match=r"\(n, L\) matrix"):
+            fit_logistic(X, y)
 
     def test_any_single_class_column_errors(self):
         X, y = _synthetic(9)

@@ -3,8 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nldd.metrics import (aggregate, f_measure, hamming_loss, instance_metrics,
-                          jaccard, zero_one_loss)
+from nldd.metrics import aggregate, instance_metrics_matrix
 
 
 def set_oracle(y, yhat):
@@ -23,27 +22,37 @@ def set_oracle(y, yhat):
     return ham, zo, jac, f
 
 
+def one_row(y, yhat):
+    """(hamming, zero_one, jaccard, f_measure) of one labelset pair: the
+    one-row ``instance_metrics_matrix``."""
+    return tuple(instance_metrics_matrix([y], [yhat])[0])
+
+
 class TestHamming:
     def test_identical(self):
-        assert hamming_loss([1, 0, 1, 0], [1, 0, 1, 0]) == 0.0
+        assert one_row([1, 0, 1, 0], [1, 0, 1, 0])[0] == 0.0
 
     def test_complete_mismatch(self):
-        assert hamming_loss([1, 1, 1], [0, 0, 0]) == 1.0
+        assert one_row([1, 1, 1], [0, 0, 0])[0] == 1.0
 
     def test_one_third(self):
-        assert hamming_loss([1, 0, 1], [1, 1, 1]) == pytest.approx(1 / 3)
+        assert one_row([1, 0, 1], [1, 1, 1])[0] == pytest.approx(1 / 3)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            hamming_loss([1, 0], [1])
+            one_row([1, 0], [1])
+
+    def test_empty_label_vectors(self):
+        with pytest.raises(ValueError, match="empty"):
+            one_row([], [])
 
 
 class TestZeroOne:
     def test_identical(self):
-        assert zero_one_loss([0, 1], [0, 1]) == 0.0
+        assert one_row([0, 1], [0, 1])[1] == 0.0
 
     def test_single_mismatch(self):
-        assert zero_one_loss([0, 1, 1], [0, 1, 0]) == 1.0
+        assert one_row([0, 1, 1], [0, 1, 0])[1] == 1.0
 
     def test_indicator_of_hamming(self):
         rng = np.random.default_rng(0)
@@ -51,29 +60,29 @@ class TestZeroOne:
             L = rng.integers(1, 8)
             y = rng.integers(0, 2, L)
             yhat = rng.integers(0, 2, L)
-            assert zero_one_loss(y, yhat) == float(hamming_loss(y, yhat) > 0)
+            assert one_row(y, yhat)[1] == float(one_row(y, yhat)[0] > 0)
 
 
 class TestJaccard:
     def test_identical_nonempty(self):
-        assert jaccard([1, 0, 1], [1, 0, 1]) == 1.0
+        assert one_row([1, 0, 1], [1, 0, 1])[2] == 1.0
 
     def test_partial_overlap(self):
-        assert jaccard([1, 1, 0], [0, 1, 1]) == pytest.approx(1 / 3)
+        assert one_row([1, 1, 0], [0, 1, 1])[2] == pytest.approx(1 / 3)
 
     def test_both_empty(self):
-        assert jaccard([0, 0], [0, 0]) == 1.0
+        assert one_row([0, 0], [0, 0])[2] == 1.0
 
 
 class TestFMeasure:
     def test_partial_overlap(self):
-        assert f_measure([1, 1, 0], [0, 1, 1]) == pytest.approx(0.5)
+        assert one_row([1, 1, 0], [0, 1, 1])[3] == pytest.approx(0.5)
 
     def test_disjoint(self):
-        assert f_measure([1, 0, 0], [0, 1, 1]) == 0.0
+        assert one_row([1, 0, 0], [0, 1, 1])[3] == 0.0
 
     def test_both_empty(self):
-        assert f_measure([0, 0, 0], [0, 0, 0]) == 1.0
+        assert one_row([0, 0, 0], [0, 0, 0])[3] == 1.0
 
 
 class TestAggregate:
@@ -99,7 +108,7 @@ class TestAggregate:
             L = rng.integers(1, 11)
             y = rng.integers(0, 2, L)
             yhat = rng.integers(0, 2, L)
-            per_instance.append(instance_metrics(y, yhat))
+            per_instance.append(one_row(y, yhat))
             oracle.append(set_oracle(y, yhat))
         rep = aggregate(per_instance)
         want = np.array(oracle).mean(axis=0)
@@ -114,19 +123,19 @@ class TestProperties:
             L = rng.integers(1, 7)
             y = rng.integers(0, 2, L)
             yhat = rng.integers(0, 2, L)
-            assert instance_metrics(y, yhat) == instance_metrics(yhat, y)
+            assert one_row(y, yhat) == one_row(yhat, y)
 
     def test_jaccard_below_f_measure_exhaustive(self):
         for L in range(1, 5):
             for y in itertools.product((0, 1), repeat=L):
                 for yhat in itertools.product((0, 1), repeat=L):
-                    assert jaccard(y, yhat) <= f_measure(y, yhat) + 1e-12
+                    assert one_row(y, yhat)[2] <= one_row(y, yhat)[3] + 1e-12
 
     def test_zero_one_zero_implies_extremal(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             y = rng.integers(0, 2, 5)
-            ham, zo, jac, f = instance_metrics(y, y)
+            ham, zo, jac, f = one_row(y, y)
             assert zo == 0.0 and ham == 0.0 and jac == 1.0 and f == 1.0
 
     def test_zero_one_dominates_hamming(self):
@@ -135,4 +144,4 @@ class TestProperties:
             L = rng.integers(1, 9)
             y = rng.integers(0, 2, L)
             yhat = rng.integers(0, 2, L)
-            assert zero_one_loss(y, yhat) >= hamming_loss(y, yhat)
+            assert one_row(y, yhat)[1] >= one_row(y, yhat)[0]

@@ -68,8 +68,8 @@ class TestMinePairs:
         t1_feats = np.array([[1.0], [-1.0], [3.0]])
         t1_labels = np.array([[0, 0], [1, 0], [1, 1]])
         p_hat = np.array([0.9, 0.9])
-        dx, dy, loss = mine_pairs(p_hat, [1, 1], t1_feats, t1_labels,
-                                  x_std=np.array([0.0]))
+        dx, dy, loss = mine_pairs(p_hat[None], [[1, 1]], t1_feats, t1_labels,
+                                  x_std=np.array([[0.0]]))
         assert len(dx) == len(dy) == len(loss) == 2
         assert dx[0] == pytest.approx(1.0)
         assert dy[0] == pytest.approx(math.hypot(0.1, 0.9))
@@ -81,8 +81,8 @@ class TestMinePairs:
     def test_single_pair_when_both_minima_coincide(self):
         t1_feats = np.array([[0.0], [5.0]])
         t1_labels = np.array([[1, 0], [0, 1]])
-        got = mine_pairs(np.array([0.9, 0.1]), [1, 0], t1_feats, t1_labels,
-                         x_std=np.array([0.1]))
+        got = mine_pairs(np.array([[0.9, 0.1]]), [[1, 0]], t1_feats, t1_labels,
+                         x_std=np.array([[0.1]]))
         assert [len(a) for a in got] == [1, 1, 1]
 
     def test_matches_exhaustive_oracle(self):
@@ -98,7 +98,8 @@ class TestMinePairs:
             p_hat = rng.uniform(0.01, 0.99, n_labels)
             x = rng.standard_normal(d)
             true = rng.integers(0, 2, n_labels)
-            got = mine_pairs(p_hat, true, t1_feats, t1_labels, x_std=x)
+            got = mine_pairs(p_hat[None], true[None], t1_feats, t1_labels,
+                             x_std=x[None])
             want = mine_pairs_oracle(p_hat, true, t1_feats, t1_labels, x)
             assert pair_tuples(got) == want
 
@@ -108,15 +109,16 @@ class TestMinePairs:
             n_labels = rng.integers(2, 8)
             t1_labels = rng.integers(0, 2, (20, n_labels))
             p_hat = rng.uniform(0, 1, n_labels)
-            _, dy, _ = mine_pairs(p_hat, t1_labels[0], rng.standard_normal((20, 3)),
-                                  t1_labels, x_std=rng.standard_normal(3))
+            _, dy, _ = mine_pairs(p_hat[None], t1_labels[:1],
+                                  rng.standard_normal((20, 3)), t1_labels,
+                                  x_std=rng.standard_normal(3)[None])
             for d in dy:
                 assert d <= math.sqrt(n_labels) + 1e-12
 
     def test_empty_t1(self):
         with pytest.raises(ValueError):
-            mine_pairs(np.array([0.5]), [0], np.empty((0, 1)),
-                       np.empty((0, 1)), x_std=np.array([0.0]))
+            mine_pairs(np.array([[0.5]]), [[0]], np.empty((0, 1)),
+                       np.empty((0, 1)), x_std=np.array([[0.0]]))
 
 
 class TestBinomialGlm:
@@ -141,6 +143,15 @@ class TestBinomialGlm:
             fit_binomial_glm(np.ones(5), np.ones(4), np.ones(5), 3)
         with pytest.raises(ValueError, match="one length"):
             fit_binomial_glm(np.ones(5), np.ones(5), np.ones(6), 3)
+
+    def test_separable_losses_fit_without_overflow_warning(self):
+        # dx separates the losses, so the scores of many pairs run far below
+        # -709, where exp(-z) overflows to inf; the sigmoid's limit there is
+        # 0, and tier-1 turns the overflow warning into an error.
+        rng = np.random.default_rng(0)
+        dx, dy = rng.uniform(0, 50, 200), rng.uniform(0, 3, 200)
+        fit = fit_binomial_glm(dx, dy, (dx > 25).astype(np.int64), 1)
+        assert fit.converged and fit.beta1 > 0
 
     def test_simulated_recovery(self):
         rng = np.random.default_rng(4)
@@ -304,7 +315,7 @@ class TestPredict:
         # strong candidate; most training rows should get their labels back.
         hits = 0
         for i in range(train.n):
-            pred = nldd_predict(model, train.features[i])
+            pred = nldd_predict(model, train.features[i][None])[0]
             assert tuple(pred) in observed
             hits += np.array_equal(pred, train.labels[i])
         assert hits / train.n > 0.8
@@ -314,7 +325,7 @@ class TestPredict:
         model = nldd_train(train, seed=2)
         model.train_features_std = model.train_features_std[:1]
         model.train_labelsets = model.train_labelsets[:1]
-        pred = nldd_predict(model, np.zeros(train.d))
+        pred = nldd_predict(model, np.zeros((1, train.d)))[0]
         assert np.array_equal(pred, model.train_labelsets[0])
 
     def test_brute_force_score_oracle(self):
@@ -323,14 +334,14 @@ class TestPredict:
         train, test = _train_test(7)
         model = nldd_train(train, seed=3)
         for i in range(test.n):
-            x = test.features[i]
+            x = test.features[i][None]
             p_hat = br_predict_proba_matrix(model.br, x)[0]
-            z = standardize_apply(model.br.stats, x[None, :])[0]
+            z = standardize_apply(model.br.stats, x)[0]
             dx = np.sqrt(((model.train_features_std - z) ** 2).sum(axis=1))
             dy = np.sqrt(((model.train_labelsets - p_hat) ** 2).sum(axis=1))
             score = model.fit.beta1 * dx + model.fit.beta2 * dy
             j = int(np.lexsort((np.arange(len(dx)), dx, dy, score))[0])
-            assert np.array_equal(nldd_predict(model, x),
+            assert np.array_equal(nldd_predict(model, x)[0],
                                   model.train_labelsets[j])
 
     def test_prediction_is_observed_labelset(self):
@@ -338,7 +349,7 @@ class TestPredict:
         model = nldd_train(train, seed=4)
         observed = {tuple(r) for r in train.labels}
         for i in range(test.n):
-            assert tuple(nldd_predict(model, test.features[i])) in observed
+            assert tuple(nldd_predict(model, test.features[i][None])[0]) in observed
 
     def test_scale_invariance_of_argmin(self):
         train, test = _train_test(9)
@@ -347,8 +358,8 @@ class TestPredict:
         scaled.fit = BinomialFit(model.fit.beta0, 17.0 * model.fit.beta1,
                                  17.0 * model.fit.beta2, True, 0, 0.0)
         for i in range(test.n):
-            assert np.array_equal(nldd_predict(model, test.features[i]),
-                                  nldd_predict(scaled, test.features[i]))
+            x = test.features[i][None]
+            assert np.array_equal(nldd_predict(model, x), nldd_predict(scaled, x))
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 3),
@@ -374,11 +385,11 @@ class TestPredict:
         train, test = _train_test(10)
         model = nldd_train(train, seed=6)
         for i in range(10):
-            x = test.features[i]
-            pred, th = predict_with_confidence(model, x)
+            x = test.features[i][None]
+            (pred,), (th,) = predict_with_confidence(model, x)
             assert 0.0 < th < 1.0
             p_hat = br_predict_proba_matrix(model.br, x)[0]
-            z = standardize_apply(model.br.stats, x[None, :])[0]
+            z = standardize_apply(model.br.stats, x)[0]
             mask = np.all(model.train_labelsets == pred, axis=1)
             dx = np.sqrt(((model.train_features_std[mask] - z) ** 2).sum(axis=1))
             dy = np.sqrt(((model.train_labelsets[mask] - p_hat) ** 2).sum(axis=1))
@@ -386,13 +397,13 @@ class TestPredict:
                        for a, b in zip(dx, dy))
 
     def test_confidence_filter_improves_hamming(self):
-        from nldd.metrics import hamming_loss
+        from nldd.metrics import instance_metrics_matrix
         train, test = _train_test(11, n=400)
         model = nldd_train(train, seed=7)
         losses, thetas = [], []
         for i in range(test.n):
-            pred, th = predict_with_confidence(model, test.features[i])
-            losses.append(hamming_loss(test.labels[i], pred))
+            (pred,), (th,) = predict_with_confidence(model, test.features[i][None])
+            losses.append(instance_metrics_matrix([test.labels[i]], [pred])[0, 0])
             thetas.append(th)
         losses = np.array(losses)
         thetas = np.array(thetas)
@@ -417,4 +428,19 @@ class TestNonFiniteQueries:
             with pytest.raises(DataError, match="query row 3"):
                 predict(X)
             with pytest.raises(DataError, match="query row 1"):
-                predict(X[2])
+                predict(X[2][None])
+
+
+def test_one_row_vector_is_rejected_by_every_predict():
+    from nldd.br import br_predict, br_predict_proba_matrix, smbr_predict
+    from nldd.data import DataError
+    train, test = _train_test(13)
+    model = nldd_train(train, seed=9)
+    predictors = [lambda x: nldd_predict(model, x),
+                  lambda x: predict_with_confidence(model, x),
+                  lambda x: br_predict(model.br, x),
+                  lambda x: br_predict_proba_matrix(model.br, x),
+                  lambda x: smbr_predict(model.br, train, x)]
+    for predict in predictors:
+        with pytest.raises(DataError, match=r"\(n, d\) matrix"):
+            predict(test.features[0])
