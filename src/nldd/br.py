@@ -4,7 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, standardize_apply, standardize_fit
+from .data import (DataError, _labelset_groups, standardize_apply,
+                   standardize_fit)
 from .learner import (ConstantProbModel, fit_fallback, fit_logistic,
                       predict_proba_matrix)
 
@@ -68,7 +69,7 @@ def smbr_predict(model, train, x):
     hard = br_predict(model, x)
     # Distinct labelsets in lexicographic order, so argmin's first-index
     # rule picks the smallest among equal keys.
-    labelsets, counts = np.unique(train.labels, axis=0, return_counts=True)
+    labelsets, _, _, counts = _labelset_groups(train.labels)
     dist = hard @ (1 - labelsets).T + (1 - hard) @ labelsets.T  # (n, K) Hamming
     # counts <= N, so this orders by distance first, then by frequency.
     best = np.argmin(dist * (train.n + 1) - counts, axis=1)

@@ -54,6 +54,8 @@ def _print_metrics_table(rows, header="split"):
 def cmd_train(args):
     if args.method == "br" and args.subsample != 1.0:
         raise ValueError("--subsample applies to --method nldd only")
+    if args.method == "br" and args.seed != 0:
+        raise ValueError("--seed applies to --method nldd only")
     data = _load_dataset(args.data, args.labels, args.format)
     if args.method == "nldd":
         model = nldd_train(data, args.seed, lam=args.lam,
@@ -98,6 +100,8 @@ def cmd_predict(args):
 def cmd_eval(args):
     if (args.test is None) == (args.cv is None):
         raise ValueError("provide exactly one of --test or --cv")
+    if args.test is not None and args.method != "nldd" and args.seed != 0:
+        raise ValueError("--seed applies to --method nldd or to --cv only")
     data = _load_dataset(args.data, args.labels, args.format)
     params = {"lam": args.lam, "subsample_fraction": args.subsample}
     records = []

@@ -280,6 +280,25 @@ def split_random(train, seed):
     return perm[:half], perm[half:]
 
 
+def _labelset_groups(labels):
+    """The rows of an (N, L) label matrix grouped by labelset.
+
+    Returns ``(table, order, starts, sizes)``: the K distinct labelsets in
+    lexicographic order, as ``np.unique(labels, axis=0)`` gives them; the
+    row ids sorted stably by labelset, so that labelset k's rows are
+    ``order[starts[k]:starts[k] + sizes[k]]`` in increasing id order; and
+    each labelset's offset into ``order`` and its row count.
+    """
+    labels = np.asarray(labels)
+    # lexsort's last key is the most significant, so column 0 goes last.
+    order = np.lexsort(labels.T[::-1])
+    ranked = labels[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    return ranked[starts], order, starts, np.diff(np.r_[starts, len(order)])
+
+
 def dataset_summary(data):
     """N, d, L, label cardinality and distinct labelset count."""
     return {

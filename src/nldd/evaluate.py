@@ -41,6 +41,17 @@ def make_folds(n, k, seed):
     return assignments
 
 
+def _check_methods(methods, params):
+    """ValueError for a method id outside METHODS, or for a training
+    subsample when nldd, the only method that reads it, is not among
+    ``methods``."""
+    for m in methods:
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+    if (params or {}).get("subsample_fraction", 1.0) != 1.0 and "nldd" not in methods:
+        raise ValueError("a training subsample applies to nldd only")
+
+
 def train_predictor(methods, train, seed=0, params=None):
     """Fit each method id of the tuple ``methods`` on ``train``, returning a
     dict by id of callables that map an (n, d) batch of raw feature rows to
@@ -51,14 +62,10 @@ def train_predictor(methods, train, seed=0, params=None):
     Raises ValueError for a training subsample when nldd, the only method
     that reads it, is not among ``methods``.
     """
+    _check_methods(methods, params)
     params = params or {}
     lam = params.get("lam", 1.0)
     fraction = params.get("subsample_fraction", 1.0)
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
-    if fraction != 1.0 and "nldd" not in methods:
-        raise ValueError("a training subsample applies to nldd only")
     predictors = {}
     br = None
     if "nldd" in methods:
@@ -81,7 +88,11 @@ def _evaluate_rows(predict, test):
 def cross_validate(data, methods, k, seed, params=None):
     """k-fold CV of each method id of the tuple ``methods``; returns a dict
     by id of (per-fold reports, mean report). Each fold fits Binary
-    Relevance once for all of them (see ``train_predictor``)."""
+    Relevance once for all of them (see ``train_predictor``).
+
+    Errors raised inside a fold name the fold; the method ids and the
+    subsample rule are checked once, before the first fold."""
+    _check_methods(methods, params)
     folds = make_folds(data.n, k, seed)
     fold_reports = {m: [] for m in methods}
     for fold in range(k):

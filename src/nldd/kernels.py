@@ -39,6 +39,11 @@ the rows with G <= min G + m, or using [G - m, G + m] as an interval for E,
 therefore never drops a winner, with a factor of two to spare for the
 rounding of m and of the threshold; the tiny term covers underflow.
 
+Groups of rows. The nearest-labelset predict adds to each row's distance a
+term that is the same for every row of a labelset, so it brackets each
+labelset as a whole from the group's smallest (or largest) G, and only
+then compares single rows with their group's bound (``model._best_in_block``).
+
 A query row for which 4 S overflows (a standardised feature near 1e154 or
 larger) has no usable screen: G overflows to inf, or to inf - inf = NaN
 when a.b overflows too. Its margin is inf and its G is 0, so every
@@ -109,16 +114,25 @@ def blocks(n_queries, n_rows):
     return [slice(s, min(s + step, n_queries)) for s in range(0, n_queries, step)]
 
 
-def screen(a, mat):
+def row_norms(mat):
+    """``(||b||^2 for each row b of mat, their maximum)``, as ``screen``
+    takes them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat_sq = np.einsum("ij,ij->i", mat, mat)
+    return mat_sq, mat_sq.max()
+
+
+def screen(a, mat, norms=None):
     """``(G, margin)`` for the query rows ``a`` against the rows of ``mat``:
     the (len(a), N) screen values and the per-row bound described in the
     module docstring (inf, with G = 0, for a row that needs the full scan).
-    Call it on ``blocks`` of the queries to bound its memory."""
+    Call it on ``blocks`` of the queries to bound its memory, passing
+    ``norms = row_norms(mat)`` computed once for all of them."""
     d = a.shape[1]
+    mat_sq, mat_sq_max = row_norms(mat) if norms is None else norms
     with np.errstate(over="ignore", invalid="ignore"):
-        mat_sq = np.einsum("ij,ij->i", mat, mat)
         a_sq = np.einsum("ij,ij->i", a, a)
-        total = a_sq + mat_sq.max()
+        total = a_sq + mat_sq_max
         margin = 8.0 * (d + 4) * (_EPS * total + _TINY)
         G = a @ mat.T
         G *= -2.0

@@ -355,6 +355,83 @@ def test_screened_predict_equals_row_loop(rows_per_block, case, data):
         assert np.array_equal(g, w)
 
 
+def _near(draw, row, source):
+    """``row``, a copy of a row of ``source``, or a row one ulp from one."""
+    kind = draw(st.sampled_from(["own", "copy", "ulp"]))
+    other = source[draw(st.integers(0, len(source) - 1))]
+    if kind == "copy":
+        return other
+    if kind == "ulp":
+        return np.nextafter(other, draw(st.sampled_from([-np.inf, np.inf])))
+    return row
+
+
+@st.composite
+def dominant_cases(draw):
+    """The benchmark's shape in small: about 80% of the training rows share
+    one labelset, with exact duplicates and rows one ulp apart inside it,
+    and the rows are shuffled so that labelset order is not row order.
+    Query rows copy training rows, sit one ulp from them, or are random."""
+    d, n_labels, n = (draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+                      draw(st.integers(5, 40)))
+    values = st.floats(-3.0, 3.0, allow_nan=False)
+    train = draw(arrays(np.float64, (n, d), elements=values))
+    big = (4 * n) // 5
+    for i in range(1, big):
+        train[i] = _near(draw, train[i], train[:i])
+    labels = draw(arrays(np.int64, (n, n_labels), elements=st.integers(0, 1)))
+    labels[:big] = labels[0]
+    perm = np.array(draw(st.permutations(range(n))))
+    train, labels = train[perm], labels[perm]
+    queries = draw(arrays(np.float64, (draw(st.integers(1, 10)), d), elements=values))
+    for i in range(queries.shape[0]):
+        queries[i] = _near(draw, queries[i], train)
+    return train, labels, queries
+
+
+@PROPERTY
+@pytest.mark.parametrize("rows_per_block", [1, None])
+# At beta1 = -1e-20 the dx term vanishes in the rounded score, so the rows
+# of a labelset tie on it and the smallest dx wins, not the largest.
+@pytest.mark.parametrize("beta1", [-0.3, -1e-20, 0.0, 0.7])
+@given(case=dominant_cases(), data=st.data())
+def test_dominant_labelset_predict_equals_row_loop(beta1, rows_per_block, case,
+                                                   data):
+    train, labels, X = case
+    d, n_labels = train.shape[1], labels.shape[1]
+    weights = data.draw(arrays(np.float64, (n_labels, d + 1),
+                               elements=st.floats(-1.0, 1.0)))
+    beta2 = data.draw(st.sampled_from([-0.3, 0.0, 0.7, 1.9]))
+    model = NlddModel(br=_linear_br(weights),
+                      fit=BinomialFit(-2.0, beta1, beta2, True, 0, 0.0),
+                      train_features_std=train, train_labelsets=labels,
+                      pair_count=0, distance_ops=0)
+    with mock.patch.object(kernels, "BLOCK_BYTES",
+                           _block_bytes(train.shape[0], rows_per_block)):
+        got = _best_rows(model, X)
+    for g, w in zip(got, best_rows_loop(model, X)):
+        assert np.array_equal(g, w)
+
+
+@PROPERTY
+@pytest.mark.parametrize("rows_per_block", [1, None])
+@given(case=dominant_cases(), data=st.data())
+def test_dominant_labelset_mining_equals_exhaustive_oracle(rows_per_block, case,
+                                                           data):
+    t1, t1_labels, x = case
+    n, n_labels = x.shape[0], t1_labels.shape[1]
+    p_hat = data.draw(arrays(np.float64, (n, n_labels), elements=st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.01, 0.99))))
+    true = data.draw(arrays(np.int64, (n, n_labels), elements=st.integers(0, 1)))
+    with mock.patch.object(kernels, "BLOCK_BYTES",
+                           _block_bytes(t1.shape[0], rows_per_block)):
+        got = mine_pairs(p_hat, true, t1, t1_labels, x_std=x)
+    want = []
+    for i in range(n):
+        want += mine_pairs_oracle(p_hat[i], true[i], t1, t1_labels, x[i])
+    assert pair_tuples(got) == want
+
+
 def _queries_with_ties(train, seed):
     X = generate_synthetic(40, train.d, train.n_labels, 0.8, 0.3, seed=seed).features
     return np.vstack([X, train.features[:10], train.features[200:205]])

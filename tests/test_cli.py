@@ -241,6 +241,29 @@ class TestBoundaries:
         assert "nldd only" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    def test_cv_subsample_error_names_no_fold(self, csv_path, capsys):
+        rc = main(["eval", "--data", csv_path, "--labels", "3", "--method",
+                   "smbr", "--cv", "3", "--subsample", "1.5"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: a training subsample applies to nldd only\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--method", "br", "--model", "m.json"],
+        ["eval", "--method", "br", "--test", "TEST"],
+        ["eval", "--method", "smbr", "--test", "TEST"]])
+    def test_seed_without_nldd_or_folds_usage_error(self, csv_path, tmp_path,
+                                                    capsys, argv):
+        # Nothing in these runs draws a random number, so a seed would
+        # change nothing.
+        argv = [str(tmp_path / a) if a == "m.json" else csv_path if a == "TEST"
+                else a for a in argv]
+        base = argv[:1] + ["--data", csv_path, "--labels", "3"] + argv[1:]
+        assert main(base + ["--seed", "9"]) == 2
+        assert "--seed applies to" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+        assert main(base + ["--seed", "0"]) == 0
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_query_row_exit_3(self, csv_path, tmp_path, capsys, cell):
         model_path = _train(csv_path, tmp_path)

@@ -9,9 +9,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nldd import data as data_module
 from nldd.cli import _load_features
-from nldd.data import (DataError, Dataset, dataset_summary, load_csv,
-                       load_sparse, save_csv, split_random, standardize_apply,
-                       standardize_fit)
+from nldd.data import (DataError, Dataset, _labelset_groups, dataset_summary,
+                       load_csv, load_sparse, save_csv, split_random,
+                       standardize_apply, standardize_fit)
 
 
 def _write(tmp_path, name, text):
@@ -380,6 +380,35 @@ class TestSummary:
         labels = rng.integers(0, 2, (13, 4))
         ds = Dataset(np.zeros((13, 1)), labels)
         assert dataset_summary(ds)["lcard"] == labels.sum() / 13
+
+
+@st.composite
+def label_matrices(draw):
+    """0/1 (N, L) label matrices, N in 1..40 and L in 1..4; sometimes every
+    row shares one labelset."""
+    n, n_labels = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    rows = st.lists(st.integers(0, 1), min_size=n_labels, max_size=n_labels)
+    if draw(st.booleans()):
+        return np.array([draw(rows)] * n, dtype=np.int64)
+    return np.array(draw(st.lists(rows, min_size=n, max_size=n)), dtype=np.int64)
+
+
+class TestLabelsetGroups:
+    @settings(max_examples=200, deadline=None)
+    @given(labels=label_matrices())
+    def test_matches_unique(self, labels):
+        table, order, starts, sizes = _labelset_groups(labels)
+        want, inverse, counts = np.unique(labels, axis=0, return_inverse=True,
+                                          return_counts=True)
+        assert np.array_equal(table, want) and table.dtype == labels.dtype
+        assert sizes.tolist() == counts.tolist()
+        assert starts.tolist() == np.r_[0, np.cumsum(sizes)[:-1]].tolist()
+        group = np.repeat(np.arange(len(sizes)), sizes)
+        assert np.array_equal(group[np.argsort(order)], inverse.ravel())
+        for start, size in zip(starts, sizes):
+            ids = order[start:start + size]
+            assert (np.diff(ids) > 0).all()
+            assert (labels[ids] == table[group[start]]).all()
 
 
 class TestDatasetInvariants:

@@ -145,6 +145,18 @@ class TestCrossValidate:
         with pytest.raises(ValueError):
             cross_validate(ds, ("rakel",), k=3, seed=0)
 
+    @pytest.mark.parametrize("methods, params, message", [
+        (("rakel",), None, "^unknown method 'rakel'"),
+        (("br", "smbr"), {"subsample_fraction": 0.5},
+         "^a training subsample applies to nldd only$")])
+    def test_method_errors_name_no_fold(self, methods, params, message):
+        # They concern the call, not a fold, and are raised before any fit.
+        ds = generate_synthetic(30, 4, 3, 0.7, 0.3, seed=2)
+        with mock.patch("nldd.evaluate.make_folds") as folds, \
+                pytest.raises(ValueError, match=message):
+            cross_validate(ds, methods, k=3, seed=0, params=params)
+        folds.assert_not_called()
+
 
 class TestHoldout:
     def test_memorizing_configuration(self):
@@ -327,7 +339,7 @@ class TestSharedBrFit:
                 for m in methods}
         if fraction != 1.0 and "nldd" not in methods:
             assert got == (ValueError,
-                           "fold 0: a training subsample applies to nldd only")
+                           "a training subsample applies to nldd only")
         elif isinstance(got, dict):
             assert list(got) == list(methods)
             assert got == {m: want[m][m] for m in methods}
