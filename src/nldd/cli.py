@@ -12,8 +12,8 @@ import numpy as np
 from .br import br_fit, br_predict
 from .data import (DataError, dataset_summary, load_csv, load_sparse,
                    read_dense_csv)
-from .evaluate import (cross_validate, holdout_eval, scaling_experiment,
-                       wilcoxon_signed_rank, METHODS)
+from .evaluate import (_check_methods, cross_validate, holdout_eval,
+                       scaling_experiment, wilcoxon_signed_rank, METHODS)
 from .learner import TrainingError
 from .model import nldd_predict, nldd_train, predict_with_confidence
 from .persist import load_model, save_model
@@ -136,13 +136,11 @@ def cmd_compare(args):
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if len(methods) < 2:
         raise ValueError("--methods needs at least 2 method ids")
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}")
+    params = {"lam": args.lam, "subsample_fraction": args.subsample}
+    _check_methods(methods, params)
     datasets = [_load_dataset(p, args.labels, args.format) for p in args.data]
     if len(datasets) < 2 and args.cv < 2:
         raise ValueError("need at least 2 datasets or --cv >= 2")
-    params = {"lam": args.lam, "subsample_fraction": args.subsample}
 
     # metric value per (method, dataset) mean, plus per-fold values for pairing
     means = {m: {} for m in methods}

@@ -39,10 +39,13 @@ the rows with G <= min G + m, or using [G - m, G + m] as an interval for E,
 therefore never drops a winner, with a factor of two to spare for the
 rounding of m and of the threshold; the tiny term covers underflow.
 
-Groups of rows. The nearest-labelset predict adds to each row's distance a
-term that is the same for every row of a labelset, so it brackets each
-labelset as a whole from the group's smallest (or largest) G, and only
-then compares single rows with their group's bound (``model._best_in_block``).
+Groups of rows. Mining and predict share one engine,
+``model._argmin_rows``: per query row it finds the training row that
+minimizes beta1*dx + beta2*dy. Mining's two pairs are the weights (1, 0)
+and (0, 1) on squared distances, predict is the fitted weights on
+distances. The dy term is the same for every row of a labelset, so the
+engine brackets each labelset as a whole from the group's smallest (or
+largest) G, and only then compares single rows with their group's bound.
 
 A query row for which 4 S overflows (a standardised feature near 1e154 or
 larger) has no usable screen: G overflows to inf, or to inf - inf = NaN
@@ -122,14 +125,14 @@ def row_norms(mat):
     return mat_sq, mat_sq.max()
 
 
-def screen(a, mat, norms=None):
+def screen(a, mat, norms):
     """``(G, margin)`` for the query rows ``a`` against the rows of ``mat``:
     the (len(a), N) screen values and the per-row bound described in the
     module docstring (inf, with G = 0, for a row that needs the full scan).
     Call it on ``blocks`` of the queries to bound its memory, passing
     ``norms = row_norms(mat)`` computed once for all of them."""
     d = a.shape[1]
-    mat_sq, mat_sq_max = row_norms(mat) if norms is None else norms
+    mat_sq, mat_sq_max = norms
     with np.errstate(over="ignore", invalid="ignore"):
         a_sq = np.einsum("ij,ij->i", a, a)
         total = a_sq + mat_sq_max

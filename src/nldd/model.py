@@ -34,28 +34,6 @@ class NlddModel:
     distance_ops: int  # pairwise distance computations during mining
 
 
-def _by_labelset(features, labels):
-    """What the screens of mining and predict take, made once per call: the
-    training rows in labelset order, their ``kernels.row_norms``, and the
-    ``(table, order, starts, sizes)`` of ``_labelset_groups`` with the
-    table as float64."""
-    table, order, starts, sizes = _labelset_groups(labels)
-    rows = features[order]
-    return (rows, kernels.row_norms(rows),
-            (np.asarray(table, dtype=np.float64), order, starts, sizes))
-
-
-def _group_of(starts, pos):
-    """Labelset index of the rows at positions ``pos`` of labelset order."""
-    return np.searchsorted(starts, pos, side="right") - 1
-
-
-def _survivors(keep):
-    """(query row, column) index arrays of the True entries of a
-    (block, N) mask, in row-major order."""
-    return np.divmod(np.flatnonzero(keep), keep.shape[1])
-
-
 def _first_per_row(query, keys):
     """Index of the smallest ``keys`` tuple (most significant first) among
     the survivors of each query row; ``query`` is sorted and covers every
@@ -65,39 +43,81 @@ def _first_per_row(query, keys):
     return order[np.r_[True, q[1:] != q[:-1]]]
 
 
-def _nearest_rows(x_std, p_hat, t1_std, t1_labels):
-    """Per query row, the T1 row minimizing (dx², dy², row) and the one
-    minimizing (dy², dx², row), with their exact squared distances: three
-    (2, n) arrays."""
-    n = x_std.shape[0]
-    rows = np.empty((2, n), dtype=np.intp)
-    dxsq, dysq = np.empty((2, n)), np.empty((2, n))
-    layout = _by_labelset(t1_std, t1_labels)
-    for block in kernels.blocks(n, t1_std.shape[0]):
-        rows[:, block], dxsq[:, block], dysq[:, block] = _nearest_in_block(
-            x_std[block], p_hat[block], *layout)
-    return rows, dxsq, dysq
+def _score(beta1, beta2, dx, dy):
+    """beta1*dx + beta2*dy without the term of a zero weight, so that an
+    overflowed dx = inf under beta1 = 0 adds nothing instead of NaN."""
+    if beta1 == 0:
+        return beta2 * dy
+    if beta2 == 0:
+        return beta1 * dx
+    return beta1 * dx + beta2 * dy
 
 
-def _nearest_in_block(x, p_hat, t1_rows, norms, groups):
-    """``_nearest_rows`` for one block of query rows, ``t1_rows`` being the
-    T1 rows in labelset order."""
-    table, order, starts, sizes = groups
-    G, margin = kernels.screen(x, t1_rows, norms)
-    dy_table = kernels.cross_sq_dists(p_hat, table)
-    farther = dy_table != dy_table.min(axis=1, keepdims=True)
-    # Rows the G screen leaves in the running: among all rows, then among
-    # the rows of the dy-nearest labelsets (G masked in place).
-    keep_x = G <= (G.min(axis=1) + margin)[:, None]
-    np.copyto(G, np.inf, where=np.repeat(farther, sizes, axis=1))
-    keep_y = G <= (G.min(axis=1) + margin)[:, None]
+def _argmin_rows(x, p_hat, features, labels, weights, squared):
+    """For each (beta1, beta2) of the tuple ``weights`` and each query row,
+    the training row minimizing (beta1*dx + beta2*dy, dy, dx, row index),
+    with its dx and dy: three (len(weights), n) arrays. dx goes from ``x``
+    to ``features``, dy from ``p_hat`` to ``labels``; with ``squared`` both
+    are the exact squared distances of ``kernels``, else their square roots."""
+    table, order, starts, sizes = _labelset_groups(labels)
+    train_rows = features[order]
+    layout = (train_rows, kernels.row_norms(train_rows),
+              np.asarray(table, dtype=np.float64), order, starts, sizes)
+    dist = (lambda sq: sq) if squared else np.sqrt
+    n = x.shape[0]
+    rows = np.empty((len(weights), n), dtype=np.intp)
+    dx, dy = np.empty((2, len(weights), n))
+    for block in kernels.blocks(n, features.shape[0]):
+        rows[:, block], dx[:, block], dy[:, block] = _best_in_block(
+            x[block], p_hat[block], layout, weights, dist)
+    return rows, dx, dy
+
+
+def _best_in_block(x, p_hat, layout, weights, dist):
+    """``_argmin_rows`` for one block of query rows, the training rows of
+    ``layout`` being in labelset order and ``dist`` the identity or sqrt.
+
+    dy is exact and the same for every row of a labelset, so the bracket is
+    taken per labelset. Rounded sqrt, or any other monotone transform of
+    the squared distance, products and sums are monotone, so with g the
+    group's smallest G when beta1 >= 0 (its largest when beta1 < 0), the
+    scores at dx² = max(g - m, 0) and at dx² = g + m bound the group's best
+    exact score from above and every row's exact score in it from below;
+    only labelsets whose lower bound reaches the smallest upper bound
+    survive. Within a labelset the winner on (score, dy, dx) is, for
+    beta1 >= 0, a row of smallest exact dx, which the screen places within
+    m/2 of g (the ``kernels`` argument with the labelset's rows for all
+    rows), so the rows with G <= g + m are kept. For beta1 < 0 a rounding
+    tie in the score can let a row of smaller dx win, so the whole
+    surviving labelset is kept.
+    """
+    train_rows, norms, table, order, starts, sizes = layout
+    G, margin = kernels.screen(x, train_rows, norms)
+    dy_table = dist(kernels.cross_sq_dists(p_hat, table))
+    # Each labelset's smallest G (largest for beta1 < 0), once per block.
+    extreme = {f: f.reduceat(G, starts, axis=1) for f in
+               {np.minimum if beta1 >= 0 else np.maximum for beta1, _ in weights}}
+    m = margin[:, None]
     out = []
-    for k, keep in enumerate((keep_x, keep_y)):
-        q, pos = _survivors(keep)
-        dx = kernels.paired_sq_dists(x, t1_rows, q, pos)
-        dy = dy_table[q, _group_of(starts, pos)]
+    for beta1, beta2 in weights:
+        g = extreme[np.minimum if beta1 >= 0 else np.maximum]
+        near, far = (_score(beta1, beta2, dist(bound), dy_table)
+                     for bound in (np.maximum(g - m, 0.0), g + m))
+        lo, hi = (near, far) if beta1 >= 0 else (far, near)
+        survive = lo <= hi.min(axis=1, keepdims=True)
+        survive[np.isinf(margin)] = True  # no usable screen: the full scan
+        # Rows within their labelset's bound, the largest bound screening first.
+        bound = np.where(survive, g + m if beta1 >= 0 else np.inf, -np.inf)
+        keep = np.repeat(survive, sizes, axis=1)
+        keep &= G <= bound.max(axis=1, keepdims=True)
+        q, pos = np.divmod(np.flatnonzero(keep), keep.shape[1])
+        group = np.searchsorted(starts, pos, side="right") - 1
+        inside = G[q, pos] <= bound[q, group]
+        q, pos, group = q[inside], pos[inside], group[inside]
+        dx = dist(kernels.paired_sq_dists(x, train_rows, q, pos))
+        dy = dy_table[q, group]
         j = order[pos]
-        first = _first_per_row(q, (dx, dy, j) if k == 0 else (dy, dx, j))
+        first = _first_per_row(q, (_score(beta1, beta2, dx, dy), dy, dx, j))
         out.append((j[first], dx[first], dy[first]))
     return tuple(np.stack(arrays) for arrays in zip(*out))
 
@@ -127,7 +147,8 @@ def mine_pairs(p_hat, true_labels, t1_features_std, t1_labels, x_std):
     true_labels = np.asarray(true_labels)
     t1_features_std = np.asarray(t1_features_std, dtype=np.float64)
     t1_labels = np.asarray(t1_labels)
-    rows, dxsq, dysq = _nearest_rows(x_std, p_hat, t1_features_std, t1_labels)
+    rows, dxsq, dysq = _argmin_rows(x_std, p_hat, t1_features_std, t1_labels,
+                                    ((1.0, 0.0), (0.0, 1.0)), squared=True)
     losses = np.sum(true_labels[None] != t1_labels[rows], axis=2)
     # Masking the (n, 2) transposes takes row 0's pairs, then row 1's, ...
     keep = np.column_stack([np.ones(x_std.shape[0], dtype=bool),
@@ -269,55 +290,10 @@ def _best_rows(model, features):
     """
     p_hat = br_predict_proba_matrix(model.br, features)
     x_std = standardize_apply(model.br.stats, features)
-    layout = _by_labelset(model.train_features_std, model.train_labelsets)
-    n = x_std.shape[0]
-    rows = np.empty(n, dtype=np.intp)
-    best_dx, best_dy = np.empty(n), np.empty(n)
-    for block in kernels.blocks(n, model.train_features_std.shape[0]):
-        rows[block], best_dx[block], best_dy[block] = _best_in_block(
-            model.fit, x_std[block], p_hat[block], *layout)
-    return rows, best_dx, best_dy
-
-
-def _best_in_block(fit, x, p_hat, train_rows, norms, groups):
-    """``_best_rows`` for one block of query rows, ``train_rows`` being the
-    training rows in labelset order.
-
-    dy is exact and the same for every row of a labelset, so the bracket is
-    taken per labelset. Rounded sqrt, products and sums are monotone, so
-    with g the group's smallest G when beta1 >= 0 (its largest when
-    beta1 < 0), the scores at dx = sqrt(max(g - m, 0)) and at
-    dx = sqrt(g + m) bound the group's best exact score from above and
-    every row's exact score in it from below; only labelsets whose lower
-    bound reaches the smallest upper bound survive. Within a labelset the
-    winner on (score, dy, dx) is, for beta1 >= 0, a row of smallest exact
-    dx, which the screen places within m/2 of g (the ``kernels`` argument
-    with the labelset's rows for all rows), so the rows with G <= g + m
-    are kept. For beta1 < 0 a rounding tie in the score can let a row of
-    smaller dx win, so the whole surviving labelset is kept.
-    """
-    table, order, starts, sizes = groups
-    beta1, beta2 = fit.beta1, fit.beta2
-    G, margin = kernels.screen(x, train_rows, norms)
-    dy_table = np.sqrt(kernels.cross_sq_dists(p_hat, table))
-    g = (np.minimum if beta1 >= 0 else np.maximum).reduceat(G, starts, axis=1)
-    m = margin[:, None]
-    with np.errstate(invalid="ignore"):
-        near, far = (beta1 * np.sqrt(bound) + beta2 * dy_table
-                     for bound in (np.maximum(g - m, 0.0), g + m))
-    lo, hi = (near, far) if beta1 >= 0 else (far, near)
-    survive = lo <= hi.min(axis=1, keepdims=True)
-    survive[np.isinf(margin)] = True  # no usable screen: the full scan
-    if beta1 >= 0:
-        keep = G <= np.repeat(np.where(survive, g + m, -np.inf), sizes, axis=1)
-    else:
-        keep = np.repeat(survive, sizes, axis=1)
-    q, pos = _survivors(keep)
-    dx = np.sqrt(kernels.paired_sq_dists(x, train_rows, q, pos))
-    dy = dy_table[q, _group_of(starts, pos)]
-    j = order[pos]
-    first = _first_per_row(q, (beta1 * dx + beta2 * dy, dy, dx, j))
-    return j[first], dx[first], dy[first]
+    weights = ((model.fit.beta1, model.fit.beta2),)
+    rows, dx, dy = _argmin_rows(x_std, p_hat, model.train_features_std,
+                                model.train_labelsets, weights, squared=False)
+    return rows[0], dx[0], dy[0]
 
 
 def nldd_predict(model, x):

@@ -1,7 +1,7 @@
 """Versioned JSON persistence for fitted models."""
 
-import dataclasses
 import json
+import math
 
 import numpy as np
 
@@ -23,9 +23,27 @@ def _get(doc, key):
     return doc[key]
 
 
-def _array(value, name, ndim, dtype=np.float64):
+def _real(doc, key, finite=False):
+    """``doc[key]`` if it is a real number (not a bool) within the float
+    range, and finite when ``finite``; DataError otherwise."""
+    value = _get(doc, key)
+    try:  # OverflowError: an int past the float range
+        if type(value) in (int, float) and (math.isfinite(value) or not finite):
+            return value
+    except OverflowError:
+        pass
+    raise DataError(f"{key} must be a {'finite ' if finite else ''}real number")
+
+
+def _integer(doc, key):
+    if type(_get(doc, key)) is not int:  # a bool is no count either
+        raise DataError(f"{key} must be an integer")
+    return doc[key]
+
+
+def _array(value, name, ndim):
     try:
-        arr = np.array(value, dtype=dtype)
+        arr = np.array(value, dtype=np.float64)
     except (TypeError, ValueError):
         raise DataError(f"{name} is not a numeric array") from None
     if arr.ndim != ndim or 0 in arr.shape:
@@ -52,16 +70,16 @@ def _classifier_doc(clf):
 def _classifier_from(doc, d):
     kind = _get(doc, "type")
     if kind == "constant":
-        return ConstantProbModel(p=_get(doc, "p"))
+        return ConstantProbModel(p=_real(doc, "p"))
     if kind != "linear":
         raise DataError(f"unknown classifier type {kind!r}")
     weights = _array(_get(doc, "weights"), "classifier weights", 1)
     if weights.shape[0] != d + 1:
         raise DataError(f"classifier has {weights.shape[0]} weights for "
                         f"{d} features (expected {d + 1})")
-    return LinearProbModel(weights=weights, lam=_get(doc, "lam"),
+    return LinearProbModel(weights=weights, lam=_real(doc, "lam"),
                            converged=_get(doc, "converged"),
-                           iterations=_get(doc, "iterations"))
+                           iterations=_integer(doc, "iterations"))
 
 
 def _br_doc(br):
@@ -83,11 +101,15 @@ def _br_from(doc):
 def _nldd_from(doc):
     br = _br_from(_get(doc, "br"))
     fit_doc = _get(doc, "fit")
-    fit_keys = [f.name for f in dataclasses.fields(BinomialFit)]
-    fit = BinomialFit(**{key: _get(fit_doc, key) for key in fit_keys})
+    fit = BinomialFit(*(_real(fit_doc, key, finite=True)
+                        for key in ("beta0", "beta1", "beta2")),
+                      converged=_get(fit_doc, "converged"),
+                      iterations=_integer(fit_doc, "iterations"),
+                      final_gradient_norm=_get(fit_doc, "final_gradient_norm"))
     features = _array(_get(doc, "train_features_std"), "train_features_std", 2)
-    labelsets = _array(_get(doc, "train_labelsets"), "train_labelsets", 2,
-                       dtype=np.int64)
+    labelsets = _array(_get(doc, "train_labelsets"), "train_labelsets", 2)
+    if not np.isin(labelsets, (0, 1)).all():
+        raise DataError("train_labelsets entries must be 0 or 1")
     if features.shape[0] != labelsets.shape[0]:
         raise DataError(f"{features.shape[0]} feature rows but "
                         f"{labelsets.shape[0]} labelset rows")
@@ -98,9 +120,9 @@ def _nldd_from(doc):
         raise DataError(f"train_labelsets has {labelsets.shape[1]} columns "
                         f"for {len(br.classifiers)} classifiers")
     return NlddModel(br=br, fit=fit, train_features_std=features,
-                     train_labelsets=labelsets,
-                     pair_count=_get(doc, "pair_count"),
-                     distance_ops=_get(doc, "distance_ops"))
+                     train_labelsets=labelsets.astype(np.int64),
+                     pair_count=_integer(doc, "pair_count"),
+                     distance_ops=_integer(doc, "distance_ops"))
 
 
 def save_model(model, path):
@@ -153,7 +175,7 @@ def load_model(path):
     """Read a model file; returns (method, model).
 
     Raises DataError when the file is not a model document of this format:
-    a required field is missing, or the arrays' shapes disagree.
+    a required field is missing or mistyped, or the arrays' shapes disagree.
     """
     with open(path, encoding="utf-8") as fh:
         try:

@@ -475,3 +475,22 @@ def test_huge_finite_query_rows_get_the_full_scan(fitted, huge):
     assert np.array_equal(labelsets, model.train_labelsets[rows])
     assert thetas.tolist() == [theta(model.fit, a, b) for a, b in zip(dx, dy)]
     assert thetas[3] == thetas[7] == 1.0 - 1e-12
+
+
+def test_label_space_weights_ignore_an_overflowing_dx(fitted):
+    # The GLM fallback's weights (beta1, beta2) = (0, 1) on a row whose dx
+    # overflows to inf: the dx term adds nothing, so the row gets the
+    # dy-nearest labelset and, all its dx being inf, its lowest row index.
+    # (best_rows_loop is no oracle here: its 0 * inf score is NaN.)
+    train, model = fitted
+    fallback = copy.copy(model)
+    fallback.fit = BinomialFit(model.fit.beta0, 0.0, 1.0, False, 0, 0.0)
+    X = _queries_with_ties(train, seed=9)[:4]
+    X[2, 1] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rows, dx, dy = _best_rows(fallback, X)
+    p_hat = br_predict_proba_matrix(model.br, X[2:3])[0]
+    dys = np.sqrt(sq_dists(p_hat, model.train_labelsets.astype(float)))
+    assert rows[2] == np.flatnonzero(dys == dys.min())[0]
+    assert dx[2] == np.inf and dy[2] == dys.min()

@@ -186,6 +186,16 @@ class TestCompare:
                    "--methods", "br", "--cv", "3"])
         assert rc == 2
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--methods", "br,knn"], "unknown method 'knn'"),
+        (["--methods", "br,smbr", "--subsample", "0.5"], "nldd only")])
+    def test_methods_checked_before_data_is_read(self, tmp_path, capsys,
+                                                 extra, message):
+        rc = main(["compare", "--data", str(tmp_path / "missing.csv"),
+                   "--labels", "3", "--cv", "3"] + extra)
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
 
 class TestScalingAndSummary:
     def test_scaling_table(self, csv_path, tmp_path, capsys):
@@ -301,6 +311,17 @@ class TestBoundaries:
         rc = main(["predict", "--model", model_path, "--data", csv_path,
                    "--labels", "3"])
         assert rc == 3
+
+    def test_non_numeric_coefficient_exit_3(self, csv_path, tmp_path, capsys):
+        model_path = _train(csv_path, tmp_path)
+        doc = json.loads(open(model_path).read())
+        doc["fit"]["beta1"] = "abc"
+        with open(model_path, "w") as fh:
+            json.dump(doc, fh)
+        rc = main(["predict", "--model", model_path, "--data", csv_path,
+                   "--labels", "3"])
+        assert rc == 3
+        assert "beta1 must be a finite real number" in capsys.readouterr().err
 
     def test_truncated_labelsets_exit_3(self, csv_path, tmp_path):
         model_path = _train(csv_path, tmp_path)

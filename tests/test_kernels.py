@@ -82,7 +82,7 @@ def test_screen_error_within_a_quarter_margin(sets, scale, rows_per_block):
     if rows_per_block is not None:
         assert {blk.stop - blk.start for blk in blocks[:-1]} <= {rows_per_block}
     for blk in blocks:
-        G, margin = kernels.screen(a[blk], b)
+        G, margin = kernels.screen(a[blk], b, kernels.row_norms(b))
         assert np.isfinite(margin).all()
         exact = kernels.cross_sq_dists(a[blk], b)
         assert (np.abs(G - exact) <= margin[:, None] / 4).all()
@@ -93,7 +93,7 @@ def test_screen_gives_overflowing_rows_the_full_scan():
     b = np.random.default_rng(3).standard_normal((5, 4)) + 3.0
     a = np.zeros((4, 4))
     a[1, 2], a[2, 0], a[3, 1] = 1e155, 1e200, 1.7e308
-    G, margin = kernels.screen(a, b)
+    G, margin = kernels.screen(a, b, kernels.row_norms(b))
     assert np.isfinite(margin[0]) and np.isfinite(G[0]).all()
     assert np.isinf(margin[1:]).all()
     assert (G[1:] == 0.0).all()

@@ -154,6 +154,36 @@ def _load_doc(doc, tmp_path):
     (lambda doc: doc["br"]["classifiers"][0]["weights"].pop(), "weights for 5"),
     (lambda doc: doc.__setitem__("train_labelsets", [[0, 1], [1]]),
      "not a numeric array"),
+    (lambda doc: doc["train_labelsets"][3].__setitem__(1, 2),
+     "entries must be 0 or 1"),
+    (lambda doc: doc["train_labelsets"][0].__setitem__(0, 0.5),
+     "entries must be 0 or 1"),
+    (lambda doc: doc["fit"].__setitem__("beta1", "abc"),
+     "beta1 must be a finite real number"),
+    (lambda doc: doc["fit"].__setitem__("beta1", None),
+     "beta1 must be a finite real number"),
+    (lambda doc: doc["fit"].__setitem__("beta1", [1]),
+     "beta1 must be a finite real number"),
+    (lambda doc: doc["fit"].__setitem__("beta2", True),
+     "beta2 must be a finite real number"),
+    (lambda doc: doc["fit"].__setitem__("beta0", float("nan")),
+     "beta0 must be a finite real number"),
+    (lambda doc: doc["fit"].__setitem__("beta2", float("-inf")),
+     "beta2 must be a finite real number"),
+    (lambda doc: doc["fit"].__setitem__("beta1", 10**400),
+     "beta1 must be a finite real number"),
+    (lambda doc: doc["br"]["classifiers"].__setitem__(
+        0, {"type": "constant", "p": "x"}), "p must be a real number"),
+    (lambda doc: doc["br"]["classifiers"][1].__setitem__("lam", None),
+     "lam must be a real number"),
+    (lambda doc: doc["br"]["classifiers"][1].__setitem__("iterations", 2.0),
+     "iterations must be an integer"),
+    (lambda doc: doc["fit"].__setitem__("iterations", True),
+     "iterations must be an integer"),
+    (lambda doc: doc.__setitem__("pair_count", 1.5),
+     "pair_count must be an integer"),
+    (lambda doc: doc.__setitem__("distance_ops", "7"),
+     "distance_ops must be an integer"),
 ])
 def test_malformed_nldd_model_rejected(dataset, tmp_path, edit, message):
     doc = _nldd_doc(dataset, tmp_path)
