@@ -12,8 +12,9 @@ import numpy as np
 from .br import br_fit, br_predict
 from .data import (DataError, dataset_summary, load_csv, load_sparse,
                    read_dense_csv)
-from .evaluate import (_check_methods, cross_validate, holdout_eval,
-                       scaling_experiment, wilcoxon_signed_rank, METHODS)
+from .evaluate import (_check_methods, average_ranks, cross_validate,
+                       holdout_eval, scaling_experiment, wilcoxon_signed_rank,
+                       METHODS)
 from .learner import TrainingError
 from .model import nldd_predict, nldd_train, predict_with_confidence
 from .persist import load_model, save_model
@@ -127,9 +128,8 @@ def cmd_eval(args):
 
 def _rank(values, higher_is_better):
     # Rank 1 is best; ties share the average rank.
-    from scipy.stats import rankdata
     vals = np.asarray(values, dtype=np.float64)
-    return rankdata(-vals if higher_is_better else vals)
+    return average_ranks(-vals if higher_is_better else vals)
 
 
 def cmd_compare(args):

@@ -2,11 +2,11 @@
 Wilcoxon signed-rank test, synthetic data generation, and the
 training-subsample scaling experiment."""
 
+import math
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import norm, rankdata
 
 from .br import br_fit, br_predict, smbr_predict
 from .data import DataError, Dataset
@@ -125,6 +125,17 @@ def holdout_eval(train, test, methods, seed=0, params=None):
     return {m: _evaluate_rows(predictors[m], test) for m in methods}
 
 
+def average_ranks(values):
+    """1-based ranks of the 1-D array ``values`` in ascending order; tied
+    values share the mean of the ranks they span (``rankdata``'s "average"
+    method)."""
+    _, inverse, counts = np.unique(values, return_inverse=True,
+                                   return_counts=True)
+    ends = np.cumsum(counts)
+    # NumPy 2.0.0 returned ``inverse`` in the input's shape.
+    return (ends - (counts - 1) / 2.0)[inverse.reshape(-1)]
+
+
 def _exact_sf_distribution(ranks2):
     # Count of sign assignments achieving each doubled rank sum.
     total = int(ranks2.sum())
@@ -155,7 +166,7 @@ def wilcoxon_signed_rank(a, b, alternative="two_sided"):
     n = nz.size
     if n == 0:
         return WilcoxonResult(statistic=0.0, p_value=1.0, n_effective=0, exact=True)
-    ranks = rankdata(np.abs(nz))
+    ranks = average_ranks(np.abs(nz))
     w_plus = float(ranks[nz > 0].sum())
 
     if n <= 20:
@@ -172,8 +183,9 @@ def wilcoxon_signed_rank(a, b, alternative="two_sided"):
         _, tie_counts = np.unique(np.abs(nz), return_counts=True)
         var -= np.sum(tie_counts * (tie_counts ** 2 - 1)) / 48.0
         z = (w_plus - mu) / np.sqrt(var)
-        p_greater = float(norm.sf(z))
-        p_less = float(norm.cdf(z))
+        # Upper and lower tails of the standard normal at z.
+        p_greater = 0.5 * math.erfc(z / math.sqrt(2))
+        p_less = 0.5 * math.erfc(-z / math.sqrt(2))
         exact = False
 
     if alternative == "greater":

@@ -197,6 +197,22 @@ class TestCompare:
         assert message in capsys.readouterr().err
 
 
+def test_cli_does_not_import_scipy(csv_path):
+    # A fresh process, so that no earlier import hides one made by nldd.
+    script = (
+        "import sys\n"
+        "import nldd, nldd.cli\n"
+        f"rc = nldd.cli.main(['compare', '--data', {csv_path!r}, '--labels', '3',\n"
+        "                     '--methods', 'br,smbr,nldd', '--cv', '3'])\n"
+        "assert rc == 0, rc\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n")
+    src = os.path.dirname(os.path.dirname(nldd.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestScalingAndSummary:
     def test_scaling_table(self, csv_path, tmp_path, capsys):
         out_path = str(tmp_path / "scaling.jsonl")

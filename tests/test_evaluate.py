@@ -4,14 +4,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.stats import rankdata, wilcoxon
+from hypothesis import example, given, settings, strategies as st
+# SciPy is a test-only oracle; the package itself needs only NumPy.
+from scipy.stats import norm, rankdata, wilcoxon
 
+from nldd import cli
 from nldd.data import DataError, Dataset, dataset_summary
 from nldd import br as br_module
-from nldd.evaluate import (METHODS, cross_validate, generate_synthetic, holdout_eval,
-                           make_folds, observed_labelset_split,
-                           scaling_experiment, wilcoxon_signed_rank)
+from nldd.evaluate import (METHODS, average_ranks, cross_validate,
+                           generate_synthetic, holdout_eval, make_folds,
+                           observed_labelset_split, scaling_experiment,
+                           wilcoxon_signed_rank)
 from nldd.learner import TrainingError
 
 
@@ -34,6 +37,32 @@ def wilcoxon_oracle(a, b, alternative):
     if alternative == "less":
         return p_less
     return min(1.0, 2 * min(p_greater, p_less))
+
+
+# Heavy ties (small integers, signed zeros) mixed with arbitrary floats.
+rank_inputs = st.lists(st.one_of(st.integers(-3, 3).map(float), st.just(-0.0),
+                                 st.floats(allow_nan=False)),
+                       min_size=1, max_size=60)
+
+
+class TestAverageRanks:
+    @settings(max_examples=300, deadline=None)
+    @given(values=rank_inputs)
+    @example(values=[5.0])
+    @example(values=[2.5] * 7)
+    @example(values=[1.0, -1.0, 1.0, -1.0, 1.0, 0.0, 1.0, 1.0])
+    @example(values=[-3.0, -1e-300, -7.5, -3.0])
+    @example(values=[0.0, -0.0, 1.0, -0.0, 0.0])
+    def test_equals_rankdata(self, values):
+        v = np.array(values)
+        assert average_ranks(v).tobytes() == rankdata(v).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=rank_inputs, higher_is_better=st.booleans())
+    def test_cli_rank_puts_the_best_first(self, values, higher_is_better):
+        v = np.array(values)
+        expected = rankdata(-v if higher_is_better else v)
+        assert cli._rank(values, higher_is_better).tobytes() == expected.tobytes()
 
 
 class TestWilcoxon:
@@ -79,6 +108,27 @@ class TestWilcoxon:
         res = wilcoxon_signed_rank(a, b, alternative="greater")
         assert not res.exact
         assert res.p_value < 0.01
+
+    @settings(max_examples=100, deadline=None)
+    @given(diffs=st.integers(21, 60).flatmap(lambda n: st.one_of(
+        st.lists(st.integers(-6, 6).filter(bool), min_size=n, max_size=n),
+        st.lists(st.integers(-1000, 1000).filter(bool), min_size=n,
+                 max_size=n, unique_by=abs))))
+    def test_normal_path_tails_match_scipy(self, diffs):
+        # n = 21..60 nonzero differences, with and without ties: the normal
+        # path's p-values against scipy's normal tails at the same z.
+        d = np.array(diffs, dtype=float)
+        n = d.size
+        ranks = rankdata(np.abs(d))
+        _, ties = np.unique(np.abs(d), return_counts=True)
+        var = n * (n + 1) * (2 * n + 1) / 24.0 - np.sum(ties * (ties ** 2 - 1)) / 48.0
+        z = (ranks[d > 0].sum() - n * (n + 1) / 4.0) / np.sqrt(var)
+        upper, lower = norm.sf(z), norm.cdf(z)
+        for alt, want in (("greater", upper), ("less", lower),
+                          ("two_sided", min(1.0, 2.0 * min(upper, lower)))):
+            res = wilcoxon_signed_rank(d, np.zeros(n), alternative=alt)
+            assert not res.exact
+            assert res.p_value == pytest.approx(want, rel=1e-12, abs=0), alt
 
     def test_bad_alternative(self):
         with pytest.raises(ValueError):

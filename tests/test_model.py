@@ -1,10 +1,14 @@
 import copy
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import nldd
 from nldd.data import Dataset
 from nldd.evaluate import generate_synthetic
 from nldd.learner import TrainingError
@@ -119,6 +123,40 @@ class TestMinePairs:
         with pytest.raises(ValueError):
             mine_pairs(np.array([[0.5]]), [[0]], np.empty((0, 1)),
                        np.empty((0, 1)), x_std=np.array([[0.0]]))
+
+
+# Mines pairs on fixed standardized inputs (T1 = T2 = 4000, d = 50, L = 10:
+# large enough for OpenBLAS to split its products across threads) and
+# prints a digest of (dx, dy, loss).
+_MINE_DIGEST = """
+import hashlib
+import numpy as np
+from nldd.data import Dataset, standardize_apply, standardize_fit
+from nldd.model import mine_pairs
+rng = np.random.default_rng(11)
+raw = rng.standard_normal((8000, 50)) * rng.uniform(0.5, 3.0, 50)
+labels = (rng.random((8000, 10)) < 0.3).astype(np.int64)
+x = standardize_apply(standardize_fit(Dataset(raw, labels)), raw)
+p_hat = rng.random((4000, 10))
+dx, dy, loss = mine_pairs(p_hat, labels[4000:], x[:4000], labels[:4000],
+                          x[4000:])
+digest = hashlib.sha256()
+for a in (dx, dy, loss):
+    digest.update(np.ascontiguousarray(a).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_mined_pairs_do_not_depend_on_blas_threads():
+    src = os.path.dirname(os.path.dirname(nldd.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _MINE_DIGEST], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 class TestBinomialGlm:
