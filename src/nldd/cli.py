@@ -82,12 +82,14 @@ def cmd_predict(args):
     features = _load_features(args.data, args.labels, args.format)
     if method == "nldd" and args.confidence:
         preds, thetas = predict_with_confidence(model, features)
-        lines = [",".join(map(str, pred)) + f",{th!r}"
-                 for pred, th in zip(preds.tolist(), thetas.tolist())]
+        lines = (",".join(map(str, pred)) + f",{th!r}"
+                 for pred, th in zip(preds.tolist(), thetas.tolist()))
     else:
         predict = nldd_predict if method == "nldd" else br_predict
-        lines = [",".join(map(str, pred))
-                 for pred in predict(model, features).tolist()]
+        lines = (",".join(map(str, pred))
+                 for pred in predict(model, features).tolist())
+    # The predictions exist before the output opens; each line is written
+    # as it is formatted.
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for line in lines:

@@ -1,6 +1,7 @@
 """Dataset representation, file ingestion, standardization and splitting."""
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -75,6 +76,7 @@ class StandardizationStats:
 # of other characters can differ: loadtxt strips \x1c-\x1f as whitespace,
 # float() takes "1_0" and non-ASCII digits, csv.reader splits quoted cells.
 _FAST_CSV_CHARS = b"0123456789+-.eE, \t\r\n"
+_BITS = frozenset(("0", "1"))
 
 
 def load_csv(path, label_count):
@@ -105,39 +107,58 @@ def read_dense_csv(path, label_count):
 
 def _read_csv_fast(path, label_count):
     """What ``_read_csv_cells`` returns, parsed by np.loadtxt; None for a
-    file on which the two could differ, malformed files among them."""
+    file on which the two could differ, malformed files among them.
+
+    The body streams from the file into one np.loadtxt call, each line
+    checked as it is read; a line that fails stops the parse.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             header = next(csv.reader(fh))
-            body = fh.read()
+            first = next(fh, None)
         except (StopIteration, UnicodeDecodeError, csv.Error):
             return None
-    ncols = len(header)
-    d = ncols - label_count
-    # Lone "\r" ends a csv record but not a loadtxt line.
-    if (d < 1 or not body.isascii()
-            or body.encode("ascii").translate(None, _FAST_CSV_CHARS)
-            or body.count("\r") != body.count("\r\n")):
-        return None
-    lines = body.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    # loadtxt skips blank lines, which csv.reader reads as rows of 0 cells,
-    # and has no limit on a field's length.
-    if (not lines or not all(map(str.strip, lines))
-            or max(map(len, lines)) > csv.field_size_limit()):
-        return None
-    if not {cell.strip() for line in lines
-            for cell in line.rsplit(",", label_count)[1:]} <= {"0", "1"}:
-        return None
-    try:
-        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if values.shape != (len(lines), ncols):
+        ncols = len(header)
+        d = ncols - label_count
+        # With no body line, loadtxt would warn about empty input.
+        if d < 1 or first is None:
+            return None
+        rows = 0
+
+        def checked_lines():
+            nonlocal rows
+            limit = csv.field_size_limit()
+            for rows, line in enumerate(itertools.chain([first], fh), start=1):
+                if not _loadtxt_reads_alike(line, label_count, limit):
+                    raise ValueError("line needs the cell reader")
+                yield line
+
+        try:
+            # A UnicodeDecodeError while reading is a ValueError too.
+            values = np.loadtxt(checked_lines(), delimiter=",", comments=None,
+                                ndmin=2)
+        except ValueError:
+            return None
+    if values.shape != (rows, ncols):
         return None
     return (header, np.ascontiguousarray(values[:, :d]),
             values[:, d:].astype(np.int64))
+
+
+def _loadtxt_reads_alike(line, label_count, limit):
+    """Whether np.loadtxt reads a body line, as a ``newline=""`` file yields
+    it, to the cells that ``_read_csv_cells`` reads from it."""
+    # Such a file ends a line at a lone "\r", which ends a csv record but
+    # not a loadtxt line; no other "\r" than that of "\r\n" can remain.
+    if (line.endswith("\r") or not line.isascii()
+            or line.encode("ascii").translate(None, _FAST_CSV_CHARS)):
+        return False
+    text = line[:-1] if line.endswith("\n") else line
+    # loadtxt skips blank lines, which csv.reader reads as rows of 0 cells,
+    # and has no limit on a field's length.
+    if not text or text.isspace() or len(text) > limit:
+        return False
+    return _BITS.issuperset(map(str.strip, text.rsplit(",", label_count)[1:]))
 
 
 def _read_csv_cells(path, label_count):

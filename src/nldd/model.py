@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .br import br_fit, br_predict_proba_matrix
+from .br import _fit as _br_fit, _proba, _standardize_queries
 from .data import _labelset_groups, split_random, standardize_apply
 from .learner import TrainingError, _sigmoid
 
@@ -245,17 +245,27 @@ def nldd_train(train, seed, lam=1.0, subsample_fraction=1.0):
         keep = np.sort(rng.permutation(train.n)[:m])
         sub = train.subset(keep)
 
+    # The split's arrays die with the helper's frame, before the final fit.
+    fit, pair_count, distance_ops = _fit_pair_model(sub, seed, lam)
+    br_full, train_std = _br_fit(sub, lam)
+    return NlddModel(br=br_full, fit=fit, train_features_std=train_std,
+                     train_labelsets=np.array(sub.labels),
+                     pair_count=pair_count, distance_ops=distance_ops)
+
+
+def _fit_pair_model(sub, seed, lam):
+    """Steps 1-3 of ``nldd_train``: BR on T1, T2's pairs mined against T1,
+    and the binomial regression on them. Returns ``(fit, pair_count,
+    distance_ops)``."""
     t1_indices, t2_indices = split_random(sub, seed)
-    t1 = sub.subset(t1_indices)
-    t2 = sub.subset(t2_indices)
+    # Mining needs the split's features standardised only, so no raw copy
+    # of them outlives the BR fit on T1 or the standardisation of T2.
+    br_star, t1_std = _br_fit(sub.subset(t1_indices), lam)
+    t2_std = standardize_apply(br_star.stats, sub.features[t2_indices])
+    p_hat = _proba(br_star, t2_std)
 
-    br_star = br_fit(t1, lam=lam)
-    t1_std = standardize_apply(br_star.stats, t1.features)
-    t2_std = standardize_apply(br_star.stats, t2.features)
-    p_hat = br_predict_proba_matrix(br_star, t2.features)
-
-    dx, dy, losses = mine_pairs(p_hat, t2.labels, t1_std, t1.labels, x_std=t2_std)
-    distance_ops = t1.n * t2.n
+    dx, dy, losses = mine_pairs(p_hat, sub.labels[t2_indices], t1_std,
+                                sub.labels[t1_indices], x_std=t2_std)
 
     try:
         fit = fit_binomial_glm(dx, dy, losses, sub.n_labels)
@@ -265,20 +275,13 @@ def nldd_train(train, seed, lam=1.0, subsample_fraction=1.0):
         # Pure label-space nearest labelset keeps the pipeline usable.
         warnings.warn("binomial regression did not converge; falling back to "
                       "label-space-only weights (beta1=0, beta2=1)",
-                      RuntimeWarning, stacklevel=2)
+                      RuntimeWarning, stacklevel=3)  # nldd_train's caller
         rate = int(losses.sum()) / (sub.n_labels * losses.size)
         rate = min(max(rate, 1e-12), 1.0 - 1e-12)
         fit = BinomialFit(beta0=math.log(rate / (1.0 - rate)), beta1=0.0,
                           beta2=1.0, converged=False, iterations=fit.iterations,
                           final_gradient_norm=fit.final_gradient_norm)
-
-    br_full = br_fit(sub, lam=lam)
-    return NlddModel(br=br_full, fit=fit,
-                     train_features_std=standardize_apply(br_full.stats,
-                                                          sub.features),
-                     train_labelsets=np.array(sub.labels),
-                     pair_count=losses.size,
-                     distance_ops=distance_ops)
+    return fit, losses.size, len(t1_indices) * len(t2_indices)
 
 
 def _best_rows(model, features):
@@ -288,8 +291,8 @@ def _best_rows(model, features):
     in it); ties among the minimizers break by smaller dy, then dx, then
     row index.
     """
-    p_hat = br_predict_proba_matrix(model.br, features)
-    x_std = standardize_apply(model.br.stats, features)
+    x_std = _standardize_queries(model.br, features)
+    p_hat = _proba(model.br, x_std)
     weights = ((model.fit.beta1, model.fit.beta2),)
     rows, dx, dy = _argmin_rows(x_std, p_hat, model.train_features_std,
                                 model.train_labelsets, weights, squared=False)

@@ -165,7 +165,11 @@ def test_smbr_matches_dict_oracle(data):
     model = _identity_br(n_labels)
     queries = 2.0 * hard - 1.0
     assert np.array_equal(br_predict(model, queries), hard)
-    batched = smbr_predict(model, train, queries)
+    n_labelsets = len(np.unique(labels, axis=0))
+    rows_per_block = data.draw(st.sampled_from([1, 3, None]))
+    with mock.patch.object(kernels, "BLOCK_BYTES",
+                           _block_bytes(n_labelsets, rows_per_block)):
+        batched = smbr_predict(model, train, queries)
     for i in range(hard.shape[0]):
         want = smbr_oracle(hard[i], labels)
         assert np.array_equal(batched[i], want)

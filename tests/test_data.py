@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from nldd import data as data_module
 from nldd.cli import _load_features
 from nldd.data import (DataError, Dataset, _labelset_groups, dataset_summary,
-                       load_csv, load_sparse, save_csv, split_random,
-                       standardize_apply, standardize_fit)
+                       load_csv, load_sparse, read_dense_csv, save_csv,
+                       split_random, standardize_apply, standardize_fit)
 
 
 def _write(tmp_path, name, text):
@@ -179,6 +180,16 @@ def _as_dataset(header, features, labels, label_count):
     return Dataset(features, labels, header[:d], header[d:])
 
 
+def _parsed(read, path, label_count):
+    """``read``'s header and arrays, as comparable bytes, or its DataError."""
+    try:
+        header, features, labels = read(path, label_count)
+    except DataError as exc:
+        return ("error", str(exc))
+    return ("ok", header, features.dtype, features.shape, features.tobytes(),
+            labels.dtype, labels.shape, labels.tobytes())
+
+
 class TestDenseCsvReader:
     """The np.loadtxt reader against the cell-by-cell oracle."""
 
@@ -220,6 +231,55 @@ class TestDenseCsvReader:
         ds = load_csv(str(path), 1)
         assert ds.features.tobytes() == np.array([[2.5], [-0.0]]).tobytes()
         assert ds.labels.tolist() == [[1], [0]]
+
+    @pytest.mark.parametrize("raw, fast", [
+        (b"f1,l1\n1.5,1\r2.5,0\n", False),  # a lone "\r" mid-file
+        (b"f1,l1\r\n1.5,1\r\n2.5,0\r\n", True),  # CRLF
+        (b"f1,l1\n1.5,1\n2.5,0", True),  # no final newline
+        (b"f1,l1\n1.5,1\n2.5,0\n\n", False),  # a blank last line
+        (b"f1,l1\n", False),  # the header alone
+        ("f1,l1\n1.5,1\n\u0662.5,0\n".encode(), False),  # non-ASCII digit, last row
+    ])
+    def test_streamed_lines_match_cell_reader(self, tmp_path, raw, fast):
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
+        path = str(path)
+        assert (data_module._read_csv_fast(path, 1) is not None) == fast
+        assert (_parsed(read_dense_csv, path, 1)
+                == _parsed(data_module._read_csv_cells, path, 1))
+
+    @pytest.mark.parametrize("spare, fast", [(0, True), (-1, False)])
+    def test_line_over_field_size_limit_takes_cell_reader(self, tmp_path,
+                                                          spare, fast):
+        # csv.reader limits each field and loadtxt nothing, so a line longer
+        # than the limit goes to the cell reader, which reads its short cells.
+        line = ",".join(["0.25"] * 20) + ",1"
+        path = _write(tmp_path, "d.csv",
+                      ",".join(f"f{j}" for j in range(20)) + ",l1\n" + line + "\n")
+        old = csv.field_size_limit(len(line) + spare)
+        try:
+            assert (data_module._read_csv_fast(path, 1) is not None) == fast
+            got = _parsed(read_dense_csv, path, 1)
+            assert got == _parsed(data_module._read_csv_cells, path, 1)
+        finally:
+            csv.field_size_limit(old)
+        assert got[0] == "ok"
+
+    def test_peak_memory_is_bounded(self, tmp_path):
+        # The body streams into np.loadtxt; neither the file's text nor a
+        # list of its lines is ever whole. At this size that peaks at 2.0x
+        # the returned arrays' bytes; reading the whole body first, 6.3x.
+        rng = np.random.default_rng(3)
+        path = str(tmp_path / "d.csv")
+        save_csv(Dataset(rng.standard_normal((2000, 50)),
+                         rng.integers(0, 2, (2000, 10))), path)
+        tracemalloc.start()
+        try:
+            got = load_csv(path, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0 * (got.features.nbytes + got.labels.nbytes)
 
     @pytest.mark.parametrize("cell, value", [
         ("1_0", 10.0), ("\u0661", 1.0), ("\xa02\u2003", 2.0), ("1e5000", None)])

@@ -3,13 +3,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import nldd
-from nldd.data import Dataset
+from nldd import kernels, model as model_module
+from nldd.data import Dataset, standardize_apply
 from nldd.evaluate import generate_synthetic
 from nldd.learner import TrainingError
 from nldd.model import (BinomialFit, fit_binomial_glm,
@@ -343,6 +346,43 @@ class TestTrain:
         train, _ = _train_test(4)
         with pytest.raises(ValueError):
             nldd_train(train, seed=0, subsample_fraction=0.0)
+
+    def test_stored_features_are_the_final_fits_standardisation(self):
+        train, _ = _train_test(5)
+        model = nldd_train(train, seed=0)
+        want = standardize_apply(model.br.stats, train.features)
+        assert model.train_features_std.tobytes() == want.tobytes()
+
+    def test_glm_fallback_warning_names_the_caller(self):
+        # One Newton step leaves the GLM unconverged, so training falls back
+        # to label-space weights and warns at the line that called it.
+        train, _ = _train_test(6)
+
+        def one_step(*args, **kwargs):
+            return fit_binomial_glm(*args, max_iter=1, **kwargs)
+
+        with mock.patch.object(model_module, "fit_binomial_glm", one_step), \
+                pytest.warns(RuntimeWarning, match="did not converge") as record:
+            model = nldd_train(train, seed=0)
+        assert [w.filename for w in record] == [__file__]
+        assert (model.fit.beta1, model.fit.beta2) == (0.0, 1.0)
+        assert not model.fit.converged
+
+    def test_peak_memory_is_bounded(self):
+        # T1, T2, their standardised copies, p-hat and the mined pairs die
+        # before the final BR fit, and each matrix is standardised once. At
+        # this size that peaked at 4.9x the features' bytes; keeping them
+        # alive through the final fit peaked at 7.3x. Smaller engine blocks
+        # keep its fixed-size (block, N) arrays from masking the difference.
+        data = generate_synthetic(2000, 50, 10, 0.8, 0.3, seed=3)
+        with mock.patch.object(kernels, "BLOCK_BYTES", 256 * 1024):
+            tracemalloc.start()
+            try:
+                nldd_train(data, seed=0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 6.0 * data.features.nbytes
 
 
 class TestPredict:
