@@ -89,9 +89,11 @@ def paired_sq_dists(a, b, rows, cols):
     out = np.empty(len(rows))
     step = _chunk(a.shape[1], 1)
     for s in range(0, len(rows), step):
-        diff = np.subtract(b.T[:, cols[s:s + step]], a.T[:, rows[s:s + step]],
-                           order="C")
-        diff *= diff
+        # A row that overflows gets inf, the distance of the full scan.
+        with np.errstate(over="ignore"):
+            diff = np.subtract(b.T[:, cols[s:s + step]],
+                               a.T[:, rows[s:s + step]], order="C")
+            diff *= diff
         out[s:s + step] = add_rows(diff)
     return out
 

@@ -11,7 +11,7 @@ import numpy as np
 from . import kernels
 from .br import _fit as _br_fit, _proba, _standardize_queries
 from .data import _labelset_groups, split_random, standardize_apply
-from .learner import TrainingError, _sigmoid
+from .learner import PROB_CLAMP, TrainingError, _sigmoid
 
 
 @dataclass
@@ -227,10 +227,10 @@ def fit_binomial_glm(dx, dy, losses, n_labels, max_iter=50, tol=1e-8):
 
 
 def theta(fit, dx, dy):
-    """Per-label misclassification probability at the given distances."""
-    z = fit.beta0 + fit.beta1 * dx + fit.beta2 * dy
-    t = 1.0 / (1.0 + math.exp(-z)) if z > -700 else 0.0
-    return float(min(max(t, 1e-12), 1.0 - 1e-12))
+    """Per-label misclassification probability at the distances, elementwise:
+    sigmoid(beta0 + beta1*dx + beta2*dy), clamped as BR's probabilities are."""
+    return np.clip(_sigmoid(fit.beta0 + _score(fit.beta1, fit.beta2, dx, dy)),
+                   PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
 def nldd_train(train, seed, lam=1.0, subsample_fraction=1.0):
@@ -277,7 +277,6 @@ def _fit_pair_model(sub, seed, lam):
                       "label-space-only weights (beta1=0, beta2=1)",
                       RuntimeWarning, stacklevel=3)  # nldd_train's caller
         rate = int(losses.sum()) / (sub.n_labels * losses.size)
-        rate = min(max(rate, 1e-12), 1.0 - 1e-12)
         fit = BinomialFit(beta0=math.log(rate / (1.0 - rate)), beta1=0.0,
                           beta2=1.0, converged=False, iterations=fit.iterations,
                           final_gradient_norm=fit.final_gradient_norm)
@@ -310,7 +309,4 @@ def predict_with_confidence(model, x):
     """(labelsets, theta-hats) of the winning training rows of an (n, d)
     batch: an (n, L) array and an (n,) array."""
     rows, dx, dy = _best_rows(model, x)
-    # The scalar theta() on each winner, so theta-hat does not depend on
-    # how the rows were batched.
-    thetas = [theta(model.fit, a, b) for a, b in zip(dx, dy)]
-    return model.train_labelsets[rows], np.array(thetas)
+    return model.train_labelsets[rows], theta(model.fit, dx, dy)

@@ -7,6 +7,7 @@ full scans.
 """
 
 import copy
+import math
 import warnings
 from unittest import mock
 
@@ -314,9 +315,7 @@ def test_screened_mining_equals_exhaustive_oracle(rows_per_block, case, data):
         st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.01, 0.99))))
     true = data.draw(arrays(np.int64, (n, n_labels), elements=st.integers(0, 1)))
     with mock.patch.object(kernels, "BLOCK_BYTES",
-                           _block_bytes(t1.shape[0], rows_per_block)), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+                           _block_bytes(t1.shape[0], rows_per_block)):
         got = mine_pairs(p_hat, true, np.asfortranarray(t1), t1_labels, x_std=x)
     want = []
     for i in range(n):
@@ -472,9 +471,10 @@ def test_huge_finite_query_rows_get_the_full_scan(fitted, huge):
     X = _queries_with_ties(train, seed=8)[:12]
     X[3, 0] = huge
     X[7, 2] = -huge
+    labelsets, thetas = predict_with_confidence(model, X)
     with warnings.catch_warnings():
+        # The loop's own squares overflow; the library's must not warn.
         warnings.simplefilter("ignore", RuntimeWarning)
-        labelsets, thetas = predict_with_confidence(model, X)
         rows, dx, dy = best_rows_loop(model, X)
     assert np.array_equal(labelsets, model.train_labelsets[rows])
     assert thetas.tolist() == [theta(model.fit, a, b) for a, b in zip(dx, dy)]
@@ -491,10 +491,13 @@ def test_label_space_weights_ignore_an_overflowing_dx(fitted):
     fallback.fit = BinomialFit(model.fit.beta0, 0.0, 1.0, False, 0, 0.0)
     X = _queries_with_ties(train, seed=9)[:4]
     X[2, 1] = 1e200
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rows, dx, dy = _best_rows(fallback, X)
+    rows, dx, dy = _best_rows(fallback, X)
     p_hat = br_predict_proba_matrix(model.br, X[2:3])[0]
     dys = np.sqrt(sq_dists(p_hat, model.train_labelsets.astype(float)))
     assert rows[2] == np.flatnonzero(dys == dys.min())[0]
     assert dx[2] == np.inf and dy[2] == dys.min()
+    # theta-hat drops the dx term too: sigmoid(beta0 + dy), not 0 * inf.
+    _, thetas = predict_with_confidence(fallback, X)
+    want = 1.0 / (1.0 + math.exp(-(model.fit.beta0 + dy[2])))
+    want = min(max(want, PROB_CLAMP), 1.0 - PROB_CLAMP)
+    assert thetas[2] == pytest.approx(want, rel=1e-12, abs=0.0)

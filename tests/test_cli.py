@@ -305,10 +305,13 @@ class TestBoundaries:
     def test_huge_feature_predicts_without_warnings(self, csv_path, tmp_path):
         # Features of +-1e6 drive logistic scores far beyond exp's range;
         # the probabilities saturate, which is nothing to warn about. A
-        # separate process, so that stderr is what a user would see.
+        # feature of 1e200 overflows its squared distances to inf, the
+        # full scan's value. A separate process, so that stderr is what a
+        # user would see.
         model_path = _train(csv_path, tmp_path)
         query = tmp_path / "q.csv"
-        query.write_text("a,b,c,d,e\n1e6,-1e6,3,4,5\n-1e6,1e6,-1e6,4,1e6\n")
+        query.write_text("a,b,c,d,e\n1e6,-1e6,3,4,5\n-1e6,1e6,-1e6,4,1e6\n"
+                         "1e200,0,0,0,0\n")
         src = os.path.dirname(os.path.dirname(nldd.__file__))
         proc = subprocess.run(
             [sys.executable, "-W", "default", "-m", "nldd.cli", "predict",
@@ -316,7 +319,7 @@ class TestBoundaries:
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0
         assert proc.stderr == ""
-        assert len(proc.stdout.splitlines()) == 2
+        assert len(proc.stdout.splitlines()) == 3
 
     def test_model_without_fit_exit_3(self, csv_path, tmp_path):
         model_path = _train(csv_path, tmp_path)
