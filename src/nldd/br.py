@@ -43,30 +43,42 @@ def _fit(train, lam):
 def br_predict_proba_matrix(model, features):
     """(n, L) probability matrix for an (n, d) batch of raw feature rows.
 
-    Raises DataError when the batch is not 2-D or a row holds a NaN or an
-    infinity.
+    Raises DataError, naming the query row, when the batch is not an (n, d)
+    matrix, a row holds a NaN or an infinity, its standardised features
+    overflow, or its probabilities are undefined (see ``_queries``).
     """
-    return _proba(model, _standardize_queries(model, features))
+    return _queries(model, features)[1]
 
 
-def _standardize_queries(model, features):
-    """The (n, d) batch of raw query rows standardized by the model's
-    training statistics, after the checks of ``br_predict_proba_matrix``."""
+def _queries(model, features):
+    """``(z, p_hat)`` of an (n, d) batch of raw query rows: the rows
+    standardised by the model's training statistics and their (n, L) BR
+    probabilities. Every raw row reaches either only through here.
+
+    A batch is refused, with a DataError naming its first such 1-based
+    query row, when a row has a raw or standardised feature that is not
+    finite (a finite cell near the float64 maximum can overflow) or a NaN
+    probability (score terms of both signs that overflow add to inf - inf).
+    """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise DataError(f"query rows must be an (n, d) matrix, got shape "
                         f"{features.shape}")
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        raise DataError(f"non-finite feature value in query row "
-                        f"{int(np.argmin(finite)) + 1}")
-    return standardize_apply(model.stats, features)
-
-
-def _proba(model, z):
-    """(n, L) probabilities of the standardized rows ``z``."""
-    return np.column_stack([predict_proba_matrix(clf, z)
-                            for clf in model.classifiers])
+    with np.errstate(over="ignore"):
+        z = standardize_apply(model.stats, features)
+    p_hat = np.column_stack([predict_proba_matrix(clf, z)
+                             for clf in model.classifiers])
+    # An sd-zero column maps even a NaN to 0, so the raw rows are checked too.
+    raw = np.isfinite(features).all(axis=1)
+    standardised = np.isfinite(z).all(axis=1)
+    ok = raw & standardised & ~np.isnan(p_hat).any(axis=1)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        problem = ("non-finite feature value" if not raw[i]
+                   else "standardised feature value overflows"
+                   if not standardised[i] else "undefined BR probability")
+        raise DataError(f"{problem} in query row {i + 1}")
+    return z, p_hat
 
 
 def br_predict(model, x):

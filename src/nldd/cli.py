@@ -53,8 +53,7 @@ def _print_metrics_table(rows, header="split"):
 
 
 def cmd_train(args):
-    if args.method == "br" and args.subsample != 1.0:
-        raise ValueError("--subsample applies to --method nldd only")
+    _check_methods((args.method,), args.subsample)
     if args.method == "br" and args.seed != 0:
         raise ValueError("--seed applies to --method nldd only")
     data = _load_dataset(args.data, args.labels, args.format)
@@ -106,11 +105,11 @@ def cmd_eval(args):
     if args.test is not None and args.method != "nldd" and args.seed != 0:
         raise ValueError("--seed applies to --method nldd or to --cv only")
     data = _load_dataset(args.data, args.labels, args.format)
-    params = {"lam": args.lam, "subsample_fraction": args.subsample}
     records = []
     if args.cv is not None:
         fold_reports, mean_report = cross_validate(
-            data, (args.method,), args.cv, args.seed, params=params)[args.method]
+            data, (args.method,), args.cv, args.seed, lam=args.lam,
+            subsample_fraction=args.subsample)[args.method]
         rows = [(f"fold {i}", rep) for i, rep in enumerate(fold_reports)]
         rows.append(("mean", mean_report))
         records = [dict(split=f"fold{i}", **rep.as_dict())
@@ -119,7 +118,8 @@ def cmd_eval(args):
     else:
         test = _load_dataset(args.test, args.labels, args.format)
         report = holdout_eval(data, test, (args.method,), seed=args.seed,
-                              params=params)[args.method]
+                              lam=args.lam,
+                              subsample_fraction=args.subsample)[args.method]
         rows = [("test", report)]
         records = [dict(split="test", **report.as_dict())]
     _print_metrics_table(rows)
@@ -138,8 +138,7 @@ def cmd_compare(args):
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if len(methods) < 2:
         raise ValueError("--methods needs at least 2 method ids")
-    params = {"lam": args.lam, "subsample_fraction": args.subsample}
-    _check_methods(methods, params)
+    _check_methods(methods, args.subsample)
     datasets = [_load_dataset(p, args.labels, args.format) for p in args.data]
     if len(datasets) < 2 and args.cv < 2:
         raise ValueError("need at least 2 datasets or --cv >= 2")
@@ -149,7 +148,8 @@ def cmd_compare(args):
     folds = {m: {} for m in methods}
     for di, data in enumerate(datasets):
         results = cross_validate(data, tuple(methods), args.cv, args.seed,
-                                 params=params)
+                                 lam=args.lam,
+                                 subsample_fraction=args.subsample)
         for m, (fold_reports, mean_report) in results.items():
             means[m][di] = mean_report
             folds[m][di] = fold_reports

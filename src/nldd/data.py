@@ -268,11 +268,22 @@ def load_sparse(path, label_count):
 
 
 def standardize_fit(train):
-    """Per-feature mean and sample (N-1) standard deviation over training rows."""
+    """Per-feature mean and sample (N-1) standard deviation over training rows.
+
+    Raises DataError, naming the first such column, when a mean or a
+    standard deviation overflows (finite values near the float64 maximum,
+    or spread beyond about 1e154)."""
     if train.n < 2:
         raise DataError("standardization needs at least 2 rows")
-    means = train.features.mean(axis=0)
-    sds = train.features.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = train.features.mean(axis=0)
+        sds = train.features.std(axis=0, ddof=1)
+    finite = np.isfinite(means) & np.isfinite(sds)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise DataError(f"feature column {j + 1} ({train.feature_names[j]}) "
+                        "is too large to standardise: its mean or standard "
+                        "deviation overflows")
     return StandardizationStats(means=means, sds=sds)
 
 

@@ -41,18 +41,18 @@ def make_folds(n, k, seed):
     return assignments
 
 
-def _check_methods(methods, params):
+def _check_methods(methods, subsample_fraction):
     """ValueError for a method id outside METHODS, or for a training
     subsample when nldd, the only method that reads it, is not among
     ``methods``."""
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
-    if (params or {}).get("subsample_fraction", 1.0) != 1.0 and "nldd" not in methods:
+    if subsample_fraction != 1.0 and "nldd" not in methods:
         raise ValueError("a training subsample applies to nldd only")
 
 
-def train_predictor(methods, train, seed=0, params=None):
+def train_predictor(methods, train, seed=0, lam=1.0, subsample_fraction=1.0):
     """Fit each method id of the tuple ``methods`` on ``train``, returning a
     dict by id of callables that map an (n, d) batch of raw feature rows to
     (n, L) labelsets.
@@ -62,16 +62,14 @@ def train_predictor(methods, train, seed=0, params=None):
     Raises ValueError for a training subsample when nldd, the only method
     that reads it, is not among ``methods``.
     """
-    _check_methods(methods, params)
-    params = params or {}
-    lam = params.get("lam", 1.0)
-    fraction = params.get("subsample_fraction", 1.0)
+    _check_methods(methods, subsample_fraction)
     predictors = {}
     br = None
     if "nldd" in methods:
-        nldd = nldd_train(train, seed, lam=lam, subsample_fraction=fraction)
+        nldd = nldd_train(train, seed, lam=lam,
+                          subsample_fraction=subsample_fraction)
         predictors["nldd"] = lambda x: nldd_predict(nldd, x)
-        if fraction == 1.0:
+        if subsample_fraction == 1.0:
             br = nldd.br  # br_fit(train, lam) exactly
     if "br" in methods or "smbr" in methods:
         if br is None:
@@ -85,22 +83,23 @@ def _evaluate_rows(predict, test):
     return aggregate(instance_metrics_matrix(test.labels, predict(test.features)))
 
 
-def cross_validate(data, methods, k, seed, params=None):
+def cross_validate(data, methods, k, seed, lam=1.0, subsample_fraction=1.0):
     """k-fold CV of each method id of the tuple ``methods``; returns a dict
     by id of (per-fold reports, mean report). Each fold fits Binary
     Relevance once for all of them (see ``train_predictor``).
 
     Errors raised inside a fold name the fold; the method ids and the
     subsample rule are checked once, before the first fold."""
-    _check_methods(methods, params)
+    _check_methods(methods, subsample_fraction)
     folds = make_folds(data.n, k, seed)
     fold_reports = {m: [] for m in methods}
     for fold in range(k):
         test_idx = np.flatnonzero(folds == fold)
         train_idx = np.flatnonzero(folds != fold)
         try:
-            predictors = train_predictor(methods, data.subset(train_idx),
-                                         seed=seed, params=params)
+            predictors = train_predictor(
+                methods, data.subset(train_idx), seed=seed, lam=lam,
+                subsample_fraction=subsample_fraction)
             test = data.subset(test_idx)
             for m in fold_reports:
                 fold_reports[m].append(_evaluate_rows(predictors[m], test))
@@ -116,12 +115,14 @@ def cross_validate(data, methods, k, seed, params=None):
     return results
 
 
-def holdout_eval(train, test, methods, seed=0, params=None):
+def holdout_eval(train, test, methods, seed=0, lam=1.0,
+                 subsample_fraction=1.0):
     """Train each method id of the tuple ``methods`` on ``train``; returns a
     dict by id of the report aggregated over all ``test`` rows."""
     if train.d != test.d or train.n_labels != test.n_labels:
         raise DataError("train/test dimension mismatch")
-    predictors = train_predictor(methods, train, seed=seed, params=params)
+    predictors = train_predictor(methods, train, seed=seed, lam=lam,
+                                 subsample_fraction=subsample_fraction)
     return {m: _evaluate_rows(predictors[m], test) for m in methods}
 
 

@@ -166,7 +166,10 @@ def predict_proba_matrix(model, features):
     if X.shape[1] != w.shape[0] - 1:
         raise ValueError(f"feature dimension {X.shape[1]} does not match "
                          f"model dimension {w.shape[0] - 1}")
-    # One row of products per feature.
-    prod = np.multiply(X.T, w[1:, None], order="C")
-    p = _sigmoid(w[0] + add_rows(prod))
+    # One row of products per feature. An overflow of one sign saturates p
+    # at the clamp; of both signs it gives NaN, which the caller refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = np.multiply(X.T, w[1:, None], order="C")
+        score = w[0] + add_rows(prod)
+    p = _sigmoid(score)
     return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .br import _fit as _br_fit, _proba, _standardize_queries
-from .data import _labelset_groups, split_random, standardize_apply
+from .br import _fit as _br_fit, _queries
+from .data import DataError, _labelset_groups, split_random
 from .learner import PROB_CLAMP, TrainingError, _sigmoid
 
 
@@ -261,8 +261,10 @@ def _fit_pair_model(sub, seed, lam):
     # Mining needs the split's features standardised only, so no raw copy
     # of them outlives the BR fit on T1 or the standardisation of T2.
     br_star, t1_std = _br_fit(sub.subset(t1_indices), lam)
-    t2_std = standardize_apply(br_star.stats, sub.features[t2_indices])
-    p_hat = _proba(br_star, t2_std)
+    try:
+        t2_std, p_hat = _queries(br_star, sub.features[t2_indices])
+    except DataError as exc:  # its rows are T2's, queried against T1's BR
+        raise DataError(f"T2 half of the training split: {exc}") from None
 
     dx, dy, losses = mine_pairs(p_hat, sub.labels[t2_indices], t1_std,
                                 sub.labels[t1_indices], x_std=t2_std)
@@ -290,8 +292,7 @@ def _best_rows(model, features):
     in it); ties among the minimizers break by smaller dy, then dx, then
     row index.
     """
-    x_std = _standardize_queries(model.br, features)
-    p_hat = _proba(model.br, x_std)
+    x_std, p_hat = _queries(model.br, features)
     weights = ((model.fit.beta1, model.fit.beta2),)
     rows, dx, dy = _argmin_rows(x_std, p_hat, model.train_features_std,
                                 model.train_labelsets, weights, squared=False)

@@ -48,6 +48,8 @@ def _array(value, name, ndim):
         raise DataError(f"{name} is not a numeric array") from None
     if arr.ndim != ndim or 0 in arr.shape:
         raise DataError(f"{name} must be a non-empty {ndim}-D list")
+    if not np.isfinite(arr).all():  # json reads NaN and Infinity
+        raise DataError(f"{name} must hold finite numbers only")
     return arr
 
 
@@ -70,7 +72,10 @@ def _classifier_doc(clf):
 def _classifier_from(doc, d):
     kind = _get(doc, "type")
     if kind == "constant":
-        return ConstantProbModel(p=_real(doc, "p"))
+        p = _real(doc, "p")
+        if not 0.0 <= p <= 1.0:  # NaN too
+            raise DataError("p must be a probability in [0, 1]")
+        return ConstantProbModel(p=p)
     if kind != "linear":
         raise DataError(f"unknown classifier type {kind!r}")
     weights = _array(_get(doc, "weights"), "classifier weights", 1)

@@ -114,3 +114,59 @@ class TestSmbr:
             dist = np.sum(pred != hard)
             for row in ds.labels:
                 assert dist <= np.sum(row != hard)
+
+
+class TestQueries:
+    """``_queries`` is the one path from raw query rows to standardised rows
+    and probabilities; it refuses the rows it cannot represent."""
+
+    @staticmethod
+    def _model():
+        from nldd.br import BRModel
+        from nldd.data import StandardizationStats
+        from nldd.learner import LinearProbModel
+        # Column 0 has sd 0.5, column 2 sd 0 (a constant training column).
+        stats = StandardizationStats(means=np.zeros(3),
+                                     sds=np.array([0.5, 1.0, 0.0]))
+        linear = LinearProbModel(weights=np.array([0.0, 10.0, 10.0, 1.0]),
+                                 lam=1.0, converged=True, iterations=1)
+        return BRModel(classifiers=[linear, ConstantProbModel(0.3)],
+                       stats=stats, label_names=["a", "b"])
+
+    def test_matches_standardize_then_predict_bitwise(self):
+        from nldd.br import _queries
+        model = br_fit(_dataset(14))
+        x = np.random.default_rng(15).standard_normal((7, 3)) * 100
+        z, p_hat = _queries(model, x)
+        assert np.array_equal(z, standardize_apply(model.stats, x))
+        assert np.array_equal(p_hat, np.column_stack(
+            [predict_proba_matrix(c, z) for c in model.classifiers]))
+
+    @pytest.mark.parametrize("rows, message", [
+        # A NaN in the sd-zero column standardises to 0, yet is refused.
+        ([[0.0, 0.0, np.nan]], "non-finite feature value in query row 1"),
+        ([[1.0, 1.0, 1.0], [1.7e308, 0.0, 0.0]],
+         "standardised feature value overflows in query row 2"),
+        # Scores of 10 * 1e308 and 10 * -1e308 add to inf - inf.
+        ([[5e307, -1e308, 0.0]], "undefined BR probability in query row 1"),
+        # The first refused row is named, whatever its reason.
+        ([[0.0, 0.0, 0.0], [1.7e308, 0.0, 0.0], [np.inf, 0.0, 0.0]],
+         "standardised feature value overflows in query row 2"),
+        ([[5e307, -1e308, 0.0], [1.7e308, 0.0, 0.0]],
+         "undefined BR probability in query row 1"),
+    ])
+    def test_refused_rows(self, rows, message):
+        from nldd.data import DataError
+        with pytest.raises(DataError, match=f"^{message}$"):
+            br_predict_proba_matrix(self._model(), np.array(rows))
+
+    def test_one_signed_overflow_saturates(self):
+        # 10 * 1e308 overflows to inf in both terms: p saturates at the
+        # clamp without a warning.
+        p = br_predict_proba_matrix(self._model(), [[5e307, 1e308, -3.0]])
+        assert p.tolist() == [[1.0 - 1e-12, 0.3]]
+
+    def test_column_count_checked(self):
+        from nldd.data import DataError
+        with pytest.raises(DataError, match="feature dimension 2"):
+            br_predict_proba_matrix(self._model(), np.zeros((1, 2)))

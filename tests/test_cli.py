@@ -321,6 +321,29 @@ class TestBoundaries:
         assert proc.stderr == ""
         assert len(proc.stdout.splitlines()) == 3
 
+    @pytest.mark.parametrize("row, rc, err", [
+        # z = 1.7e308 / 0.897 overflows.
+        ("1.7e308,0,0,0,0", 3,
+         "error: standardised feature value overflows in query row 1\n"),
+        # Features 1 and 3 have weights of opposite signs, and both their
+        # products overflow: the scores are inf - inf.
+        ("0,1.5e308,0,1.5e308,0", 3,
+         "error: undefined BR probability in query row 1\n"),
+        # Products overflow to one sign at most: the probabilities saturate.
+        ("1e308,-1e308,0,0,0", 0, "")])
+    def test_extreme_finite_query_under_warnings_as_errors(
+            self, csv_path, tmp_path, row, rc, err):
+        model_path = _train(csv_path, tmp_path)
+        query = tmp_path / "q.csv"
+        query.write_text(f"a,b,c,d,e\n{row}\n")
+        src = os.path.dirname(os.path.dirname(nldd.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "nldd.cli", "predict",
+             "--model", model_path, "--data", str(query), "--confidence"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert (proc.returncode, proc.stderr) == (rc, err)
+        assert len(proc.stdout.splitlines()) == (1 if rc == 0 else 0)
+
     def test_model_without_fit_exit_3(self, csv_path, tmp_path):
         model_path = _train(csv_path, tmp_path)
         doc = json.loads(open(model_path).read())
@@ -367,6 +390,22 @@ class TestBoundaries:
             (pred,), (th,) = labelsets.tolist(), thetas.tolist()
             want.append(",".join(str(int(v)) for v in pred) + f",{th!r}")
         assert open(out_path).read().splitlines() == want
+
+    @pytest.mark.parametrize("method", ["br", "nldd"])
+    def test_overflowing_training_column_exit_3(self, tmp_path, capsys, method):
+        # Finite cells whose sum overflows: the mean of column 1 is inf.
+        ds = generate_synthetic(90, 4, 3, 0.8, 0.3, seed=1)
+        ds.features[[0, 1], 0] = 1.7e308
+        data = str(tmp_path / "big.csv")
+        save_csv(ds, data)
+        rc = main(["train", "--data", data, "--labels", "3", "--method",
+                   method, "--model", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if method == "br":
+            assert "feature column 1 (f1) is too large to standardise" in err
+        assert not (tmp_path / "m.json").exists()
 
     def test_non_finite_training_row_exit_3(self, tmp_path, capsys):
         data = tmp_path / "nf.csv"

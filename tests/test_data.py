@@ -367,6 +367,18 @@ class TestStandardize:
         with pytest.raises(DataError):
             standardize_fit(ds)
 
+    @pytest.mark.parametrize("column", [
+        [1.7e308, 1.7e308, 0.0],  # the sum, so the mean, overflows
+        [1e200, -1e200, 0.0],  # the squared deviations overflow
+    ])
+    def test_overflowing_statistics_name_the_column(self, column):
+        features = np.column_stack([[1.0, 2.0, 4.0], column])
+        ds = Dataset(features, np.array([[0], [1], [0]]),
+                     feature_names=["a", "big"])
+        with pytest.raises(DataError, match=r"^feature column 2 \(big\) is "
+                           "too large to standardise"):
+            standardize_fit(ds)
+
     def test_dimension_mismatch(self):
         ds = Dataset(np.array([[1.0], [2.0]]), np.array([[0], [1]]))
         stats = standardize_fit(ds)

@@ -204,8 +204,15 @@ class TestCrossValidate:
         ds = generate_synthetic(30, 4, 3, 0.7, 0.3, seed=2)
         with mock.patch("nldd.evaluate.make_folds") as folds, \
                 pytest.raises(ValueError, match=message):
-            cross_validate(ds, methods, k=3, seed=0, params=params)
+            cross_validate(ds, methods, k=3, seed=0, **(params or {}))
         folds.assert_not_called()
+
+    def test_params_dict_is_refused(self):
+        # Training options are keyword arguments; a free-form dict of them
+        # would let a misspelt key train with the default silently.
+        ds = generate_synthetic(30, 4, 3, 0.7, 0.3, seed=2)
+        with pytest.raises(TypeError):
+            cross_validate(ds, ("br",), 3, 0, params={"lambda": 50.0})
 
 
 class TestHoldout:
@@ -380,12 +387,12 @@ class TestSharedBrFit:
     def test_batch_equals_single_method_runs(self, seed, fraction, methods, size):
         ds = generate_synthetic(80, 4, 3, 0.7, 0.3, seed=seed)
         methods = tuple(methods[:size])
-        params = {"lam": 1.0, "subsample_fraction": fraction}
-        got = _outcome(cross_validate, ds, methods, 4, seed, params=params)
+        got = _outcome(cross_validate, ds, methods, 4, seed, lam=1.0,
+                       subsample_fraction=fraction)
         # The subsample is nldd's alone: br and smbr run alone train on
         # every row, and a batch without nldd rejects a subsample.
-        want = {m: _outcome(cross_validate, ds, (m,), 4, seed,
-                            params=params if m == "nldd" else None)
+        want = {m: _outcome(cross_validate, ds, (m,), 4, seed, lam=1.0,
+                            subsample_fraction=fraction if m == "nldd" else 1.0)
                 for m in methods}
         if fraction != 1.0 and "nldd" not in methods:
             assert got == (ValueError,
@@ -401,10 +408,9 @@ class TestSharedBrFit:
         # nldd fits BR on T1 and on all rows; at fraction 1 the latter
         # also serves br and smbr.
         ds = generate_synthetic(80, 4, 3, 0.7, 0.3, seed=3)
-        params = {"subsample_fraction": fraction}
         with mock.patch.object(br_module, "fit_logistic",
                                wraps=br_module.fit_logistic) as fits:
-            cross_validate(ds, METHODS, 4, 0, params=params)
+            cross_validate(ds, METHODS, 4, 0, subsample_fraction=fraction)
         assert fits.call_count == 4 * br_fits
 
     def test_single_method_returns_pair(self):

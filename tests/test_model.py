@@ -1,14 +1,16 @@
 import copy
+import functools
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import nldd
 from nldd import kernels, model as model_module
@@ -508,6 +510,80 @@ class TestNonFiniteQueries:
                 predict(X)
             with pytest.raises(DataError, match="query row 1"):
                 predict(X[2][None])
+
+
+# Query cells: ordinary values, and magnitudes whose standardised values or
+# score products can overflow, among them NaN and the infinities.
+_QUERY_CELLS = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.sampled_from([sign * v for v in (1e6, 1e200, 1.5e308, 1.7e308)
+                     for sign in (1.0, -1.0)] + [np.nan, np.inf, -np.inf]))
+
+
+@functools.cache
+def _wide_scale_model():
+    """Training rows whose columns have sds from about 0.5 to 1.7, plus a
+    constant column, and an nldd model trained on them. A cell of 1.5e308
+    overflows column 0's standardised value but not the others'."""
+    ds = generate_synthetic(120, 5, 3, 0.8, 0.3, seed=21)
+    features = np.column_stack([ds.features * [0.5, 1.0, 1.0, 1.0, 2.0],
+                                np.full(ds.n, 7.0)])
+    train = Dataset(features, ds.labels)
+    return train, nldd_train(train, seed=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.lists(_QUERY_CELLS, min_size=6, max_size=6),
+                     min_size=1, max_size=4))
+# Scores of opposite signs that overflow; a NaN, and a cell of 1.7e308, in
+# the constant column.
+@example(rows=[[0.0, 1.5e308, -1.5e308, 0.0, 0.0, 0.0]])
+@example(rows=[[0.0] * 5 + [np.nan]])
+@example(rows=[[0.0] * 5 + [1.7e308]])
+def test_extreme_query_rows_are_refused_or_predicted(rows):
+    """Every predict either refuses a batch with a DataError that names a
+    row holding a non-finite or near-maximal cell, the first row refused on
+    its own, or returns labelsets (training labelsets for nldd and smbr)
+    and theta-hats within the clamp; never a RuntimeWarning."""
+    from nldd.br import br_predict, smbr_predict
+    from nldd.data import DataError
+    train, model = _wide_scale_model()
+    observed = {tuple(r) for r in train.labels.tolist()}
+    predictors = [lambda x: nldd_predict(model, x),
+                  lambda x: predict_with_confidence(model, x),
+                  lambda x: br_predict(model.br, x),
+                  lambda x: smbr_predict(model.br, train, x)]
+
+    def outcome(predict, x):
+        try:
+            return predict(x)
+        except DataError as exc:
+            return str(exc)
+
+    X = np.array(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcomes = [outcome(predict, X) for predict in predictors]
+        refusals = {o for o in outcomes if isinstance(o, str)}
+        if refusals:
+            (message,) = refusals
+            assert all(isinstance(o, str) for o in outcomes)
+            i = int(message.rsplit("query row ", 1)[1]) - 1
+            assert (~np.isfinite(X[i]) | (np.abs(X[i]) >= 1.5e308)).any()
+            for predict in predictors:
+                assert outcome(predict, X[i:i + 1]) == message.replace(
+                    f"row {i + 1}", "row 1")
+                for j in range(i):
+                    assert not isinstance(outcome(predict, X[j:j + 1]), str)
+            return
+    assert np.isfinite(X).all()
+    nldd_sets, (conf_sets, thetas), hard, smbr_sets = outcomes
+    assert np.array_equal(nldd_sets, conf_sets)
+    assert {tuple(r) for r in nldd_sets.tolist()} <= observed
+    assert {tuple(r) for r in smbr_sets.tolist()} <= observed
+    assert hard.shape == X.shape[:1] + (train.n_labels,)
+    assert np.isin(hard, (0, 1)).all()
+    assert ((thetas >= 1e-12) & (thetas <= 1 - 1e-12)).all()
 
 
 def test_one_row_vector_is_rejected_by_every_predict():

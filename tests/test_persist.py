@@ -184,6 +184,18 @@ def _load_doc(doc, tmp_path):
      "pair_count must be an integer"),
     (lambda doc: doc.__setitem__("distance_ops", "7"),
      "distance_ops must be an integer"),
+    # json reads NaN and Infinity; no array or probability may hold them.
+    (lambda doc: doc["br"]["stats"]["means"].__setitem__(2, float("inf")),
+     "means must hold finite numbers only"),
+    (lambda doc: doc["br"]["stats"]["sds"].__setitem__(0, float("nan")),
+     "sds must hold finite numbers only"),
+    (lambda doc: doc["br"]["classifiers"][0]["weights"].__setitem__(
+        0, float("nan")), "classifier weights must hold finite numbers only"),
+    (lambda doc: doc["train_features_std"][4].__setitem__(1, float("inf")),
+     "train_features_std must hold finite numbers only"),
+    (lambda doc: doc["br"]["classifiers"].__setitem__(
+        0, {"type": "constant", "p": float("nan")}),
+     "p must be a probability in"),
 ])
 def test_malformed_nldd_model_rejected(dataset, tmp_path, edit, message):
     doc = _nldd_doc(dataset, tmp_path)
