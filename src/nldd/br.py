@@ -7,8 +7,17 @@ import numpy as np
 from . import kernels
 from .data import (DataError, _labelset_groups, standardize_apply,
                    standardize_fit)
-from .learner import (ConstantProbModel, fit_fallback, fit_logistic,
+from .learner import (ConstantProbModel, _irls, fit_fallback,
                       predict_proba_matrix)
+
+
+class QueryRowError(DataError):
+    """A query row ``_queries`` refuses: ``problem`` says what is wrong with
+    the batch's 0-based row ``row``."""
+
+    def __init__(self, problem, row):
+        super().__init__(f"{problem} in query row {row + 1}")
+        self.problem, self.row = problem, row
 
 
 @dataclass
@@ -27,13 +36,20 @@ def br_fit(train, lam=1.0):
 
 
 def _fit(train, lam):
-    """``br_fit``'s model and the standardized training features it was fit on."""
+    """``br_fit``'s model and the standardized training features it was fit
+    on, a view of columns 1..d of the (n, d+1) IRLS design matrix."""
     stats = standardize_fit(train)
-    z = standardize_apply(stats, train.features)
+    # Standardised straight into the design matrix beside its intercept
+    # column, and the targets built once as IRLS reads them: no copy of
+    # either is made on the way to the Newton loop.
+    X1 = np.empty((train.n, train.d + 1))
+    X1[:, 0] = 1.0
+    z = standardize_apply(stats, train.features, out=X1[:, 1:])
     labels = train.labels
     constant = labels.min(axis=0) == labels.max(axis=0)
+    Y = np.ascontiguousarray(labels.T[~constant], dtype=np.float64)
     # Every varying column in one stacked IRLS loop.
-    fitted = iter(fit_logistic(z, labels[:, ~constant], lam=lam))
+    fitted = iter(_irls(X1, Y, lam))
     classifiers = [fit_fallback(labels[:, j]) if constant[j] else next(fitted)
                    for j in range(train.n_labels)]
     return BRModel(classifiers=classifiers, stats=stats,
@@ -55,7 +71,7 @@ def _queries(model, features):
     standardised by the model's training statistics and their (n, L) BR
     probabilities. Every raw row reaches either only through here.
 
-    A batch is refused, with a DataError naming its first such 1-based
+    A batch is refused, with a QueryRowError naming its first such 1-based
     query row, when a row has a raw or standardised feature that is not
     finite (a finite cell near the float64 maximum can overflow) or a NaN
     probability (score terms of both signs that overflow add to inf - inf).
@@ -77,7 +93,7 @@ def _queries(model, features):
         problem = ("non-finite feature value" if not raw[i]
                    else "standardised feature value overflows"
                    if not standardised[i] else "undefined BR probability")
-        raise DataError(f"{problem} in query row {i + 1}")
+        raise QueryRowError(problem, i)
     return z, p_hat
 
 

@@ -60,8 +60,9 @@ def fit_logistic(features, targets, lam=1.0, max_iter=100, tol=1e-8):
     """Maximize the L2-penalized Bernoulli log-likelihood by Newton/IRLS.
 
     Step halving (up to 20 halvings) keeps the ascent monotone. The intercept
-    is unpenalized. Raises TrainingError for single-class targets and for
-    a Hessian that is singular to working precision.
+    is unpenalized. Raises TrainingError for non-finite features, for
+    single-class targets and for a Hessian that is singular to working
+    precision.
 
     ``targets`` is an (n, L) matrix; the result is a list of L
     LinearProbModels, one per column, fit in one Newton loop. Each label
@@ -74,17 +75,22 @@ def fit_logistic(features, targets, lam=1.0, max_iter=100, tol=1e-8):
     if X.ndim != 2 or y.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ValueError("targets must be an (n, L) matrix with one row "
                          "per feature row")
-    if not np.isfinite(X).all():
+    X1 = np.hstack([np.ones((X.shape[0], 1)), X])
+    return _irls(X1, np.ascontiguousarray(y.T), lam, max_iter, tol)
+
+
+def _irls(X1, Y, lam, max_iter=100, tol=1e-8):
+    """``fit_logistic`` on the (n, d+1) design matrix ``X1``, whose column 0
+    is the intercept's ones, and the C-contiguous (L, n) float targets
+    ``Y``, one row per label. Neither is copied."""
+    if not np.isfinite(X1).all():
         raise TrainingError("non-finite feature values")
     if lam <= 0:
         raise ValueError("lambda must be > 0")
-    if (y.min(axis=0) == y.max(axis=0)).any():
+    if (Y.min(axis=1) == Y.max(axis=1)).any():
         raise TrainingError("targets contain a single class; use fit_fallback")
 
-    n, d = X.shape
-    X1 = np.hstack([np.ones((n, 1)), X])
-    Y = np.ascontiguousarray(y.T)  # (L, n): one row per label
-    n_labels = Y.shape[0]
+    n_labels, d = Y.shape[0], X1.shape[1] - 1
     weights = np.zeros((n_labels, d + 1))
     iterations = np.zeros(n_labels, dtype=np.int64)
     converged = np.zeros(n_labels, dtype=bool)

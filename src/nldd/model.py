@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .br import _fit as _br_fit, _queries
+from .br import QueryRowError, _fit as _br_fit, _queries
 from .data import DataError, _labelset_groups, split_random
 from .learner import PROB_CLAMP, TrainingError, _sigmoid
 
@@ -238,7 +238,7 @@ def nldd_train(train, seed, lam=1.0, subsample_fraction=1.0):
     on T2 against T1, binomial regression, and a final fit on all rows."""
     if not 0.0 < subsample_fraction <= 1.0:
         raise ValueError("subsample_fraction must be in (0, 1]")
-    sub = train
+    sub, keep = train, None
     if subsample_fraction < 1.0:
         rng = np.random.default_rng(seed)
         m = max(4, int(round(subsample_fraction * train.n)))
@@ -246,25 +246,28 @@ def nldd_train(train, seed, lam=1.0, subsample_fraction=1.0):
         sub = train.subset(keep)
 
     # The split's arrays die with the helper's frame, before the final fit.
-    fit, pair_count, distance_ops = _fit_pair_model(sub, seed, lam)
+    fit, pair_count, distance_ops = _fit_pair_model(sub, seed, lam, keep)
     br_full, train_std = _br_fit(sub, lam)
     return NlddModel(br=br_full, fit=fit, train_features_std=train_std,
                      train_labelsets=np.array(sub.labels),
                      pair_count=pair_count, distance_ops=distance_ops)
 
 
-def _fit_pair_model(sub, seed, lam):
+def _fit_pair_model(sub, seed, lam, keep=None):
     """Steps 1-3 of ``nldd_train``: BR on T1, T2's pairs mined against T1,
     and the binomial regression on them. Returns ``(fit, pair_count,
-    distance_ops)``."""
+    distance_ops)``. ``keep`` holds the training rows ``sub`` took when it
+    is a subsample; a refused T2 row is named by its training row."""
     t1_indices, t2_indices = split_random(sub, seed)
     # Mining needs the split's features standardised only, so no raw copy
     # of them outlives the BR fit on T1 or the standardisation of T2.
     br_star, t1_std = _br_fit(sub.subset(t1_indices), lam)
     try:
         t2_std, p_hat = _queries(br_star, sub.features[t2_indices])
-    except DataError as exc:  # its rows are T2's, queried against T1's BR
-        raise DataError(f"T2 half of the training split: {exc}") from None
+    except QueryRowError as exc:  # T2's rows, queried against T1's BR
+        row = t2_indices[exc.row] if keep is None else keep[t2_indices[exc.row]]
+        raise DataError(f"T2 half of the training split: {exc.problem} in "
+                        f"training row {row + 1}") from None
 
     dx, dy, losses = mine_pairs(p_hat, sub.labels[t2_indices], t1_std,
                                 sub.labels[t1_indices], x_std=t2_std)

@@ -35,6 +35,12 @@ def _real(doc, key, finite=False):
     raise DataError(f"{key} must be a {'finite ' if finite else ''}real number")
 
 
+def _bool(doc, key):
+    if type(_get(doc, key)) is not bool:  # nor is 0 or 1 a flag
+        raise DataError(f"{key} must be true or false")
+    return doc[key]
+
+
 def _integer(doc, key):
     if type(_get(doc, key)) is not int:  # a bool is no count either
         raise DataError(f"{key} must be an integer")
@@ -82,8 +88,11 @@ def _classifier_from(doc, d):
     if weights.shape[0] != d + 1:
         raise DataError(f"classifier has {weights.shape[0]} weights for "
                         f"{d} features (expected {d + 1})")
-    return LinearProbModel(weights=weights, lam=_real(doc, "lam"),
-                           converged=_get(doc, "converged"),
+    lam = _real(doc, "lam")
+    if not (math.isfinite(lam) and lam > 0):
+        raise DataError("lam must be a finite number > 0")
+    return LinearProbModel(weights=weights, lam=lam,
+                           converged=_bool(doc, "converged"),
                            iterations=_integer(doc, "iterations"))
 
 
@@ -100,7 +109,18 @@ def _br_from(doc):
         raise DataError("classifiers must be a non-empty list")
     d = stats.means.shape[0]
     return BRModel(classifiers=[_classifier_from(c, d) for c in classifiers],
-                   stats=stats, label_names=list(_get(doc, "label_names")))
+                   stats=stats, label_names=_get(doc, "label_names"))
+
+
+def _named(br):
+    """``br`` once its label_names are a list of one string per classifier;
+    checked after the shapes, which name a missing classifier better."""
+    names, n_labels = br.label_names, len(br.classifiers)
+    if (not isinstance(names, list) or len(names) != n_labels
+            or not all(isinstance(name, str) for name in names)):
+        raise DataError(f"label_names must be a list of {n_labels} strings, "
+                        "one per classifier")
+    return br
 
 
 def _nldd_from(doc):
@@ -108,9 +128,9 @@ def _nldd_from(doc):
     fit_doc = _get(doc, "fit")
     fit = BinomialFit(*(_real(fit_doc, key, finite=True)
                         for key in ("beta0", "beta1", "beta2")),
-                      converged=_get(fit_doc, "converged"),
+                      converged=_bool(fit_doc, "converged"),
                       iterations=_integer(fit_doc, "iterations"),
-                      final_gradient_norm=_get(fit_doc, "final_gradient_norm"))
+                      final_gradient_norm=_real(fit_doc, "final_gradient_norm"))
     features = _array(_get(doc, "train_features_std"), "train_features_std", 2)
     labelsets = _array(_get(doc, "train_labelsets"), "train_labelsets", 2)
     if not np.isin(labelsets, (0, 1)).all():
@@ -124,7 +144,7 @@ def _nldd_from(doc):
     if labelsets.shape[1] != len(br.classifiers):
         raise DataError(f"train_labelsets has {labelsets.shape[1]} columns "
                         f"for {len(br.classifiers)} classifiers")
-    return NlddModel(br=br, fit=fit, train_features_std=features,
+    return NlddModel(br=_named(br), fit=fit, train_features_std=features,
                      train_labelsets=labelsets.astype(np.int64),
                      pair_count=_integer(doc, "pair_count"),
                      distance_ops=_integer(doc, "distance_ops"))
@@ -195,7 +215,7 @@ def load_model(path):
     method = doc.get("method")
     try:
         if method == "br":
-            return "br", _br_from(_get(doc, "br"))
+            return "br", _named(_br_from(_get(doc, "br")))
         if method == "nldd":
             return "nldd", _nldd_from(doc)
     except DataError as exc:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from nldd.br import _fit as br_fit_with_features
 from nldd.br import br_fit, br_predict, br_predict_proba_matrix, smbr_predict
-from nldd.data import Dataset, standardize_apply
-from nldd.learner import ConstantProbModel, predict_proba_matrix
+from nldd.data import Dataset, standardize_apply, standardize_fit
+from nldd.learner import ConstantProbModel, fit_logistic, predict_proba_matrix
 
 
 def _dataset(seed=0, n=60, d=3, n_labels=3):
@@ -32,6 +33,30 @@ class TestBrFit:
         a, b = br_fit(ds), br_fit(ds)
         for ca, cb in zip(a.classifiers, b.classifiers):
             assert np.array_equal(ca.weights, cb.weights)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fit_matches_public_fit_logistic(self, seed):
+        # _fit standardises into its own design matrix and calls IRLS on
+        # it directly; the weights, iterations and standardised rows are
+        # the same bits as the public path's. Constant columns (1 and 4)
+        # take the fallback and are left out of both fits.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((400, 20)) * rng.uniform(0.1, 10.0, 20)
+        x[:, 3] = 2.5  # an sd-zero feature column
+        labels = (x[:, :6] @ rng.standard_normal((6, 6)) > 0).astype(int)
+        labels[:, 1], labels[:, 4] = 0, 1
+        ds = Dataset(x, labels)
+        model, z = br_fit_with_features(ds, 1.0)
+        stats = standardize_fit(ds)
+        want_z = standardize_apply(stats, x)
+        assert z.tobytes() == want_z.tobytes()
+        varying = [0, 2, 3, 5]
+        want = fit_logistic(want_z, labels[:, varying])
+        got = [model.classifiers[j] for j in varying]
+        assert [c.weights.tobytes() for c in got] == \
+            [w.weights.tobytes() for w in want]
+        assert [(c.iterations, c.converged) for c in got] == \
+            [(w.iterations, w.converged) for w in want]
 
 
 class TestBrPredict:

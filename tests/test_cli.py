@@ -8,7 +8,7 @@ import pytest
 
 import nldd
 from nldd.cli import main
-from nldd.data import Dataset, save_csv
+from nldd.data import Dataset, save_csv, split_random
 from nldd.evaluate import generate_synthetic
 
 
@@ -73,6 +73,27 @@ class TestTrain:
                    "--lambda", "1e-300", "--model", str(tmp_path / "m.json")])
         assert rc == 4
         assert "singular Hessian" in capsys.readouterr().err
+
+    def test_refused_t2_row_named_by_its_training_row(self, tmp_path, capsys):
+        # Two cells of 1.7e308 in column 0, both in T2 at seed 0, so T1's
+        # statistics stay finite and each row's standardised value
+        # overflows. The first refused is the first in T2's order; the
+        # error names its data row, not its position in T2.
+        ds = generate_synthetic(90, 4, 3, 0.8, 0.3, seed=1)
+        _, t2 = split_random(ds, 0)
+        first, second = t2[6], t2[9]
+        assert first != 6
+        features = ds.features.copy()
+        features[[first, second], 0] = 1.7e308
+        path = str(tmp_path / "tiny.csv")
+        save_csv(Dataset(features, ds.labels), path)
+        rc = main(["train", "--data", path, "--labels", "3", "--method",
+                   "nldd", "--model", str(tmp_path / "m.json")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: T2 half of the training split: standardised feature "
+            f"value overflows in training row {first + 1}\n")
+        assert not (tmp_path / "m.json").exists()
 
     def test_bad_subsample_usage_error(self, csv_path, tmp_path):
         rc = main(["train", "--data", csv_path, "--labels", "3",

@@ -362,6 +362,19 @@ class TestStandardize:
         x = np.array([[1.5, -2.0]])
         assert np.array_equal(standardize_apply(stats, x), x)
 
+    def test_apply_into_out_view(self):
+        # Writing into a view of a wider matrix gives the same bits as a new
+        # array, zeroes sd-zero columns there too, and touches no other column.
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((30, 4)) * [1.0, 1e3, 1e-3, 7.0]
+        x[:, 2] = 0.5
+        stats = standardize_fit(Dataset(x, rng.integers(0, 2, (30, 1))))
+        wide = np.full((30, 5), 9.0)
+        z = standardize_apply(stats, x, out=wide[:, 1:])
+        assert z.base is wide
+        assert z.tobytes() == standardize_apply(stats, x).tobytes()
+        assert np.all(wide[:, 0] == 9.0) and np.all(wide[:, 3] == 0.0)
+
     def test_needs_two_rows(self):
         ds = Dataset(np.array([[1.0]]), np.array([[1]]))
         with pytest.raises(DataError):

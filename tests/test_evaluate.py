@@ -408,8 +408,8 @@ class TestSharedBrFit:
         # nldd fits BR on T1 and on all rows; at fraction 1 the latter
         # also serves br and smbr.
         ds = generate_synthetic(80, 4, 3, 0.7, 0.3, seed=3)
-        with mock.patch.object(br_module, "fit_logistic",
-                               wraps=br_module.fit_logistic) as fits:
+        with mock.patch.object(br_module, "_irls",
+                               wraps=br_module._irls) as fits:
             cross_validate(ds, METHODS, 4, 0, subsample_fraction=fraction)
         assert fits.call_count == 4 * br_fits
 

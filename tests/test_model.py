@@ -331,6 +331,35 @@ class TestTrain:
         assert np.array_equal(a.train_features_std, b.train_features_std)
         assert a.pair_count == b.pair_count
 
+    @pytest.mark.parametrize("fraction", [1.0, 0.5])
+    def test_refused_t2_row_named_by_its_training_row(self, fraction):
+        # One cell of 1.7e308 at a time: a row left out of the subsample
+        # trains, a T1 row makes T1's statistics overflow, and a T2 row is
+        # refused by its row in the data given to nldd_train, through the
+        # split and the subsample. Column 0 is scaled to an sd well below
+        # 1, so that the cell's standardised value overflows.
+        from nldd.data import DataError
+        ds = generate_synthetic(90, 4, 3, 0.8, 0.3, seed=1)
+        named = 0
+        for row in range(16):
+            features = ds.features.copy()
+            features[:, 0] *= 0.25
+            features[row, 0] = 1.7e308
+            try:
+                nldd_train(Dataset(features, ds.labels), seed=0,
+                           subsample_fraction=fraction)
+            except DataError as exc:
+                if "T2 half" in str(exc):
+                    assert str(exc) == (
+                        "T2 half of the training split: standardised feature "
+                        f"value overflows in training row {row + 1}")
+                    named += 1
+                else:
+                    assert "feature column 1" in str(exc)
+            else:
+                assert fraction < 1.0
+        assert named >= 4
+
     def test_distance_counter(self):
         train, _ = _train_test(2)
         model = nldd_train(train, seed=0)
@@ -372,10 +401,13 @@ class TestTrain:
 
     def test_peak_memory_is_bounded(self):
         # T1, T2, their standardised copies, p-hat and the mined pairs die
-        # before the final BR fit, and each matrix is standardised once. At
-        # this size that peaked at 4.9x the features' bytes; keeping them
-        # alive through the final fit peaked at 7.3x. Smaller engine blocks
-        # keep its fixed-size (block, N) arrays from masking the difference.
+        # before the final BR fit, and each BR fit standardises its rows
+        # straight into its one IRLS design matrix. At this size that peaks
+        # at 3.7x the features' bytes, and pair mining sets the peak.
+        # Copying the standardised rows into a second design matrix peaked
+        # at 4.9x; keeping the split's arrays alive through the final fit,
+        # 7.3x. Smaller engine blocks keep its fixed-size (block, N) arrays
+        # from masking the difference.
         data = generate_synthetic(2000, 50, 10, 0.8, 0.3, seed=3)
         with mock.patch.object(kernels, "BLOCK_BYTES", 256 * 1024):
             tracemalloc.start()
@@ -384,7 +416,7 @@ class TestTrain:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert peak < 6.0 * data.features.nbytes
+        assert peak < 4.2 * data.features.nbytes
 
 
 class TestPredict:

@@ -196,12 +196,46 @@ def _load_doc(doc, tmp_path):
     (lambda doc: doc["br"]["classifiers"].__setitem__(
         0, {"type": "constant", "p": float("nan")}),
      "p must be a probability in"),
+    (lambda doc: doc["br"].__setitem__("label_names", 5),
+     "label_names must be a list of 3 strings"),
+    (lambda doc: doc["br"].__setitem__("label_names", "abc"),
+     "label_names must be a list of 3 strings"),
+    (lambda doc: doc["br"]["label_names"].pop(),
+     "label_names must be a list of 3 strings"),
+    (lambda doc: doc["br"]["label_names"].__setitem__(1, 2),
+     "label_names must be a list of 3 strings"),
+    (lambda doc: doc["fit"].__setitem__("converged", "maybe"),
+     "converged must be true or false"),
+    (lambda doc: doc["fit"].__setitem__("converged", 1),
+     "converged must be true or false"),
+    (lambda doc: doc["br"]["classifiers"][1].__setitem__("converged", None),
+     "converged must be true or false"),
+    (lambda doc: doc["fit"].__setitem__("final_gradient_norm", "abc"),
+     "final_gradient_norm must be a real number"),
+    (lambda doc: doc["fit"].__setitem__("final_gradient_norm", False),
+     "final_gradient_norm must be a real number"),
+    (lambda doc: doc["br"]["classifiers"][1].__setitem__("lam", float("nan")),
+     "lam must be a finite number > 0"),
+    (lambda doc: doc["br"]["classifiers"][1].__setitem__("lam", float("inf")),
+     "lam must be a finite number > 0"),
+    (lambda doc: doc["br"]["classifiers"][1].__setitem__("lam", 0),
+     "lam must be a finite number > 0"),
+    (lambda doc: doc["br"]["classifiers"][1].__setitem__("lam", -1.0),
+     "lam must be a finite number > 0"),
 ])
 def test_malformed_nldd_model_rejected(dataset, tmp_path, edit, message):
     doc = _nldd_doc(dataset, tmp_path)
     edit(doc)
     with pytest.raises(DataError, match=message):
         _load_doc(doc, tmp_path)
+
+
+def test_non_finite_gradient_norm_loads(dataset, tmp_path):
+    # A fit that stopped before its first gradient reports an infinite norm.
+    doc = _nldd_doc(dataset, tmp_path)
+    doc["fit"]["final_gradient_norm"] = float("inf")
+    _, back = _load_doc(doc, tmp_path)
+    assert back.fit.final_gradient_norm == float("inf")
 
 
 def test_non_object_document_rejected(tmp_path):
