@@ -7,13 +7,13 @@ import numpy as np
 from . import kernels
 from .data import (DataError, _labelset_groups, standardize_apply,
                    standardize_fit)
-from .learner import (ConstantProbModel, _irls, fit_fallback,
-                      predict_proba_matrix)
+from .learner import fit_fallback, fit_logistic, predict_proba_matrix
 
 
 class QueryRowError(DataError):
-    """A query row ``_queries`` refuses: ``problem`` says what is wrong with
-    the batch's 0-based row ``row``."""
+    """A refused query row: ``problem`` says what is wrong with the batch's
+    0-based row ``row``. ``_queries`` raises it, and so does NLDD training
+    for a T2 row whose mined distances overflow."""
 
     def __init__(self, problem, row):
         super().__init__(f"{problem} in query row {row + 1}")
@@ -30,30 +30,24 @@ class BRModel:
 def br_fit(train, lam=1.0):
     """One probabilistic classifier per label, fit on standardized features.
 
-    Constant label columns fall back to the Laplace-smoothed constant model.
+    Constant label columns fall back to the Laplace-smoothed constant model;
+    the varying ones are fit together by one ``fit_logistic`` call.
     """
-    return _fit(train, lam)[0]
-
-
-def _fit(train, lam):
-    """``br_fit``'s model and the standardized training features it was fit
-    on, a view of columns 1..d of the (n, d+1) IRLS design matrix."""
     stats = standardize_fit(train)
     # Standardised straight into the design matrix beside its intercept
-    # column, and the targets built once as IRLS reads them: no copy of
-    # either is made on the way to the Newton loop.
+    # column, and the float targets laid out as the Newton loop reads them
+    # (one C-contiguous row per label): fit_logistic copies neither.
     X1 = np.empty((train.n, train.d + 1))
     X1[:, 0] = 1.0
-    z = standardize_apply(stats, train.features, out=X1[:, 1:])
+    standardize_apply(stats, train.features, out=X1[:, 1:])
     labels = train.labels
     constant = labels.min(axis=0) == labels.max(axis=0)
-    Y = np.ascontiguousarray(labels.T[~constant], dtype=np.float64)
-    # Every varying column in one stacked IRLS loop.
-    fitted = iter(_irls(X1, Y, lam))
+    targets = np.ascontiguousarray(labels.T[~constant], dtype=np.float64).T
+    fitted = iter(fit_logistic(X1, targets, lam))
     classifiers = [fit_fallback(labels[:, j]) if constant[j] else next(fitted)
                    for j in range(train.n_labels)]
     return BRModel(classifiers=classifiers, stats=stats,
-                   label_names=list(train.label_names)), z
+                   label_names=list(train.label_names))
 
 
 def br_predict_proba_matrix(model, features):

@@ -223,7 +223,8 @@ def cmd_summary(args):
 
 def _add_input(p, labels_required=True, multi_data=False):
     if multi_data:
-        p.add_argument("--data", required=True, nargs="+")
+        # Repeated flags add up: --data a.csv --data b.csv.
+        p.add_argument("--data", required=True, nargs="+", action="extend")
     else:
         p.add_argument("--data", required=True)
     p.add_argument("--labels", type=int, required=labels_required, default=0)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .br import br_fit, br_predict, smbr_predict
+from .br import QueryRowError, br_fit, br_predict, smbr_predict
 from .data import DataError, Dataset
 from .learner import TrainingError
 from .metrics import aggregate, instance_metrics_matrix
@@ -42,12 +42,14 @@ def make_folds(n, k, seed):
 
 
 def _check_methods(methods, subsample_fraction):
-    """ValueError for a method id outside METHODS, or for a training
-    subsample when nldd, the only method that reads it, is not among
-    ``methods``."""
-    for m in methods:
+    """ValueError for a method id outside METHODS, for one listed twice, or
+    for a training subsample when nldd, the only method that reads it, is
+    not among ``methods``."""
+    for i, m in enumerate(methods):
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+        if m in methods[:i]:
+            raise ValueError(f"method {m!r} is listed twice")
     if subsample_fraction != 1.0 and "nldd" not in methods:
         raise ValueError("a training subsample applies to nldd only")
 
@@ -88,8 +90,9 @@ def cross_validate(data, methods, k, seed, lam=1.0, subsample_fraction=1.0):
     by id of (per-fold reports, mean report). Each fold fits Binary
     Relevance once for all of them (see ``train_predictor``).
 
-    Errors raised inside a fold name the fold; the method ids and the
-    subsample rule are checked once, before the first fold."""
+    Errors raised inside a fold name the fold, and a refused test row is
+    named by its 1-based row of ``data``; the method ids and the subsample
+    rule are checked once, before the first fold."""
     _check_methods(methods, subsample_fraction)
     folds = make_folds(data.n, k, seed)
     fold_reports = {m: [] for m in methods}
@@ -103,6 +106,9 @@ def cross_validate(data, methods, k, seed, lam=1.0, subsample_fraction=1.0):
             test = data.subset(test_idx)
             for m in fold_reports:
                 fold_reports[m].append(_evaluate_rows(predictors[m], test))
+        except QueryRowError as exc:  # a test row, queried against the fold's fit
+            raise DataError(f"fold {fold}: {exc.problem} in data row "
+                            f"{test_idx[exc.row] + 1}") from None
         except _FOLD_TAGGED as exc:
             if type(exc) not in _FOLD_TAGGED:
                 raise

@@ -1,6 +1,7 @@
 """L2-regularized logistic regression fit by IRLS, plus a constant fallback
 for degenerate (single-class) label columns."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,37 +57,37 @@ def _gradients(X1, Y, Z, W, lam):
     return P, G
 
 
-def fit_logistic(features, targets, lam=1.0, max_iter=100, tol=1e-8):
+def fit_logistic(X1, targets, lam=1.0, max_iter=100, tol=1e-8):
     """Maximize the L2-penalized Bernoulli log-likelihood by Newton/IRLS.
 
-    Step halving (up to 20 halvings) keeps the ascent monotone. The intercept
-    is unpenalized. Raises TrainingError for non-finite features, for
-    single-class targets and for a Hessian that is singular to working
-    precision.
-
-    ``targets`` is an (n, L) matrix; the result is a list of L
+    ``X1`` is the (n, d+1) design matrix, column 0 the intercept's ones; it
+    is not copied. ``targets`` is an (n, L) 0/1 matrix, copied unless its
+    transpose is C-contiguous float64. The result is a list of L
     LinearProbModels, one per column, fit in one Newton loop. Each label
     runs the single-label iteration on its own, with its own step halving
     and stop rule, so its weights, iterations and convergence are the same
     bits as a fit of that column alone.
+
+    Step halving (up to 20 halvings) keeps the ascent monotone. The
+    intercept is unpenalized. Raises ValueError for bad shapes, a column 0
+    that is not all ones or a ``lam`` that is not finite and > 0, and
+    TrainingError for non-finite features, single-class targets and a
+    Hessian that is singular to working precision.
     """
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    if X.ndim != 2 or y.ndim != 2 or X.shape[0] != y.shape[0]:
+    X1 = np.asarray(X1, dtype=np.float64)
+    targets = np.asarray(targets)
+    if X1.ndim != 2 or targets.ndim != 2 or X1.shape[0] != targets.shape[0]:
         raise ValueError("targets must be an (n, L) matrix with one row "
-                         "per feature row")
-    X1 = np.hstack([np.ones((X.shape[0], 1)), X])
-    return _irls(X1, np.ascontiguousarray(y.T), lam, max_iter, tol)
-
-
-def _irls(X1, Y, lam, max_iter=100, tol=1e-8):
-    """``fit_logistic`` on the (n, d+1) design matrix ``X1``, whose column 0
-    is the intercept's ones, and the C-contiguous (L, n) float targets
-    ``Y``, one row per label. Neither is copied."""
+                         "per design-matrix row")
+    if X1.shape[1] == 0 or not (X1[:, 0] == 1.0).all():
+        raise ValueError("column 0 of the design matrix must be the "
+                         "intercept's ones")
     if not np.isfinite(X1).all():
         raise TrainingError("non-finite feature values")
-    if lam <= 0:
-        raise ValueError("lambda must be > 0")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lambda must be finite and > 0, got {lam}")
+    # One C-contiguous row of float targets per label, as the loop reads them.
+    Y = np.ascontiguousarray(targets.T, dtype=np.float64)
     if (Y.min(axis=1) == Y.max(axis=1)).any():
         raise TrainingError("targets contain a single class; use fit_fallback")
 

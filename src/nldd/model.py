@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .br import QueryRowError, _fit as _br_fit, _queries
-from .data import DataError, _labelset_groups, split_random
+from .br import QueryRowError, _queries, br_fit
+from .data import DataError, _labelset_groups, split_random, standardize_apply
 from .learner import PROB_CLAMP, TrainingError, _sigmoid
 
 
@@ -122,6 +122,10 @@ def _best_in_block(x, p_hat, layout, weights, dist):
     return tuple(np.stack(arrays) for arrays in zip(*out))
 
 
+# The (beta1, beta2) of mining's two pairs: the smallest dx, the smallest dy.
+_MINING_WEIGHTS = ((1.0, 0.0), (0.0, 1.0))
+
+
 def mine_pairs(p_hat, true_labels, t1_features_std, t1_labels, x_std):
     """Select the two informative (dx, dy) pairs for each validation instance.
 
@@ -148,7 +152,7 @@ def mine_pairs(p_hat, true_labels, t1_features_std, t1_labels, x_std):
     t1_features_std = np.asarray(t1_features_std, dtype=np.float64)
     t1_labels = np.asarray(t1_labels)
     rows, dxsq, dysq = _argmin_rows(x_std, p_hat, t1_features_std, t1_labels,
-                                    ((1.0, 0.0), (0.0, 1.0)), squared=True)
+                                    _MINING_WEIGHTS, squared=True)
     losses = np.sum(true_labels[None] != t1_labels[rows], axis=2)
     # Masking the (n, 2) transposes takes row 0's pairs, then row 1's, ...
     keep = np.column_stack([np.ones(x_std.shape[0], dtype=bool),
@@ -166,9 +170,10 @@ def fit_binomial_glm(dx, dy, losses, n_labels, max_iter=50, tol=1e-8):
     count (out of ``n_labels`` trials) on (dx, dy), three equal-length 1-D
     arrays as ``mine_pairs`` returns them.
 
-    Raises ValueError on empty or unequal-length arrays, TrainingError when
-    every loss is 0 or every loss is n_labels. Non-convergence is reported
-    via ``converged=False``, not an exception.
+    Raises ValueError on empty or unequal-length arrays or a negative
+    ``max_iter``, TrainingError when every loss is 0 or every loss is
+    n_labels. Non-convergence is reported via ``converged=False``, not an
+    exception.
     """
     dx, dy = np.asarray(dx, dtype=np.float64), np.asarray(dy, dtype=np.float64)
     losses = np.asarray(losses, dtype=np.float64)
@@ -177,6 +182,8 @@ def fit_binomial_glm(dx, dy, losses, n_labels, max_iter=50, tol=1e-8):
     n = losses.shape[0]
     if n == 0:
         raise ValueError("no distance pairs")
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
     X = np.column_stack([np.ones(n), dx, dy])
     total = losses.sum()
     if total == 0 or total == n_labels * n:
@@ -186,14 +193,16 @@ def fit_binomial_glm(dx, dy, losses, n_labels, max_iter=50, tol=1e-8):
     rate = total / (n_labels * n)
     beta = np.array([math.log(rate / (1.0 - rate)), 0.0, 0.0])
     converged = False
-    grad_norm = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
+    # Pass it checks the gradient after it - 1 steps; the last pass only
+    # checks it.
+    for it in range(1, max_iter + 2):
         theta_i = _sigmoid(X @ beta)
         g = X.T @ (losses - n_labels * theta_i)
         grad_norm = float(np.max(np.abs(g)))
         if grad_norm < tol:
             converged = True
+            break
+        if it > max_iter:
             break
         wt = np.clip(n_labels * theta_i * (1.0 - theta_i), 1e-12, None)
         H = X.T @ (wt[:, None] * X)
@@ -212,18 +221,12 @@ def fit_binomial_glm(dx, dy, losses, n_labels, max_iter=50, tol=1e-8):
             beta_new = beta + step * delta
         beta = beta_new
         if not np.isfinite(beta).all():
+            beta = np.where(np.isfinite(beta), beta, 0.0)
             break
-    if not np.isfinite(beta).all():
-        converged = False
-        beta = np.where(np.isfinite(beta), beta, 0.0)
-    else:
-        theta_i = _sigmoid(X @ beta)
-        grad_norm = float(np.max(np.abs(X.T @ (losses - n_labels * theta_i))))
-        if grad_norm < tol:
-            converged = True
     return BinomialFit(beta0=float(beta[0]), beta1=float(beta[1]),
                        beta2=float(beta[2]), converged=converged,
-                       iterations=it, final_gradient_norm=grad_norm)
+                       iterations=min(it, max_iter),
+                       final_gradient_norm=grad_norm)
 
 
 def theta(fit, dx, dy):
@@ -247,7 +250,8 @@ def nldd_train(train, seed, lam=1.0, subsample_fraction=1.0):
 
     # The split's arrays die with the helper's frame, before the final fit.
     fit, pair_count, distance_ops = _fit_pair_model(sub, seed, lam, keep)
-    br_full, train_std = _br_fit(sub, lam)
+    br_full = br_fit(sub, lam)
+    train_std = standardize_apply(br_full.stats, sub.features)
     return NlddModel(br=br_full, fit=fit, train_features_std=train_std,
                      train_labelsets=np.array(sub.labels),
                      pair_count=pair_count, distance_ops=distance_ops)
@@ -257,20 +261,30 @@ def _fit_pair_model(sub, seed, lam, keep=None):
     """Steps 1-3 of ``nldd_train``: BR on T1, T2's pairs mined against T1,
     and the binomial regression on them. Returns ``(fit, pair_count,
     distance_ops)``. ``keep`` holds the training rows ``sub`` took when it
-    is a subsample; a refused T2 row is named by its training row."""
+    is a subsample; a T2 row refused by ``_queries``, or whose mined dx or
+    dy is not finite, is named by its training row."""
     t1_indices, t2_indices = split_random(sub, seed)
     # Mining needs the split's features standardised only, so no raw copy
     # of them outlives the BR fit on T1 or the standardisation of T2.
-    br_star, t1_std = _br_fit(sub.subset(t1_indices), lam)
+    br_star = br_fit(sub.subset(t1_indices), lam)
+    t1_std = standardize_apply(br_star.stats, sub.features[t1_indices])
+    t1_labels = sub.labels[t1_indices]
     try:
         t2_std, p_hat = _queries(br_star, sub.features[t2_indices])
-    except QueryRowError as exc:  # T2's rows, queried against T1's BR
+        dx, dy, losses = mine_pairs(p_hat, sub.labels[t2_indices], t1_std,
+                                    t1_labels, x_std=t2_std)
+        if not (np.isfinite(dx).all() and np.isfinite(dy).all()):
+            # A standardised value too large to square. The pairs come one
+            # or two per row, so the engine's per-row distances name it.
+            _, dxsq, dysq = _argmin_rows(t2_std, p_hat, t1_std, t1_labels,
+                                         _MINING_WEIGHTS, squared=True)
+            finite = np.isfinite(dxsq).all(axis=0) & np.isfinite(dysq).all(axis=0)
+            raise QueryRowError("mined distance overflows",
+                                int(np.argmin(finite)))
+    except QueryRowError as exc:  # T2's rows, queried against T1 and mined
         row = t2_indices[exc.row] if keep is None else keep[t2_indices[exc.row]]
         raise DataError(f"T2 half of the training split: {exc.problem} in "
                         f"training row {row + 1}") from None
-
-    dx, dy, losses = mine_pairs(p_hat, sub.labels[t2_indices], t1_std,
-                                sub.labels[t1_indices], x_std=t2_std)
 
     try:
         fit = fit_binomial_glm(dx, dy, losses, sub.n_labels)

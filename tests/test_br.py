@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from nldd.br import _fit as br_fit_with_features
 from nldd.br import br_fit, br_predict, br_predict_proba_matrix, smbr_predict
 from nldd.data import Dataset, standardize_apply, standardize_fit
 from nldd.learner import ConstantProbModel, fit_logistic, predict_proba_matrix
@@ -36,9 +35,10 @@ class TestBrFit:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_fit_matches_public_fit_logistic(self, seed):
-        # _fit standardises into its own design matrix and calls IRLS on
-        # it directly; the weights, iterations and standardised rows are
-        # the same bits as the public path's. Constant columns (1 and 4)
+        # br_fit standardises into its own design matrix and fits every
+        # varying column in one fit_logistic call: the weights and
+        # iterations are the same bits as a fit_logistic call on a design
+        # matrix built from standardize_apply. Constant columns (1 and 4)
         # take the fallback and are left out of both fits.
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((400, 20)) * rng.uniform(0.1, 10.0, 20)
@@ -46,12 +46,14 @@ class TestBrFit:
         labels = (x[:, :6] @ rng.standard_normal((6, 6)) > 0).astype(int)
         labels[:, 1], labels[:, 4] = 0, 1
         ds = Dataset(x, labels)
-        model, z = br_fit_with_features(ds, 1.0)
+        model = br_fit(ds, 1.0)
         stats = standardize_fit(ds)
-        want_z = standardize_apply(stats, x)
-        assert z.tobytes() == want_z.tobytes()
+        assert model.stats.means.tobytes() == stats.means.tobytes()
+        assert model.stats.sds.tobytes() == stats.sds.tobytes()
+        z = standardize_apply(stats, x)
         varying = [0, 2, 3, 5]
-        want = fit_logistic(want_z, labels[:, varying])
+        want = fit_logistic(np.column_stack([np.ones(len(z)), z]),
+                            labels[:, varying])
         got = [model.classifiers[j] for j in varying]
         assert [c.weights.tobytes() for c in got] == \
             [w.weights.tobytes() for w in want]

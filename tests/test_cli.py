@@ -95,6 +95,38 @@ class TestTrain:
             f"value overflows in training row {first + 1}\n")
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_mined_distance_named_by_its_training_row(
+            self, tmp_path, capsys):
+        # T1's sd keeps the row's standardised value finite (1.756e308),
+        # so the query boundary passes it, but its squared distances to T1
+        # overflow. Training stops there, before the GLM sees an inf dx.
+        ds = generate_synthetic(90, 4, 3, 0.8, 0.3, seed=1)
+        features = ds.features.copy()
+        features[2, 0] = 1.7e308
+        path = str(tmp_path / "tiny.csv")
+        save_csv(Dataset(features, ds.labels), path)
+        rc = main(["train", "--data", path, "--labels", "3", "--method",
+                   "nldd", "--model", str(tmp_path / "m.json"),
+                   "--subsample", "0.5"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: T2 half of the training split: mined distance overflows "
+            "in training row 3\n")
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("method", ["br", "nldd"])
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    @pytest.mark.filterwarnings("error")
+    def test_lambda_not_finite_and_positive_usage_error(
+            self, csv_path, tmp_path, capsys, method, lam):
+        rc = main(["train", "--data", csv_path, "--labels", "3",
+                   "--method", method, "--model", str(tmp_path / "m.json"),
+                   "--lambda", lam])
+        assert rc == 2
+        assert "lambda must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_bad_subsample_usage_error(self, csv_path, tmp_path):
         rc = main(["train", "--data", csv_path, "--labels", "3",
                    "--method", "nldd", "--model", str(tmp_path / "m.json"),
@@ -174,6 +206,22 @@ class TestEval:
                    "--method", "br"])
         assert rc == 2
 
+    def test_refused_test_row_named_by_fold_and_data_row(self, tmp_path,
+                                                         capsys):
+        # Data row 17 is in fold 0's test rows, and its standardised value
+        # overflows under that fold's statistics.
+        ds = generate_synthetic(60, 3, 3, 0.8, 0.3, seed=1)
+        features = ds.features.copy()
+        features[16, 0] = 1.7e308
+        path = str(tmp_path / "cv.csv")
+        save_csv(Dataset(features, ds.labels), path)
+        rc = main(["eval", "--data", path, "--labels", "3",
+                   "--method", "nldd", "--cv", "3"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: fold 0: standardised feature value overflows in data "
+            "row 17\n")
+
     def test_holdout(self, csv_path, tmp_path):
         test = generate_synthetic(30, 5, 3, 0.8, 0.3, seed=5)
         test_path = str(tmp_path / "test.csv")
@@ -184,12 +232,36 @@ class TestEval:
 
 
 class TestCompare:
-    def test_self_comparison_p_one(self, csv_path, tmp_path, capsys):
+    def test_duplicate_method_is_refused(self, csv_path, capsys):
+        # A method compared with itself always gives p = 1.
         rc = main(["compare", "--data", csv_path, "--labels", "3",
-                   "--methods", "br,br", "--cv", "3"])
+                   "--methods", "br,smbr,br", "--cv", "3"])
+        assert rc == 2
+        assert "method 'br' is listed twice" in capsys.readouterr().err
+
+    def test_repeated_data_flags_compare_dataset_means(self, csv_path,
+                                                       tmp_path, capsys):
+        # Each --data adds a dataset; with two, the Wilcoxon pairs are the
+        # per-dataset means, one observation per dataset.
+        other = str(tmp_path / "other.csv")
+        save_csv(generate_synthetic(90, 5, 3, 0.6, 0.2, seed=4), other)
+        out_path = str(tmp_path / "cmp.jsonl")
+        rc = main(["compare", "--data", csv_path, "--data", other,
+                   "--labels", "3", "--methods", "br,nldd", "--cv", "3",
+                   "--out", out_path])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "p=1.00000" in out
+        assert "ds0" in out and "ds1" in out
+        records = [json.loads(line) for line in open(out_path)]
+        pairs = records[1:]
+        assert len(pairs) == 4
+        assert all(r["n_effective"] <= 2 and r["exact"] for r in pairs)
+        # The same table as one --data flag given both files.
+        capsys.readouterr()
+        rc = main(["compare", "--data", csv_path, other, "--labels", "3",
+                   "--methods", "br,nldd", "--cv", "3"])
+        assert rc == 0
+        assert capsys.readouterr().out == out
 
     def test_three_methods(self, csv_path, tmp_path):
         out_path = str(tmp_path / "cmp.jsonl")

@@ -408,10 +408,22 @@ class TestSharedBrFit:
         # nldd fits BR on T1 and on all rows; at fraction 1 the latter
         # also serves br and smbr.
         ds = generate_synthetic(80, 4, 3, 0.7, 0.3, seed=3)
-        with mock.patch.object(br_module, "_irls",
-                               wraps=br_module._irls) as fits:
+        with mock.patch.object(br_module, "fit_logistic",
+                               wraps=br_module.fit_logistic) as fits:
             cross_validate(ds, METHODS, 4, 0, subsample_fraction=fraction)
         assert fits.call_count == 4 * br_fits
+
+    def test_refused_test_row_names_fold_and_data_row(self):
+        # Data row 16 (0-based) is the 6th test row of fold 0; its
+        # standardised value overflows under that fold's statistics.
+        ds = generate_synthetic(60, 3, 3, 0.8, 0.3, seed=1)
+        assert make_folds(60, 3, 0)[16] == 0
+        features = ds.features.copy()
+        features[16, 0] = 1.7e308
+        with pytest.raises(DataError) as err:
+            cross_validate(Dataset(features, ds.labels), ("nldd",), 3, 0)
+        assert str(err.value) == ("fold 0: standardised feature value "
+                                  "overflows in data row 17")
 
     def test_single_method_returns_pair(self):
         ds = generate_synthetic(60, 4, 3, 0.7, 0.3, seed=0)

@@ -22,6 +22,11 @@ def _synthetic(seed=0, n=50, d=2):
     return X, y
 
 
+def _design(X):
+    """The (n, d+1) design matrix of an (n, d) feature matrix."""
+    return np.column_stack([np.ones(len(X)), X])
+
+
 def _penalized(X1, y, w, lam):
     """Penalized log-likelihood and gradient of one target vector ``y`` at
     one weight vector ``w``, as the stacked fit computes them."""
@@ -34,12 +39,12 @@ class TestFitLogistic:
     def test_symmetric_data_zero_intercept(self):
         X = np.array([[-1.0], [1.0]] * 50)
         y = np.array([0, 1] * 50)
-        (m,) = fit_logistic(X, y[:, None])
+        (m,) = fit_logistic(_design(X), y[:, None])
         assert abs(m.weights[0]) < 1e-6
 
     def test_large_lambda_shrinks_slopes(self):
         X, y = _synthetic(1)
-        (m,) = fit_logistic(X, y[:, None], lam=1e6)
+        (m,) = fit_logistic(_design(X), y[:, None], lam=1e6)
         assert np.all(np.abs(m.weights[1:]) < 1e-3)
         rate = y.mean()
         assert m.weights[0] == pytest.approx(math.log(rate / (1 - rate)), abs=1e-3)
@@ -49,8 +54,8 @@ class TestFitLogistic:
         # 51^3 grid over [-5, 5]^3.
         X, y = _synthetic(2)
         lam = 1.0
-        (m,) = fit_logistic(X, y[:, None], lam=lam)
-        X1 = np.hstack([np.ones((len(y), 1)), X])
+        (m,) = fit_logistic(_design(X), y[:, None], lam=lam)
+        X1 = _design(X)
         ll_fit, _ = _penalized(X1, y.astype(float), m.weights, lam)
         grid = np.linspace(-5, 5, 51)
         best = -np.inf
@@ -65,23 +70,37 @@ class TestFitLogistic:
 
     def test_single_class_errors(self):
         with pytest.raises(TrainingError, match="fallback"):
-            fit_logistic(np.zeros((4, 1)), np.zeros((4, 1)))
+            fit_logistic(_design(np.zeros((4, 1))), np.zeros((4, 1)))
 
     def test_non_finite_features(self):
         with pytest.raises(TrainingError):
-            fit_logistic(np.array([[np.inf], [0.0]]), np.array([[0], [1]]))
+            fit_logistic(_design(np.array([[np.inf], [0.0]])), np.array([[0], [1]]))
+
+    def test_feature_matrix_without_intercept_column_is_refused(self):
+        # The (n, d) features alone are not a design matrix.
+        X, y = _synthetic(11)
+        with pytest.raises(ValueError, match="intercept's ones"):
+            fit_logistic(X, y[:, None])
+        with pytest.raises(ValueError, match="intercept's ones"):
+            fit_logistic(np.zeros((len(y), 0)), y[:, None])
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_lambda_must_be_finite_and_positive(self, lam):
+        X, y = _synthetic(12)
+        with pytest.raises(ValueError, match="lambda must be finite and > 0"):
+            fit_logistic(_design(X), y[:, None], lam=lam)
 
     def test_gradient_small_at_optimum(self):
         X, y = _synthetic(3)
         tol = 1e-8
-        (m,) = fit_logistic(X, y[:, None], tol=tol)
-        X1 = np.hstack([np.ones((len(y), 1)), X])
+        (m,) = fit_logistic(_design(X), y[:, None], tol=tol)
+        X1 = _design(X)
         _, g = _penalized(X1, y.astype(float), m.weights, 1.0)
         assert np.max(np.abs(g)) < 10 * tol
 
     def test_gradient_matches_finite_differences(self):
         X, y = _synthetic(4, n=30)
-        X1 = np.hstack([np.ones((len(y), 1)), X])
+        X1 = _design(X)
         yf = y.astype(float)
         rng = np.random.default_rng(5)
         h = 1e-5
@@ -97,14 +116,14 @@ class TestFitLogistic:
 
     def test_determinism_bit_identical(self):
         X, y = _synthetic(6)
-        (a,) = fit_logistic(X, y[:, None])
-        (b,) = fit_logistic(X.copy(), y[:, None].copy())
+        (a,) = fit_logistic(_design(X), y[:, None])
+        (b,) = fit_logistic(_design(X.copy()), y[:, None].copy())
         assert np.array_equal(a.weights, b.weights)
         assert a.iterations == b.iterations
 
     def test_monotone_in_positive_weight_feature(self):
         X, y = _synthetic(7)
-        (m,) = fit_logistic(X, y[:, None])
+        (m,) = fit_logistic(_design(X), y[:, None])
         j = int(np.argmax(m.weights[1:]))
         assert m.weights[1 + j] > 0
         x = np.zeros(X.shape[1])
@@ -219,7 +238,7 @@ def _assert_stacked_equals_loop(X, Y, **kw):
     """Fit the columns of Y stacked and one by one; return the loop's
     (iterations, converged, exhausted) per column."""
     with np.errstate(over="ignore"):
-        stacked = fit_logistic(X, Y, **kw)
+        stacked = fit_logistic(_design(X), Y, **kw)
         loops = [fit_logistic_loop(X, Y[:, j], **kw) for j in range(Y.shape[1])]
     assert len(stacked) == Y.shape[1]
     for model, (w, it, conv, _) in zip(stacked, loops):
@@ -272,7 +291,7 @@ class TestStackedIRLS:
         else:
             with pytest.raises(TrainingError), \
                     np.errstate(over="ignore", invalid="ignore"):
-                fit_logistic(X, Y, **kw)
+                fit_logistic(_design(X), Y, **kw)
 
     def test_labels_stop_at_different_iterations(self):
         rng = np.random.default_rng(0)
@@ -310,7 +329,7 @@ class TestStackedIRLS:
         x = rng.standard_normal(60)
         Y = _two_class(x[:, None] + rng.standard_normal((60, 2)) > 0)
         with pytest.raises(TrainingError, match="singular Hessian"):
-            fit_logistic(np.column_stack([x, x]), Y, lam=1e-300)
+            fit_logistic(_design(np.column_stack([x, x])), Y, lam=1e-300)
 
     def test_near_separable_columns(self):
         rng = np.random.default_rng(3)
@@ -329,16 +348,16 @@ class TestStackedIRLS:
     def test_one_dimensional_target_is_rejected(self):
         X, y = _synthetic(8)
         with pytest.raises(ValueError, match=r"\(n, L\) matrix"):
-            fit_logistic(X, y)
+            fit_logistic(_design(X), y)
 
     def test_any_single_class_column_errors(self):
         X, y = _synthetic(9)
         with pytest.raises(TrainingError, match="fallback"):
-            fit_logistic(X, np.column_stack([y, np.ones_like(y)]))
+            fit_logistic(_design(X), np.column_stack([y, np.ones_like(y)]))
 
     def test_no_columns(self):
         X, _ = _synthetic(10)
-        assert fit_logistic(X, np.zeros((X.shape[0], 0))) == []
+        assert fit_logistic(_design(X), np.zeros((X.shape[0], 0))) == []
 
     def test_br_fit_with_constant_columns(self):
         rng = np.random.default_rng(5)

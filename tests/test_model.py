@@ -186,6 +186,9 @@ class TestBinomialGlm:
             fit_binomial_glm(np.ones(5), np.ones(4), np.ones(5), 3)
         with pytest.raises(ValueError, match="one length"):
             fit_binomial_glm(np.ones(5), np.ones(5), np.ones(6), 3)
+        with pytest.raises(ValueError, match="max_iter"):
+            fit_binomial_glm(np.ones(5), np.full(5, 0.5), np.ones(5), 3,
+                             max_iter=-1)
 
     def test_separable_losses_fit_without_overflow_warning(self):
         # dx separates the losses, so the scores of many pairs run far below
@@ -353,6 +356,36 @@ class TestTrain:
                     assert str(exc) == (
                         "T2 half of the training split: standardised feature "
                         f"value overflows in training row {row + 1}")
+                    named += 1
+                else:
+                    assert "feature column 1" in str(exc)
+            else:
+                assert fraction < 1.0
+        assert named >= 4
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.5])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_mined_distance_named_by_its_training_row(self,
+                                                                  fraction):
+        # One cell of 1e200 at a time. Its standardised value is finite, so
+        # the query boundary passes a T2 row, but its squared distances to
+        # T1 overflow: the row is refused by its row in the data given to
+        # nldd_train before the GLM sees an inf dx. A T1 row makes T1's
+        # statistics overflow, and a row left out of the subsample trains.
+        from nldd.data import DataError
+        ds = generate_synthetic(90, 4, 3, 0.8, 0.3, seed=1)
+        named = 0
+        for row in range(16):
+            features = ds.features.copy()
+            features[row, 0] = 1e200
+            try:
+                nldd_train(Dataset(features, ds.labels), seed=0,
+                           subsample_fraction=fraction)
+            except DataError as exc:
+                if "T2 half" in str(exc):
+                    assert str(exc) == (
+                        "T2 half of the training split: mined distance "
+                        f"overflows in training row {row + 1}")
                     named += 1
                 else:
                     assert "feature column 1" in str(exc)

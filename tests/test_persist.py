@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from nldd.br import BRModel, br_fit, br_predict_proba_matrix
-from nldd.data import DataError
+from nldd.br import BRModel, br_fit, br_predict, br_predict_proba_matrix
+from nldd.data import DataError, Dataset
 from nldd.evaluate import generate_synthetic
+from nldd.learner import ConstantProbModel
 from nldd.model import nldd_train, predict_with_confidence
 from nldd.persist import FORMAT_VERSION, _br_doc, load_model, save_model
 
@@ -42,6 +43,31 @@ def test_nldd_round_trip_bit_exact(dataset, tmp_path):
         pb, tb = predict_with_confidence(back, x)
         assert np.array_equal(pa, pb)
         assert np.array_equal(ta, tb)
+
+
+@pytest.mark.parametrize("method", ["br", "nldd"])
+def test_constant_label_column_round_trip(dataset, tmp_path, method):
+    # A label column that never varies is saved as a constant classifier.
+    labels = dataset.labels.copy()
+    labels[:, 1] = 1
+    data = Dataset(dataset.features, labels)
+    model = br_fit(data) if method == "br" else nldd_train(data, seed=2)
+    path = str(tmp_path / "m.json")
+    save_model(model, path)
+    loaded, back = load_model(path)
+    assert loaded == method
+    br, br_back = (model, back) if method == "br" else (model.br, back.br)
+    assert isinstance(br_back.classifiers[1], ConstantProbModel)
+    x = np.random.default_rng(5).standard_normal((50, dataset.d))
+    assert (br_predict_proba_matrix(br_back, x).tobytes()
+            == br_predict_proba_matrix(br, x).tobytes())
+    if method == "br":
+        assert br_predict(back, x).tobytes() == br_predict(model, x).tobytes()
+    else:
+        (want, want_theta), (got, got_theta) = (
+            predict_with_confidence(m, x) for m in (model, back))
+        assert got.tobytes() == want.tobytes()
+        assert got_theta.tobytes() == want_theta.tobytes()
 
 
 def test_save_deterministic_bytes(dataset, tmp_path):
