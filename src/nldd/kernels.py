@@ -49,8 +49,8 @@ largest) G, and only then compares single rows with their group's bound.
 
 A query row for which 4 S overflows (a standardised feature near 1e154 or
 larger) has no usable screen: G overflows to inf, or to inf - inf = NaN
-when a.b overflows too. Its margin is inf and its G is 0, so every
-training row survives and the row gets the exact full scan.
+when a.b overflows too. Its margin is inf and its G is 0, so the screen
+drops no training row and the row gets the exact full scan.
 
 Memory: blocks of query rows are sized so that a (block, N) float64
 temporary is at most ``BLOCK_BYTES``; the exact kernels chunk their

@@ -31,7 +31,9 @@ class NlddModel:
     train_features_std: np.ndarray
     train_labelsets: np.ndarray  # int64
     pair_count: int  # |S|
-    distance_ops: int  # pairwise distance computations during mining
+    # |T1| * |T2|, the distances an exhaustive mining scan would compute;
+    # the screened engine computes far fewer exactly.
+    distance_ops: int
 
 
 def _first_per_row(query, keys):
@@ -62,7 +64,8 @@ def _argmin_rows(x, p_hat, features, labels, weights, squared):
     table, order, starts, sizes = _labelset_groups(labels)
     train_rows = features[order]
     layout = (train_rows, kernels.row_norms(train_rows),
-              np.asarray(table, dtype=np.float64), order, starts, sizes)
+              np.asarray(table, dtype=np.float64), order, starts, sizes,
+              np.repeat(np.arange(len(sizes)), sizes))
     dist = (lambda sq: sq) if squared else np.sqrt
     n = x.shape[0]
     rows = np.empty((len(weights), n), dtype=np.intp)
@@ -87,11 +90,13 @@ def _best_in_block(x, p_hat, layout, weights, dist):
     survive. Within a labelset the winner on (score, dy, dx) is, for
     beta1 >= 0, a row of smallest exact dx, which the screen places within
     m/2 of g (the ``kernels`` argument with the labelset's rows for all
-    rows), so the rows with G <= g + m are kept. For beta1 < 0 a rounding
-    tie in the score can let a row of smaller dx win, so the whole
-    surviving labelset is kept.
+    rows), so its bound is g + m; for beta1 < 0 a rounding tie in the score
+    can let a row of smaller dx win, so its bound is +inf. A row is kept iff
+    its G is within its labelset's bound (-inf if the labelset is dropped).
+    A full-scan row has G = 0 and m = inf: every labelset survives when
+    beta1 != 0, and when beta1 = 0 the score is beta2*dy exactly.
     """
-    train_rows, norms, table, order, starts, sizes = layout
+    train_rows, norms, table, order, starts, sizes, group_of = layout
     G, margin = kernels.screen(x, train_rows, norms)
     dy_table = dist(kernels.cross_sq_dists(p_hat, table))
     # Each labelset's smallest G (largest for beta1 < 0), once per block.
@@ -105,17 +110,11 @@ def _best_in_block(x, p_hat, layout, weights, dist):
                      for bound in (np.maximum(g - m, 0.0), g + m))
         lo, hi = (near, far) if beta1 >= 0 else (far, near)
         survive = lo <= hi.min(axis=1, keepdims=True)
-        survive[np.isinf(margin)] = True  # no usable screen: the full scan
-        # Rows within their labelset's bound, the largest bound screening first.
         bound = np.where(survive, g + m if beta1 >= 0 else np.inf, -np.inf)
-        keep = np.repeat(survive, sizes, axis=1)
-        keep &= G <= bound.max(axis=1, keepdims=True)
+        keep = G <= np.repeat(bound, sizes, axis=1)
         q, pos = np.divmod(np.flatnonzero(keep), keep.shape[1])
-        group = np.searchsorted(starts, pos, side="right") - 1
-        inside = G[q, pos] <= bound[q, group]
-        q, pos, group = q[inside], pos[inside], group[inside]
         dx = dist(kernels.paired_sq_dists(x, train_rows, q, pos))
-        dy = dy_table[q, group]
+        dy = dy_table[q, group_of[pos]]
         j = order[pos]
         first = _first_per_row(q, (_score(beta1, beta2, dx, dy), dy, dx, j))
         out.append((j[first], dx[first], dy[first]))

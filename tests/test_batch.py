@@ -7,6 +7,7 @@ full scans.
 """
 
 import copy
+import dataclasses
 import math
 import warnings
 from unittest import mock
@@ -462,23 +463,34 @@ def test_reloaded_model_predicts_identical_bits(fitted, tmp_path):
     assert thetas.tobytes() == back_thetas.tobytes()
 
 
-@pytest.mark.parametrize("huge", [1e155, 1e200])
+@pytest.mark.parametrize("huge", [1e154, 1e155, 1e200])
 def test_huge_finite_query_rows_get_the_full_scan(fitted, huge):
-    # A standardised feature near 1e155 overflows ||a||^2, so the screen
-    # has nothing to go on; every distance of the row is inf, all rows tie
-    # on the score and dy decides, as in the row loop.
+    # A standardised feature near 1e154 overflows the screen's 4 S, so the
+    # screen has nothing to go on. At 1e154 the exact dx stays finite; from
+    # 1e155 every distance of the row is inf, all rows tie on the score and
+    # dy decides, as in the row loop. The bracket alone must keep the
+    # winner for every sign of beta1; beta1 = 0 only where dx is finite,
+    # since the loop's 0 * inf is NaN.
     train, model = fitted
     X = _queries_with_ties(train, seed=8)[:12]
     X[3, 0] = huge
     X[7, 2] = -huge
-    labelsets, thetas = predict_with_confidence(model, X)
-    with warnings.catch_warnings():
-        # The loop's own squares overflow; the library's must not warn.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rows, dx, dy = best_rows_loop(model, X)
-    assert np.array_equal(labelsets, model.train_labelsets[rows])
-    assert thetas.tolist() == [theta(model.fit, a, b) for a, b in zip(dx, dy)]
-    assert thetas[3] == thetas[7] == 1.0 - 1e-12
+    betas = [model.fit.beta1, -0.3, 0.7] + ([0.0] if huge == 1e154 else [])
+    for beta1 in betas:
+        edited = copy.copy(model)
+        edited.fit = dataclasses.replace(model.fit, beta1=beta1)
+        labelsets, thetas = predict_with_confidence(edited, X)
+        with warnings.catch_warnings():
+            # The loop's own squares overflow; the library's must not warn.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rows, dx, dy = best_rows_loop(edited, X)
+        assert np.array_equal(labelsets, edited.train_labelsets[rows]), beta1
+        assert thetas.tolist() == [theta(edited.fit, a, b)
+                                   for a, b in zip(dx, dy)], beta1
+        assert np.isfinite(dx[3]) == np.isfinite(dx[7]) == (huge == 1e154)
+        if huge > 1e154:  # theta-hat saturates with the sign of beta1
+            want = 1.0 - PROB_CLAMP if beta1 > 0 else PROB_CLAMP
+            assert thetas[3] == thetas[7] == want
 
 
 def test_label_space_weights_ignore_an_overflowing_dx(fitted):

@@ -437,6 +437,24 @@ class TestBoundaries:
         assert (proc.returncode, proc.stderr) == (rc, err)
         assert len(proc.stdout.splitlines()) == (1 if rc == 0 else 0)
 
+    @pytest.mark.parametrize("argv, rc, message", [
+        (["predict", "--model", "br.json", "--labels", "3", "--confidence"],
+         3, "--confidence requires an nldd model"),
+        (["predict", "--model", "nldd.json", "--format", "sparse",
+          "--labels", "0"], 3, "sparse input requires --labels >= 1"),
+        (["compare", "--methods", "br,nldd", "--labels", "3", "--cv", "1"],
+         2, "need at least 2 datasets or --cv >= 2")])
+    def test_option_combinations_refused(self, csv_path, tmp_path, capsys,
+                                         argv, rc, message):
+        methods = {"br.json": "br", "nldd.json": "nldd"}
+        argv = [_train(csv_path, tmp_path, methods[a], name=a)
+                if a in methods else a for a in argv]
+        out_path = tmp_path / "out.txt"
+        assert main(argv[:1] + ["--data", csv_path, "--out", str(out_path)]
+                    + argv[1:]) == rc
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_path.exists()
+
     def test_model_without_fit_exit_3(self, csv_path, tmp_path):
         model_path = _train(csv_path, tmp_path)
         doc = json.loads(open(model_path).read())

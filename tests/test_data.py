@@ -335,6 +335,25 @@ class TestLoadSparse:
         with pytest.raises(DataError, match="non-numeric"):
             load_sparse(path, 3)
 
+    @pytest.mark.parametrize("line, message", [
+        ("1,x 2:1", "bad label 'x'"),
+        ("1 2:1 3", "bad feature token '3'"),
+        ("1 0:1", "feature index out of range: 0")])
+    def test_malformed_line_is_named(self, tmp_path, line, message):
+        path = _write(tmp_path, "d.sp", f"2 1:1\n{line}\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}:2: {message}")):
+            load_sparse(path, 3)
+
+    def test_blank_line_is_skipped(self, tmp_path):
+        # Skipped, but still counted in the line numbers of later errors.
+        path = _write(tmp_path, "d.sp", "1 1:1\n\n  \n2 2:1\n")
+        ds = load_sparse(path, 3)
+        assert ds.labels.tolist() == [[1, 0, 0], [0, 1, 0]]
+        assert ds.features.tolist() == [[1, 0], [0, 1]]
+        path = _write(tmp_path, "e.sp", "1 1:1\n\n4 1:1\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}:3: label index")):
+            load_sparse(path, 3)
+
 
 class TestStandardize:
     def test_fit_hand_values(self):

@@ -436,11 +436,11 @@ class TestTrain:
         # T1, T2, their standardised copies, p-hat and the mined pairs die
         # before the final BR fit, and each BR fit standardises its rows
         # straight into its one IRLS design matrix. At this size that peaks
-        # at 3.7x the features' bytes, and pair mining sets the peak.
-        # Copying the standardised rows into a second design matrix peaked
-        # at 4.9x; keeping the split's arrays alive through the final fit,
-        # 7.3x. Smaller engine blocks keep its fixed-size (block, N) arrays
-        # from masking the difference.
+        # at 3.7x the features' bytes, and the final BR fit sets the peak
+        # (pair mining peaks at 3.1x). Copying the standardised rows into a
+        # second design matrix peaked at 4.9x; keeping the split's arrays
+        # alive through the final fit, 7.3x. Smaller engine blocks keep its
+        # fixed-size (block, N) arrays from masking the difference.
         data = generate_synthetic(2000, 50, 10, 0.8, 0.3, seed=3)
         with mock.patch.object(kernels, "BLOCK_BYTES", 256 * 1024):
             tracemalloc.start()

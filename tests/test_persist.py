@@ -248,6 +248,14 @@ def _load_doc(doc, tmp_path):
      "lam must be a finite number > 0"),
     (lambda doc: doc["br"]["classifiers"][1].__setitem__("lam", -1.0),
      "lam must be a finite number > 0"),
+    (lambda doc: doc["br"]["classifiers"][2].__setitem__("type", "tree"),
+     "unknown classifier type 'tree'"),
+    (lambda doc: doc["br"]["stats"]["sds"].pop(), "5 means but 4 sds"),
+    (lambda doc: doc["br"].__setitem__("classifiers", []),
+     "classifiers must be a non-empty list"),
+    (lambda doc: doc.__setitem__("train_features_std", []),
+     "train_features_std must be a non-empty 2-D list"),
+    (lambda doc: doc.__setitem__("method", "knn"), "unknown method 'knn'"),
 ])
 def test_malformed_nldd_model_rejected(dataset, tmp_path, edit, message):
     doc = _nldd_doc(dataset, tmp_path)
