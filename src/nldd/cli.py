@@ -24,15 +24,17 @@ SCORE_METRICS = ("jaccard", "f_measure")
 ALL_METRICS = LOSS_METRICS + SCORE_METRICS
 
 
-def _load_dataset(path, labels, fmt):
+def _load_dataset(path, labels, fmt, n_features=None):
+    # A sparse file leaves its trailing zero features out: a known width
+    # (the model's, or the training file's) pads its rows to that width.
     if fmt == "sparse":
-        return load_sparse(path, labels)
+        return load_sparse(path, labels, n_features)
     return load_csv(path, labels)
 
 
-def _load_features(path, labels, fmt):
+def _load_features(path, labels, fmt, n_features=None):
     if labels > 0:
-        return _load_dataset(path, labels, fmt).features
+        return _load_dataset(path, labels, fmt, n_features).features
     if fmt == "sparse":
         raise DataError("sparse input requires --labels >= 1")
     return read_dense_csv(path, 0)[1]
@@ -78,7 +80,9 @@ def cmd_predict(args):
     method, model = load_model(args.model)
     if args.confidence and method != "nldd":
         raise DataError("--confidence requires an nldd model")
-    features = _load_features(args.data, args.labels, args.format)
+    stats = (model.br if method == "nldd" else model).stats
+    features = _load_features(args.data, args.labels, args.format,
+                              stats.means.size)
     if method == "nldd" and args.confidence:
         preds, thetas = predict_with_confidence(model, features)
         lines = (",".join(map(str, pred)) + f",{th!r}"
@@ -116,7 +120,7 @@ def cmd_eval(args):
                    for i, rep in enumerate(fold_reports)]
         records.append(dict(split="mean", **mean_report.as_dict()))
     else:
-        test = _load_dataset(args.test, args.labels, args.format)
+        test = _load_dataset(args.test, args.labels, args.format, data.d)
         report = holdout_eval(data, test, (args.method,), seed=args.seed,
                               lam=args.lam,
                               subsample_fraction=args.subsample)[args.method]

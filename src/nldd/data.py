@@ -205,11 +205,13 @@ def save_csv(data, path):
             writer.writerow(row)
 
 
-def load_sparse(path, label_count):
+def load_sparse(path, label_count, n_features=None):
     """Load the sparse format: "lbl[,lbl...] idx:val idx:val ..." per line.
 
     Label identifiers and feature indices are 1-based; a leading space means
-    the empty labelset. Absent features are 0.
+    the empty labelset. Absent features are 0. The rows are ``n_features``
+    wide, and a larger index is refused; without it, as wide as the largest
+    index in the file.
     """
     if label_count < 1:
         raise DataError("label_count must be >= 1")
@@ -246,18 +248,21 @@ def load_sparse(path, label_count):
                     val = float(val_s)
                 except ValueError:
                     raise DataError(f"{path}:{lineno}: non-numeric token {tok!r}") from None
-                if idx < 1:
+                if idx < 1 or n_features is not None and idx > n_features:
                     raise DataError(f"{path}:{lineno}: feature index out of range: {idx}")
                 if idx in feats:
                     raise DataError(f"{path}:{lineno}: duplicate feature index {idx}")
+                if not math.isfinite(val):
+                    raise DataError(f"{path}:{lineno}: non-finite feature value")
                 feats[idx] = val
                 max_idx = max(max_idx, idx)
             rows.append((labels, feats))
     if not rows:
         raise DataError(f"{path}: no data rows")
-    if max_idx == 0:
+    width = max_idx if n_features is None else n_features
+    if width == 0:
         raise DataError(f"{path}: no feature columns")
-    features = np.zeros((len(rows), max_idx))
+    features = np.zeros((len(rows), width))
     labels = np.zeros((len(rows), label_count), dtype=np.int64)
     for i, (labs, feats) in enumerate(rows):
         for idx, val in feats.items():

@@ -177,6 +177,28 @@ class TestPredict:
                    "--labels", "3"])
         assert rc == 3
 
+    def test_split_file_matches_whole_file(self, tmp_path):
+        # Predicting a file in two parts gives the whole file's output byte
+        # for byte. This model has beta1 < 0, the engine's path that keeps
+        # every row of a surviving labelset.
+        path = tmp_path / "tiny.csv"
+        save_csv(generate_synthetic(90, 4, 3, 0.8, 0.3, seed=1), str(path))
+        model_path = _train(str(path), tmp_path)
+        assert json.loads(open(model_path).read())["fit"]["beta1"] < 0
+        header, *rows = path.read_text().splitlines()
+        outputs = []
+        for name, body in (("whole", rows), ("part1", rows[:39]),
+                           ("part2", rows[39:])):
+            query = tmp_path / f"{name}.csv"
+            query.write_text("\n".join([header] + body) + "\n")
+            out_path = tmp_path / f"{name}.txt"
+            rc = main(["predict", "--model", model_path, "--data", str(query),
+                       "--labels", "3", "--out", str(out_path), "--confidence"])
+            assert rc == 0
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1] + outputs[2]
+        assert len(outputs[0].splitlines()) == 90
+
 
 class TestEval:
     def test_cv_structure(self, csv_path, tmp_path, capsys):
@@ -290,19 +312,26 @@ class TestCompare:
         assert message in capsys.readouterr().err
 
 
-def test_cli_does_not_import_scipy(csv_path):
+def test_cli_does_not_import_scipy(csv_path, tmp_path):
     # A fresh process, so that no earlier import hides one made by nldd.
+    model_path = str(tmp_path / "m.json")
+    runs = [["train", "--data", csv_path, "--labels", "3", "--method", "nldd",
+             "--model", model_path],
+            ["predict", "--data", csv_path, "--labels", "3", "--model",
+             model_path, "--confidence", "--out", str(tmp_path / "p.txt")],
+            ["compare", "--data", csv_path, "--labels", "3",
+             "--methods", "br,smbr,nldd", "--cv", "3"]]
     script = (
         "import sys\n"
-        "import nldd, nldd.cli\n"
-        f"rc = nldd.cli.main(['compare', '--data', {csv_path!r}, '--labels', '3',\n"
-        "                     '--methods', 'br,smbr,nldd', '--cv', '3'])\n"
-        "assert rc == 0, rc\n"
+        "import nldd.cli\n"
+        f"for argv in {runs!r}:\n"
+        "    assert nldd.cli.main(argv) == 0, argv\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n")
     src = os.path.dirname(os.path.dirname(nldd.__file__))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
 
 
@@ -329,6 +358,50 @@ class TestScalingAndSummary:
                    "--format", "sparse"])
         assert rc == 0
         assert "n: 4" in capsys.readouterr().out
+
+
+def _save_sparse(data, path, width):
+    """``data`` in the sparse format, each row naming features 1..width."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for feats, labs in zip(data.features.tolist(), data.labels):
+            label_field = ",".join(str(j + 1) for j in np.flatnonzero(labs))
+            cells = " ".join(f"{j + 1}:{v!r}"
+                             for j, v in enumerate(feats[:width]))
+            fh.write(f"{label_field} {cells}\n")
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_sparse_file_narrower_than_training(tmp_path, capsys, command):
+    # Absent sparse features are 0: a file whose indices stop at 3 is padded
+    # to the 5 features of the training file and its model, and gives the
+    # output of the same rows with "4:0 5:0" written out. An index past 5 is
+    # refused.
+    train_path = str(tmp_path / "train.sp")
+    _save_sparse(generate_synthetic(120, 5, 3, 0.8, 0.3, seed=0), train_path, 5)
+    model_path = str(tmp_path / "m.json")
+    assert main(["train", "--data", train_path, "--labels", "3", "--format",
+                 "sparse", "--method", "nldd", "--model", model_path]) == 0
+    if command == "predict":
+        argv = ["predict", "--model", model_path, "--confidence", "--data"]
+    else:
+        argv = ["eval", "--data", train_path, "--method", "nldd", "--test"]
+    query = generate_synthetic(40, 5, 3, 0.8, 0.3, seed=1)
+    query.features[:, 3:] = 0.0
+    outputs = []
+    for width in (3, 5):
+        query_path = str(tmp_path / f"q{width}.sp")
+        _save_sparse(query, query_path, width)
+        out_path = tmp_path / f"out{width}.txt"
+        assert main(argv + [query_path, "--labels", "3", "--format", "sparse",
+                            "--out", str(out_path)]) == 0
+        outputs.append(out_path.read_bytes())
+    assert outputs[0] == outputs[1]
+    capsys.readouterr()
+    wide = tmp_path / "wide.sp"
+    wide.write_text("1 1:1\n2 6:1\n")
+    assert main(argv + [str(wide), "--labels", "3", "--format", "sparse"]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {wide}:2: feature index out of range: 6\n")
 
 
 class TestBoundaries:

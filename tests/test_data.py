@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nldd import data as data_module
 from nldd.cli import _load_features
@@ -173,13 +173,6 @@ def _read_as_cli(path, label_count):
     return _load_features(path, 0, "csv")
 
 
-def _as_dataset(header, features, labels, label_count):
-    if not label_count:
-        return features
-    d = len(header) - label_count
-    return Dataset(features, labels, header[:d], header[d:])
-
-
 def _parsed(read, path, label_count):
     """``read``'s header and arrays, as comparable bytes, or its DataError."""
     try:
@@ -196,6 +189,9 @@ class TestDenseCsvReader:
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=csv_files())
+    # A non-finite cell that the fast reader parses: load_csv, not either
+    # reader, refuses it.
+    @example(case=(b'"f,0",f1,f2,l0,l1\n0.0,0.0,1E309,0,0\n', 2))
     def test_matches_cell_loop(self, tmp_path, case):
         raw, n_labels = case
         path = tmp_path / "d.csv"
@@ -203,10 +199,9 @@ class TestDenseCsvReader:
         path = str(path)
         expected = _outcome(load_csv_cells, path, n_labels)
         assert _outcome(_read_as_cli, path, n_labels) == expected
-        fast = data_module._read_csv_fast(path, n_labels)
-        if fast is not None:
-            assert _outcome(lambda *_: _as_dataset(*fast, n_labels),
-                            path, n_labels) == expected
+        if data_module._read_csv_fast(path, n_labels) is not None:
+            assert (_parsed(data_module._read_csv_fast, path, n_labels)
+                    == _parsed(data_module._read_csv_cells, path, n_labels))
 
     @pytest.mark.parametrize("label_count", [0, 2])
     def test_clean_files_take_loadtxt(self, tmp_path, label_count):
@@ -338,11 +333,22 @@ class TestLoadSparse:
     @pytest.mark.parametrize("line, message", [
         ("1,x 2:1", "bad label 'x'"),
         ("1 2:1 3", "bad feature token '3'"),
-        ("1 0:1", "feature index out of range: 0")])
+        ("1 0:1", "feature index out of range: 0"),
+        ("1 1:1 2:nan", "non-finite feature value"),
+        ("1 2:1e999", "non-finite feature value")])
     def test_malformed_line_is_named(self, tmp_path, line, message):
         path = _write(tmp_path, "d.sp", f"2 1:1\n{line}\n")
         with pytest.raises(DataError, match=re.escape(f"{path}:2: {message}")):
             load_sparse(path, 3)
+
+    def test_width_pads_rows_and_bounds_indices(self, tmp_path):
+        path = _write(tmp_path, "d.sp", "1 2:1\n2 1:3\n")
+        ds = load_sparse(path, 3, n_features=4)
+        assert ds.features.tolist() == [[0, 1, 0, 0], [3, 0, 0, 0]]
+        path = _write(tmp_path, "e.sp", "1 2:1\n2 5:1\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}:2: feature index out of range: 5")):
+            load_sparse(path, 3, n_features=4)
 
     def test_blank_line_is_skipped(self, tmp_path):
         # Skipped, but still counted in the line numbers of later errors.
