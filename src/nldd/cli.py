@@ -109,26 +109,22 @@ def cmd_eval(args):
     if args.test is not None and args.method != "nldd" and args.seed != 0:
         raise ValueError("--seed applies to --method nldd or to --cv only")
     data = _load_dataset(args.data, args.labels, args.format)
-    records = []
     if args.cv is not None:
         fold_reports, mean_report = cross_validate(
             data, (args.method,), args.cv, args.seed, lam=args.lam,
             subsample_fraction=args.subsample)[args.method]
         rows = [(f"fold {i}", rep) for i, rep in enumerate(fold_reports)]
         rows.append(("mean", mean_report))
-        records = [dict(split=f"fold{i}", **rep.as_dict())
-                   for i, rep in enumerate(fold_reports)]
-        records.append(dict(split="mean", **mean_report.as_dict()))
     else:
         test = _load_dataset(args.test, args.labels, args.format, data.d)
         report = holdout_eval(data, test, (args.method,), seed=args.seed,
                               lam=args.lam,
                               subsample_fraction=args.subsample)[args.method]
         rows = [("test", report)]
-        records = [dict(split="test", **report.as_dict())]
     _print_metrics_table(rows)
     if args.out:
-        _write_report(args.out, records)
+        _write_report(args.out, (dict(split=name.replace(" ", ""), **rep.as_dict())
+                                 for name, rep in rows))
     return 0
 
 
@@ -147,20 +143,14 @@ def cmd_compare(args):
     if len(datasets) < 2 and args.cv < 2:
         raise ValueError("need at least 2 datasets or --cv >= 2")
 
-    # metric value per (method, dataset) mean, plus per-fold values for pairing
-    means = {m: {} for m in methods}
-    folds = {m: {} for m in methods}
-    for di, data in enumerate(datasets):
-        results = cross_validate(data, tuple(methods), args.cv, args.seed,
-                                 lam=args.lam,
-                                 subsample_fraction=args.subsample)
-        for m, (fold_reports, mean_report) in results.items():
-            means[m][di] = mean_report
-            folds[m][di] = fold_reports
+    # Per dataset, each method's (fold reports, mean report).
+    results = [cross_validate(data, tuple(methods), args.cv, args.seed,
+                              lam=args.lam, subsample_fraction=args.subsample)
+               for data in datasets]
 
     print("per-method per-dataset means:")
-    for di, path in enumerate(args.data):
-        _print_metrics_table([(m, means[m][di]) for m in methods],
+    for di, by_method in enumerate(results):
+        _print_metrics_table([(m, by_method[m][1]) for m in methods],
                              header=f"ds{di}")
 
     records = []
@@ -168,8 +158,8 @@ def cmd_compare(args):
     avg_ranks = {}
     for metric in ALL_METRICS:
         ranks = np.zeros(len(methods))
-        for di in range(len(datasets)):
-            vals = [getattr(means[m][di], metric) for m in methods]
+        for by_method in results:
+            vals = [getattr(by_method[m][1], metric) for m in methods]
             ranks += _rank(vals, metric in SCORE_METRICS)
         ranks /= len(datasets)
         avg_ranks[metric] = dict(zip(methods, ranks))
@@ -181,8 +171,8 @@ def cmd_compare(args):
     # per-fold values when only one dataset is given.
     def observations(m, metric):
         if len(datasets) >= 2:
-            return [getattr(means[m][di], metric) for di in range(len(datasets))]
-        return [getattr(rep, metric) for rep in folds[m][0]]
+            return [getattr(by_method[m][1], metric) for by_method in results]
+        return [getattr(rep, metric) for rep in results[0][m][0]]
 
     print("\none-sided Wilcoxon p-values (row method better than column):")
     for metric in ALL_METRICS:

@@ -161,10 +161,28 @@ def _loadtxt_reads_alike(line, label_count, limit):
     return _BITS.issuperset(map(str.strip, text.rsplit(",", label_count)[1:]))
 
 
+def _text_lines(fh, path):
+    """The lines of the text file ``fh``; DataError if it is not UTF-8."""
+    try:
+        yield from fh
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
+
+
+def _csv_rows(fh, path):
+    """``csv.reader``'s rows of the lines ``_text_lines`` reads; DataError,
+    with the line number, for a field longer than ``csv.field_size_limit()``."""
+    reader = csv.reader(_text_lines(fh, path))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def _read_csv_cells(path, label_count):
     """The cell-by-cell reader: ``csv.reader`` rows, ``float()`` per feature."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -218,16 +236,11 @@ def load_sparse(path, label_count, n_features=None):
     rows = []
     max_idx = 0
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(_text_lines(fh, path), start=1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
-            if line.startswith(" "):
-                label_field, feat_field = "", line[1:]
-            else:
-                parts = line.split(" ", 1)
-                label_field = parts[0]
-                feat_field = parts[1] if len(parts) > 1 else ""
+            label_field, _, feat_field = line.partition(" ")
             labels = set()
             if label_field:
                 for tok in label_field.split(","):

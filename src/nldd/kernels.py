@@ -79,22 +79,22 @@ def add_rows(terms):
     return np.add.reduce(terms, axis=0)
 
 
-def _chunk(d, width):
-    """Number of columns of a (d, columns) float64 array within BLOCK_BYTES."""
-    return max(1, BLOCK_BYTES // (8 * d * width))
+def blocks(n, width):
+    """The slices of range(n) that keep a (block, width) float64 array
+    within BLOCK_BYTES."""
+    step = max(1, BLOCK_BYTES // (8 * width))
+    return [slice(s, min(s + step, n)) for s in range(0, n, step)]
 
 
 def paired_sq_dists(a, b, rows, cols):
     """Squared distance between ``a[rows[k]]`` and ``b[cols[k]]`` for each k."""
     out = np.empty(len(rows))
-    step = _chunk(a.shape[1], 1)
-    for s in range(0, len(rows), step):
+    for blk in blocks(len(rows), a.shape[1]):
         # A row that overflows gets inf, the distance of the full scan.
         with np.errstate(over="ignore"):
-            diff = np.subtract(b.T[:, cols[s:s + step]],
-                               a.T[:, rows[s:s + step]], order="C")
+            diff = np.subtract(b.T[:, cols[blk]], a.T[:, rows[blk]], order="C")
             diff *= diff
-        out[s:s + step] = add_rows(diff)
+        out[blk] = add_rows(diff)
     return out
 
 
@@ -103,20 +103,12 @@ def cross_sq_dists(a, b):
     n, d = a.shape
     m = b.shape[0]
     out = np.empty((n, m))
-    step = _chunk(d, m)
-    for s in range(0, n, step):
-        diff = np.subtract(b.T[:, None, :], a[s:s + step].T[:, :, None],
+    for blk in blocks(n, d * m):
+        diff = np.subtract(b.T[:, None, :], a[blk].T[:, :, None],
                            order="C").reshape(d, -1)
         diff *= diff
-        out[s:s + step] = add_rows(diff).reshape(-1, m)
+        out[blk] = add_rows(diff).reshape(-1, m)
     return out
-
-
-def blocks(n_queries, n_rows):
-    """Slices of query rows small enough that a (block, n_rows) float64
-    array is at most BLOCK_BYTES."""
-    step = _chunk(1, n_rows)
-    return [slice(s, min(s + step, n_queries)) for s in range(0, n_queries, step)]
 
 
 def row_norms(mat):

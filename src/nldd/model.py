@@ -4,7 +4,7 @@ by minimum expected loss."""
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,25 +60,7 @@ def _argmin_rows(x, p_hat, features, labels, weights, squared):
     the training row minimizing (beta1*dx + beta2*dy, dy, dx, row index),
     with its dx and dy: three (len(weights), n) arrays. dx goes from ``x``
     to ``features``, dy from ``p_hat`` to ``labels``; with ``squared`` both
-    are the exact squared distances of ``kernels``, else their square roots."""
-    table, order, starts, sizes = _labelset_groups(labels)
-    train_rows = features[order]
-    layout = (train_rows, kernels.row_norms(train_rows),
-              np.asarray(table, dtype=np.float64), order, starts, sizes,
-              np.repeat(np.arange(len(sizes)), sizes))
-    dist = (lambda sq: sq) if squared else np.sqrt
-    n = x.shape[0]
-    rows = np.empty((len(weights), n), dtype=np.intp)
-    dx, dy = np.empty((2, len(weights), n))
-    for block in kernels.blocks(n, features.shape[0]):
-        rows[:, block], dx[:, block], dy[:, block] = _best_in_block(
-            x[block], p_hat[block], layout, weights, dist)
-    return rows, dx, dy
-
-
-def _best_in_block(x, p_hat, layout, weights, dist):
-    """``_argmin_rows`` for one block of query rows, the training rows of
-    ``layout`` being in labelset order and ``dist`` the identity or sqrt.
+    are the exact squared distances of ``kernels``, else their square roots.
 
     dy is exact and the same for every row of a labelset, so the bracket is
     taken per labelset. Rounded sqrt, or any other monotone transform of
@@ -96,29 +78,43 @@ def _best_in_block(x, p_hat, layout, weights, dist):
     A full-scan row has G = 0 and m = inf: every labelset survives when
     beta1 != 0, and when beta1 = 0 the score is beta2*dy exactly.
     """
-    train_rows, norms, table, order, starts, sizes, group_of = layout
-    G, margin = kernels.screen(x, train_rows, norms)
-    dy_table = dist(kernels.cross_sq_dists(p_hat, table))
-    # Each labelset's smallest G (largest for beta1 < 0), once per block.
-    extreme = {f: f.reduceat(G, starts, axis=1) for f in
-               {np.minimum if beta1 >= 0 else np.maximum for beta1, _ in weights}}
-    m = margin[:, None]
-    out = []
-    for beta1, beta2 in weights:
-        g = extreme[np.minimum if beta1 >= 0 else np.maximum]
-        near, far = (_score(beta1, beta2, dist(bound), dy_table)
-                     for bound in (np.maximum(g - m, 0.0), g + m))
-        lo, hi = (near, far) if beta1 >= 0 else (far, near)
-        survive = lo <= hi.min(axis=1, keepdims=True)
-        bound = np.where(survive, g + m if beta1 >= 0 else np.inf, -np.inf)
-        keep = G <= np.repeat(bound, sizes, axis=1)
-        q, pos = np.divmod(np.flatnonzero(keep), keep.shape[1])
-        dx = dist(kernels.paired_sq_dists(x, train_rows, q, pos))
-        dy = dy_table[q, group_of[pos]]
-        j = order[pos]
-        first = _first_per_row(q, (_score(beta1, beta2, dx, dy), dy, dx, j))
-        out.append((j[first], dx[first], dy[first]))
-    return tuple(np.stack(arrays) for arrays in zip(*out))
+    table, order, starts, sizes = _labelset_groups(labels)
+    table = np.asarray(table, dtype=np.float64)
+    train_rows = features[order]  # in labelset order
+    norms = kernels.row_norms(train_rows)
+    group_of = np.repeat(np.arange(len(sizes)), sizes)
+    dist = (lambda sq: sq) if squared else np.sqrt
+    n = x.shape[0]
+    rows = np.empty((len(weights), n), dtype=np.intp)
+    dx_out, dy_out = np.empty((2, len(weights), n))
+
+    def fill(block):
+        # A function, so that each block's (block, N) arrays die before the next's.
+        G, margin = kernels.screen(x[block], train_rows, norms)
+        dy_table = dist(kernels.cross_sq_dists(p_hat[block], table))
+        # Each labelset's smallest G (largest for beta1 < 0), once per block.
+        extreme = {f: f.reduceat(G, starts, axis=1) for f in
+                   {np.minimum if beta1 >= 0 else np.maximum for beta1, _ in weights}}
+        m = margin[:, None]
+        for w, (beta1, beta2) in enumerate(weights):
+            g = extreme[np.minimum if beta1 >= 0 else np.maximum]
+            near, far = (_score(beta1, beta2, dist(bound), dy_table)
+                         for bound in (np.maximum(g - m, 0.0), g + m))
+            lo, hi = (near, far) if beta1 >= 0 else (far, near)
+            survive = lo <= hi.min(axis=1, keepdims=True)
+            bound = np.where(survive, g + m if beta1 >= 0 else np.inf, -np.inf)
+            keep = G <= np.repeat(bound, sizes, axis=1)
+            q, pos = np.divmod(np.flatnonzero(keep), keep.shape[1])
+            dx = dist(kernels.paired_sq_dists(x[block], train_rows, q, pos))
+            dy = dy_table[q, group_of[pos]]
+            j = order[pos]
+            first = _first_per_row(q, (_score(beta1, beta2, dx, dy), dy, dx, j))
+            rows[w, block], dx_out[w, block], dy_out[w, block] = (
+                j[first], dx[first], dy[first])
+
+    for block in kernels.blocks(n, features.shape[0]):
+        fill(block)
+    return rows, dx_out, dy_out
 
 
 # The (beta1, beta2) of mining's two pairs: the smallest dx, the smallest dy.
@@ -295,9 +291,8 @@ def _fit_pair_model(sub, seed, lam, keep=None):
                       "label-space-only weights (beta1=0, beta2=1)",
                       RuntimeWarning, stacklevel=3)  # nldd_train's caller
         rate = int(losses.sum()) / (sub.n_labels * losses.size)
-        fit = BinomialFit(beta0=math.log(rate / (1.0 - rate)), beta1=0.0,
-                          beta2=1.0, converged=False, iterations=fit.iterations,
-                          final_gradient_norm=fit.final_gradient_norm)
+        fit = replace(fit, beta0=math.log(rate / (1.0 - rate)), beta1=0.0,
+                      beta2=1.0)
     return fit, losses.size, len(t1_indices) * len(t2_indices)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 
@@ -13,8 +14,17 @@ from .model import BinomialFit, NlddModel
 FORMAT_VERSION = 1
 
 
+def _finite(name, values):
+    """``values`` if every one is finite, as ``load_model`` requires;
+    ValueError otherwise."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"cannot save a model whose {name} is not finite")
+    return values
+
+
 def _stats_doc(stats):
-    return {"means": stats.means.tolist(), "sds": stats.sds.tolist()}
+    return {"means": _finite("means", stats.means).tolist(),
+            "sds": _finite("sds", stats.sds).tolist()}
 
 
 def _get(doc, key):
@@ -71,7 +81,9 @@ def _stats_from(doc):
 def _classifier_doc(clf):
     if isinstance(clf, ConstantProbModel):
         return {"type": "constant", "p": clf.p}
-    return {"type": "linear", "weights": clf.weights.tolist(), "lam": clf.lam,
+    return {"type": "linear",
+            "weights": _finite("classifier weights", clf.weights).tolist(),
+            "lam": clf.lam,
             "converged": clf.converged, "iterations": clf.iterations}
 
 
@@ -151,20 +163,23 @@ def _nldd_from(doc):
 
 
 def save_model(model, path):
-    """Write a BR or nearest-labelset model as a versioned JSON document."""
+    """Write a BR or nearest-labelset model as a versioned JSON document.
+
+    Raises ValueError, before the file is opened, for a model that
+    ``load_model`` would refuse for a value that is not finite."""
     if isinstance(model, BRModel):
         doc = {"format_version": FORMAT_VERSION, "method": "br",
                "br": _br_doc(model)}
     elif isinstance(model, NlddModel):
+        fit = model.fit
+        _finite("coefficients", (fit.beta0, fit.beta1, fit.beta2))
         doc = {
             "format_version": FORMAT_VERSION,
             "method": "nldd",
             "br": _br_doc(model.br),
-            "fit": {"beta0": model.fit.beta0, "beta1": model.fit.beta1,
-                    "beta2": model.fit.beta2, "converged": model.fit.converged,
-                    "iterations": model.fit.iterations,
-                    "final_gradient_norm": model.fit.final_gradient_norm},
-            "train_features_std": model.train_features_std,
+            "fit": asdict(fit),
+            "train_features_std": _finite("train_features_std",
+                                          model.train_features_std),
             "train_labelsets": model.train_labelsets,
             "pair_count": model.pair_count,
             "distance_ops": model.distance_ops,
@@ -186,12 +201,10 @@ def _write_doc(fh, doc):
         if not isinstance(value, np.ndarray):
             fh.write(json.dumps(value, separators=(",", ":")))
             continue
-        # repr is json's text for an int or a finite float; json.dumps
-        # writes NaN and Infinity, which repr spells differently.
-        cell = repr if np.isfinite(value).all() else json.dumps
+        # repr is json's text for an int or a finite float.
         fh.write("[")
         for i, row in enumerate(value):
-            fh.write(("," if i else "") + "[" + ",".join(map(cell, row.tolist())) + "]")
+            fh.write(("," if i else "") + "[" + ",".join(map(repr, row.tolist())) + "]")
         fh.write("]")
     fh.write("}\n")
 
@@ -207,6 +220,8 @@ def load_model(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: not a valid model file: {exc}") from exc
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not UTF-8 text") from None
     if not isinstance(doc, dict):
         raise DataError(f"{path}: not a valid model file: not a JSON object")
     version = doc.get("format_version")

@@ -404,6 +404,36 @@ def test_sparse_file_narrower_than_training(tmp_path, capsys, command):
         f"error: {wide}:2: feature index out of range: 6\n")
 
 
+_SUMMARY = ["summary", "--labels", "1", "--data"]
+_SPARSE_SUMMARY = ["summary", "--labels", "3", "--format", "sparse", "--data"]
+_CONSTANT_LABELS = "f1,f2,l1,l2\n" + "".join(f"{i},{i % 3},0,1\n" for i in range(8))
+
+
+@pytest.mark.parametrize("name, raw, argv, rc, message", [
+    ("d.csv", b"f1,l1\n\xe9,1\n", _SUMMARY, 3, "{path}: not UTF-8 text"),
+    ("d.sp", b"1 1:\xe9\n", _SPARSE_SUMMARY, 3, "{path}: not UTF-8 text"),
+    ("m.json", b'{"format_version":1}\xff',
+     ["predict", "--data", "{dir}/unread.csv", "--model"], 3,
+     "{path}: not UTF-8 text"),
+    ("d.csv", b"", _SUMMARY, 3, "{path}: empty file"),
+    ("d.sp", b"\n  \n", _SPARSE_SUMMARY, 3, "{path}: no data rows"),
+    ("d.sp", b"1\n2,3\n", _SPARSE_SUMMARY, 3, "{path}: no feature columns"),
+    ("d.csv", _CONSTANT_LABELS.encode(),
+     ["train", "--labels", "2", "--method", "nldd", "--model", "{dir}/m.json",
+      "--data"], 4,
+     "binomial regression failed on mined pairs: degenerate losses: all 0 "
+     "or all L, binomial regression is unidentifiable"),
+], ids=["csv_not_utf8", "sparse_not_utf8", "model_not_utf8", "empty_csv",
+        "sparse_blank_lines", "sparse_labels_only", "constant_labels"])
+def test_unusable_input_file_refused(tmp_path, capsys, name, raw, argv, rc,
+                                     message):
+    path = tmp_path / name
+    path.write_bytes(raw)
+    argv = [a.format(dir=tmp_path) for a in argv] + [str(path)]
+    assert main(argv) == rc
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+
 class TestBoundaries:
     def test_threads_flag_removed(self, csv_path, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -66,6 +66,11 @@ def load_csv_cells(path, label_count):
     """Oracle: the cell-by-cell reader, a csv.reader row and float() per
     feature cell, as load_csv was before its np.loadtxt path; label_count
     may be 0, which gives the features alone."""
+    with open(path, "rb") as fh:
+        try:
+            fh.read().decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not UTF-8 text") from None
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -259,6 +264,16 @@ class TestDenseCsvReader:
         finally:
             csv.field_size_limit(old)
         assert got[0] == "ok"
+
+    def test_cell_over_field_size_limit_names_its_line(self, tmp_path):
+        path = _write(tmp_path, "d.csv", "f1,l1\n0.25,1\n" + "1" * 11 + ",0\n")
+        old = csv.field_size_limit(10)
+        try:
+            with pytest.raises(DataError, match=re.escape(
+                    f"{path}:3: field larger than field limit (10)")):
+                load_csv(path, 1)
+        finally:
+            csv.field_size_limit(old)
 
     def test_peak_memory_is_bounded(self, tmp_path):
         # The body streams into np.loadtxt; neither the file's text nor a

@@ -127,14 +127,39 @@ def _non_finite_rows(model):
     lambda ds: nldd_train(ds, seed=2),
     lambda ds: _edge_rows(nldd_train(ds, seed=2)),
     lambda ds: _one_row_one_label(nldd_train(ds, seed=2)),
-    lambda ds: _non_finite_rows(nldd_train(ds, seed=2)),
-], ids=["br", "nldd", "edge_floats", "one_row_one_label", "non_finite"])
+], ids=["br", "nldd", "edge_floats", "one_row_one_label"])
 def test_save_matches_json_dump_bytes(dataset, tmp_path, make):
     model = make(dataset)
     streamed, dumped = tmp_path / "streamed.json", tmp_path / "dumped.json"
     save_model(model, str(streamed))
     save_model_json_dump(model, str(dumped))
     assert streamed.read_bytes() == dumped.read_bytes()
+
+
+def _inf_weight(model):
+    weights = model.classifiers[0].weights.copy()
+    weights[1] = np.inf
+    classifiers = [dataclasses.replace(model.classifiers[0], weights=weights),
+                   *model.classifiers[1:]]
+    return dataclasses.replace(model, classifiers=classifiers)
+
+
+def _nan_coefficient(model):
+    return dataclasses.replace(model, fit=dataclasses.replace(model.fit,
+                                                              beta2=np.nan))
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda ds: _non_finite_rows(nldd_train(ds, seed=2)), "train_features_std"),
+    (lambda ds: _inf_weight(br_fit(ds)), "classifier weights"),
+    (lambda ds: _nan_coefficient(nldd_train(ds, seed=2)), "coefficients"),
+], ids=["train_features_std", "br_weight", "coefficient"])
+def test_non_finite_model_not_saved(dataset, tmp_path, make, name):
+    # load_model refuses every such value, so no file is written.
+    path = tmp_path / "m.json"
+    with pytest.raises(ValueError, match=f"whose {name} is not finite"):
+        save_model(make(dataset), str(path))
+    assert not path.exists()
 
 
 def test_unknown_format_version_rejected(tmp_path):
