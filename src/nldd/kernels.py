@@ -3,9 +3,9 @@
 Exact distances. Every squared distance that decides a result is computed
 one way: for each pair of rows, the squares of the differences are added in
 feature order, j = 0 to d-1, into one accumulator, with no fused
-multiply-add. ``paired_sq_dists`` computes listed pairs of rows and
-``cross_sq_dists`` every pair of two row sets; both give the same bits for
-the same pair of rows, whatever the layout, batch or block.
+multiply-add. ``paired_sq_dists`` computes listed pairs of rows; it gives
+the same bits for the same pair of rows, whatever the layout, batch or
+block.
 
 The screen. Scanning every training row exactly for every query is slow, so
 ``screen`` first computes, for a block of query rows a against all rows b,
@@ -43,9 +43,9 @@ Groups of rows. Mining and predict share one engine,
 ``model._argmin_rows``: per query row it finds the training row that
 minimizes beta1*dx + beta2*dy. Mining's two pairs are the weights (1, 0)
 and (0, 1) on squared distances, predict is the fitted weights on
-distances. The dy term is the same for every row of a labelset, so the
-engine brackets each labelset as a whole from the group's smallest (or
-largest) G, and only then compares single rows with their group's bound.
+distances. It screens dx against the training rows and dy against the K
+labelsets (d = L), brackets each labelset as a whole, compares single rows
+with their group's bound, and computes only the kept rows exactly.
 
 A query row for which 4 S overflows (a standardised feature near 1e154 or
 larger) has no usable screen: G overflows to inf, or to inf - inf = NaN
@@ -53,7 +53,7 @@ when a.b overflows too. Its margin is inf and its G is 0, so the screen
 drops no training row and the row gets the exact full scan.
 
 Memory: blocks of query rows are sized so that a (block, N) float64
-temporary is at most ``BLOCK_BYTES``; the exact kernels chunk their
+temporary is at most ``BLOCK_BYTES``; the exact kernel chunks its
 (d, pairs) work arrays to the same size.
 """
 
@@ -98,19 +98,6 @@ def paired_sq_dists(a, b, rows, cols):
     return out
 
 
-def cross_sq_dists(a, b):
-    """(len(a), len(b)) squared distances between every row of ``a`` and of ``b``."""
-    n, d = a.shape
-    m = b.shape[0]
-    out = np.empty((n, m))
-    for blk in blocks(n, d * m):
-        diff = np.subtract(b.T[:, None, :], a[blk].T[:, :, None],
-                           order="C").reshape(d, -1)
-        diff *= diff
-        out[blk] = add_rows(diff).reshape(-1, m)
-    return out
-
-
 def row_norms(mat):
     """``(||b||^2 for each row b of mat, their maximum)``, as ``screen``
     takes them."""
@@ -131,8 +118,8 @@ def screen(a, mat, norms):
         a_sq = np.einsum("ij,ij->i", a, a)
         total = a_sq + mat_sq_max
         margin = 8.0 * (d + 4) * (_EPS * total + _TINY)
-        G = a @ mat.T
-        G *= -2.0
+        # Scaling by -2 is exact, and the tiny term covers a subnormal product.
+        G = (-2.0 * a) @ mat.T
         G += a_sq[:, None]
         G += mat_sq
         full = ~np.isfinite(4.0 * total)

@@ -55,6 +55,17 @@ def _score(beta1, beta2, dx, dy):
     return beta1 * dx + beta2 * dy
 
 
+def _survivors(beta1, beta2, dx_ends, dy_ends):
+    """Which labelsets of a block can hold the winner, from the (near, far)
+    ends of dx and of dy, (block, K) arrays: the ends that lower the score
+    bound every row's in the labelset from below, the others its best from
+    above; a labelset survives iff its lower bound is <= the least upper one."""
+    dxs = dx_ends if beta1 >= 0 else dx_ends[::-1]
+    dys = dy_ends if beta2 >= 0 else dy_ends[::-1]
+    lo, hi = (_score(beta1, beta2, dx, dy) for dx, dy in zip(dxs, dys))
+    return lo <= hi.min(axis=1, keepdims=True)
+
+
 def _argmin_rows(x, p_hat, features, labels, weights, squared):
     """For each (beta1, beta2) of the tuple ``weights`` and each query row,
     the training row minimizing (beta1*dx + beta2*dy, dy, dx, row index),
@@ -62,28 +73,27 @@ def _argmin_rows(x, p_hat, features, labels, weights, squared):
     to ``features``, dy from ``p_hat`` to ``labels``; with ``squared`` both
     are the exact squared distances of ``kernels``, else their square roots.
 
-    dy is exact and the same for every row of a labelset, so the bracket is
-    taken per labelset. Rounded sqrt, or any other monotone transform of
-    the squared distance, products and sums are monotone, so with g the
-    group's smallest G when beta1 >= 0 (its largest when beta1 < 0), the
-    scores at dx² = max(g - m, 0) and at dx² = g + m bound the group's best
-    exact score from above and every row's exact score in it from below;
-    only labelsets whose lower bound reaches the smallest upper bound
-    survive. Within a labelset the winner on (score, dy, dx) is, for
-    beta1 >= 0, a row of smallest exact dx, which the screen places within
-    m/2 of g (the ``kernels`` argument with the labelset's rows for all
-    rows), so its bound is g + m; for beta1 < 0 a rounding tie in the score
-    can let a row of smaller dx win, so its bound is +inf. A row is kept iff
-    its G is within its labelset's bound (-inf if the labelset is dropped).
-    A full-scan row has G = 0 and m = inf: every labelset survives when
-    beta1 != 0, and when beta1 = 0 the score is beta2*dy exactly.
+    ``kernels.screen`` puts dx² within m of G per row, and dy², one value
+    per labelset, within m_y of Gy, p-hat against the table (d = L). With g
+    the labelset's smallest G (largest when beta1 < 0), ``_survivors`` takes
+    the ends max(g - m, 0) and g + m of dx², and max(Gy - m_y, 0) and
+    Gy + m_y of dy²; rounded sqrt and the score are monotone. Within a
+    labelset the winner on (score, dy, dx) is, for beta1 >= 0, a row of
+    smallest exact dx, which the screen places within m/2 of g (the
+    ``kernels`` argument with the labelset's rows for all rows), so its
+    bound is g + m; for beta1 < 0 a rounding tie in the score can let a row
+    of smaller dx win, so its bound is +inf. A row is kept iff its G is
+    within its labelset's bound (-inf if the labelset is dropped), and only
+    kept rows get their exact dx and dy. A full-scan row has G = 0 and
+    m = inf: every labelset survives when beta1 != 0, and when beta1 = 0 dy
+    alone brackets the score (p-hat in [0, 1] keeps m_y finite).
     """
     table, order, starts, sizes = _labelset_groups(labels)
     table = np.asarray(table, dtype=np.float64)
     train_rows = features[order]  # in labelset order
-    norms = kernels.row_norms(train_rows)
+    norms, table_norms = kernels.row_norms(train_rows), kernels.row_norms(table)
     group_of = np.repeat(np.arange(len(sizes)), sizes)
-    dist = (lambda sq: sq) if squared else np.sqrt
+    dist = (lambda sq: sq) if squared else (lambda sq: np.sqrt(sq, out=sq))  # in place
     n = x.shape[0]
     rows = np.empty((len(weights), n), dtype=np.intp)
     dx_out, dy_out = np.empty((2, len(weights), n))
@@ -91,22 +101,23 @@ def _argmin_rows(x, p_hat, features, labels, weights, squared):
     def fill(block):
         # A function, so that each block's (block, N) arrays die before the next's.
         G, margin = kernels.screen(x[block], train_rows, norms)
-        dy_table = dist(kernels.cross_sq_dists(p_hat[block], table))
+        # dy's interval ends; the far end is Gy + m_y, formed in Gy.
+        Gy, margin_y = kernels.screen(p_hat[block], table, table_norms)
+        m_y = margin_y[:, None]
+        dy_ends = dist(np.maximum(Gy - m_y, 0.0)), dist(np.add(Gy, m_y, out=Gy))
         # Each labelset's smallest G (largest for beta1 < 0), once per block.
         extreme = {f: f.reduceat(G, starts, axis=1) for f in
                    {np.minimum if beta1 >= 0 else np.maximum for beta1, _ in weights}}
         m = margin[:, None]
         for w, (beta1, beta2) in enumerate(weights):
             g = extreme[np.minimum if beta1 >= 0 else np.maximum]
-            near, far = (_score(beta1, beta2, dist(bound), dy_table)
-                         for bound in (np.maximum(g - m, 0.0), g + m))
-            lo, hi = (near, far) if beta1 >= 0 else (far, near)
-            survive = lo <= hi.min(axis=1, keepdims=True)
+            survive = _survivors(beta1, beta2, (dist(np.maximum(g - m, 0.0)),
+                                                dist(g + m)), dy_ends)
             bound = np.where(survive, g + m if beta1 >= 0 else np.inf, -np.inf)
             keep = G <= np.repeat(bound, sizes, axis=1)
             q, pos = np.divmod(np.flatnonzero(keep), keep.shape[1])
             dx = dist(kernels.paired_sq_dists(x[block], train_rows, q, pos))
-            dy = dy_table[q, group_of[pos]]
+            dy = dist(kernels.paired_sq_dists(p_hat[block], table, q, group_of[pos]))
             j = order[pos]
             first = _first_per_row(q, (_score(beta1, beta2, dx, dy), dy, dx, j))
             rows[w, block], dx_out[w, block], dy_out[w, block] = (
@@ -141,16 +152,18 @@ def mine_pairs(p_hat, true_labels, t1_features_std, t1_labels, x_std):
     """
     if t1_features_std.shape[0] == 0:
         raise ValueError("empty T1")
-    p_hat = np.asarray(p_hat, dtype=np.float64)
-    x_std = np.asarray(x_std, dtype=np.float64)
-    true_labels = np.asarray(true_labels)
-    t1_features_std = np.asarray(t1_features_std, dtype=np.float64)
-    t1_labels = np.asarray(t1_labels)
-    rows, dxsq, dysq = _argmin_rows(x_std, p_hat, t1_features_std, t1_labels,
-                                    _MINING_WEIGHTS, squared=True)
+    p_hat, x_std, t1_features_std = (np.asarray(a, dtype=np.float64)
+                                     for a in (p_hat, x_std, t1_features_std))
+    true_labels, t1_labels = np.asarray(true_labels), np.asarray(t1_labels)
+    return _pairs(true_labels, t1_labels, *_argmin_rows(
+        x_std, p_hat, t1_features_std, t1_labels, _MINING_WEIGHTS, squared=True))
+
+
+def _pairs(true_labels, t1_labels, rows, dxsq, dysq):
+    """``mine_pairs``'s (dx, dy, loss) from the engine's (2, n) results."""
     losses = np.sum(true_labels[None] != t1_labels[rows], axis=2)
     # Masking the (n, 2) transposes takes row 0's pairs, then row 1's, ...
-    keep = np.column_stack([np.ones(x_std.shape[0], dtype=bool),
+    keep = np.column_stack([np.ones(rows.shape[1], dtype=bool),
                             rows[0] != rows[1]])
     return np.sqrt(dxsq.T[keep]), np.sqrt(dysq.T[keep]), losses.T[keep]
 
@@ -266,16 +279,13 @@ def _fit_pair_model(sub, seed, lam, keep=None):
     t1_labels = sub.labels[t1_indices]
     try:
         t2_std, p_hat = _queries(br_star, sub.features[t2_indices])
-        dx, dy, losses = mine_pairs(p_hat, sub.labels[t2_indices], t1_std,
-                                    t1_labels, x_std=t2_std)
-        if not (np.isfinite(dx).all() and np.isfinite(dy).all()):
-            # A standardised value too large to square. The pairs come one
-            # or two per row, so the engine's per-row distances name it.
-            _, dxsq, dysq = _argmin_rows(t2_std, p_hat, t1_std, t1_labels,
-                                         _MINING_WEIGHTS, squared=True)
-            finite = np.isfinite(dxsq).all(axis=0) & np.isfinite(dysq).all(axis=0)
-            raise QueryRowError("mined distance overflows",
-                                int(np.argmin(finite)))
+        # As mine_pairs, keeping the per-row distances that name an overflow.
+        mined = _argmin_rows(t2_std, p_hat, t1_std, t1_labels,
+                             _MINING_WEIGHTS, squared=True)
+        finite = np.isfinite(mined[1:]).all(axis=(0, 1))
+        if not finite.all():
+            raise QueryRowError("mined distance overflows", int(np.argmin(finite)))
+        dx, dy, losses = _pairs(sub.labels[t2_indices], t1_labels, *mined)
     except QueryRowError as exc:  # T2's rows, queried against T1 and mined
         row = t2_indices[exc.row] if keep is None else keep[t2_indices[exc.row]]
         raise DataError(f"T2 half of the training split: {exc.problem} in "

@@ -78,8 +78,17 @@ def _stats_from(doc):
     return stats
 
 
+def _checked(clf, error):
+    """``clf`` if ``load_model`` accepts its p or lam; ``error`` otherwise."""
+    if isinstance(clf, ConstantProbModel) and not 0.0 <= clf.p <= 1.0:  # NaN too
+        raise error("p must be a probability in [0, 1]")
+    if isinstance(clf, LinearProbModel) and not (math.isfinite(clf.lam) and clf.lam > 0):
+        raise error("lam must be a finite number > 0")
+    return clf
+
+
 def _classifier_doc(clf):
-    if isinstance(clf, ConstantProbModel):
+    if isinstance(_checked(clf, ValueError), ConstantProbModel):
         return {"type": "constant", "p": clf.p}
     return {"type": "linear",
             "weights": _finite("classifier weights", clf.weights).tolist(),
@@ -90,22 +99,16 @@ def _classifier_doc(clf):
 def _classifier_from(doc, d):
     kind = _get(doc, "type")
     if kind == "constant":
-        p = _real(doc, "p")
-        if not 0.0 <= p <= 1.0:  # NaN too
-            raise DataError("p must be a probability in [0, 1]")
-        return ConstantProbModel(p=p)
+        return _checked(ConstantProbModel(p=_real(doc, "p")), DataError)
     if kind != "linear":
         raise DataError(f"unknown classifier type {kind!r}")
     weights = _array(_get(doc, "weights"), "classifier weights", 1)
     if weights.shape[0] != d + 1:
         raise DataError(f"classifier has {weights.shape[0]} weights for "
                         f"{d} features (expected {d + 1})")
-    lam = _real(doc, "lam")
-    if not (math.isfinite(lam) and lam > 0):
-        raise DataError("lam must be a finite number > 0")
-    return LinearProbModel(weights=weights, lam=lam,
-                           converged=_bool(doc, "converged"),
-                           iterations=_integer(doc, "iterations"))
+    return _checked(LinearProbModel(weights=weights, lam=_real(doc, "lam"),
+                                    converged=_bool(doc, "converged"),
+                                    iterations=_integer(doc, "iterations")), DataError)
 
 
 def _br_doc(br):
@@ -166,7 +169,7 @@ def save_model(model, path):
     """Write a BR or nearest-labelset model as a versioned JSON document.
 
     Raises ValueError, before the file is opened, for a model that
-    ``load_model`` would refuse for a value that is not finite."""
+    ``load_model`` would refuse for one of its values."""
     if isinstance(model, BRModel):
         doc = {"format_version": FORMAT_VERSION, "method": "br",
                "br": _br_doc(model)}

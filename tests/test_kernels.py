@@ -58,12 +58,14 @@ def test_paired_and_cross_match_oracle(sets, chunk, data):
                                        min_size=1, max_size=20)))
     cols = np.array(data.draw(st.lists(st.integers(0, b.shape[0] - 1),
                                        min_size=len(rows), max_size=len(rows))))
+    every_a, every_b = np.divmod(np.arange(a.shape[0] * b.shape[0]), b.shape[0])
     with mock.patch.object(kernels, "BLOCK_BYTES", size):
         paired = kernels.paired_sq_dists(a, np.asfortranarray(b), rows, cols)
-        cross = kernels.cross_sq_dists(a, b)
+        cross = kernels.paired_sq_dists(a, b, every_a, every_b)
     want = [sq_dist_oracle(b[j], a[i]) for i, j in zip(rows, cols)]
     assert paired.tolist() == want
-    assert cross.tolist() == [[sq_dist_oracle(row, x) for row in b] for x in a]
+    assert cross.reshape(a.shape[0], -1).tolist() == [
+        [sq_dist_oracle(row, x) for row in b] for x in a]
 
 
 @PROPERTY
@@ -84,8 +86,27 @@ def test_screen_error_within_a_quarter_margin(sets, scale, rows_per_block):
     for blk in blocks:
         G, margin = kernels.screen(a[blk], b, kernels.row_norms(b))
         assert np.isfinite(margin).all()
-        exact = kernels.cross_sq_dists(a[blk], b)
-        assert (np.abs(G - exact) <= margin[:, None] / 4).all()
+        assert_within_a_quarter_margin(G, margin, a[blk], b)
+
+
+def assert_within_a_quarter_margin(G, margin, a, b):
+    exact = np.array([[sq_dist_oracle(row, x) for row in b] for x in a])
+    assert (np.abs(G - exact) <= margin[:, None] / 4).all()
+
+
+@PROPERTY
+@given(n_labels=st.sampled_from([1, 2, 10]), data=st.data())
+def test_dy_screen_error_within_a_quarter_margin(n_labels, data):
+    # The screen as the engine runs it on dy: p-hat rows, at and next to
+    # the ends of [0, 1] or anywhere in it, against 0/1 labelset rows.
+    edges = st.sampled_from([1e-12, 1.0 - 1e-12, 0.0, 0.5, 1.0])
+    p_hat = data.draw(arrays(np.float64, (data.draw(st.integers(1, 8)), n_labels),
+                             elements=st.one_of(edges, st.floats(0.0, 1.0))))
+    table = data.draw(arrays(np.float64, (data.draw(st.integers(1, 8)), n_labels),
+                             elements=st.sampled_from([0.0, 1.0])))
+    G, margin = kernels.screen(p_hat, table, kernels.row_norms(table))
+    assert np.isfinite(margin).all()
+    assert_within_a_quarter_margin(G, margin, p_hat, table)
 
 
 def test_screen_gives_overflowing_rows_the_full_scan():

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import functools
 import math
@@ -392,6 +393,25 @@ class TestTrain:
             else:
                 assert fraction < 1.0
         assert named >= 4
+
+    @pytest.mark.parametrize("overflow", [False, True])
+    def test_one_engine_run(self, overflow):
+        # Training runs the block engine once, over T2, also when a mined
+        # distance overflows and its training row has to be named.
+        from nldd.data import DataError, split_random
+        ds = generate_synthetic(90, 4, 3, 0.8, 0.3, seed=1)
+        features = ds.features.copy()
+        row = split_random(ds, 0)[1][0]
+        if overflow:
+            features[row, 0] = 1e200
+        expect = (pytest.raises(DataError, match="mined distance overflows "
+                                f"in training row {row + 1}$")
+                  if overflow else contextlib.nullcontext())
+        with mock.patch.object(model_module, "_argmin_rows",
+                               wraps=model_module._argmin_rows) as engine:
+            with expect:
+                nldd_train(Dataset(features, ds.labels), seed=0)
+        assert engine.call_count == 1
 
     def test_distance_counter(self):
         train, _ = _train_test(2)

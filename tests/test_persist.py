@@ -162,6 +162,35 @@ def test_non_finite_model_not_saved(dataset, tmp_path, make, name):
     assert not path.exists()
 
 
+def _first_classifier(model, edit):
+    """``model`` with its BR's first classifier replaced by ``edit(it)``."""
+    br = model if isinstance(model, BRModel) else model.br
+    br = dataclasses.replace(br, classifiers=[edit(br.classifiers[0]),
+                                              *br.classifiers[1:]])
+    return br if isinstance(model, BRModel) else dataclasses.replace(model, br=br)
+
+
+@pytest.mark.parametrize("method", ["br", "nldd"])
+@pytest.mark.parametrize("edit, message", [
+    *((lambda clf, p=p: ConstantProbModel(p=p), r"p must be a probability")
+      for p in (np.nan, -0.25, 1.5)),
+    *((lambda clf, lam=lam: dataclasses.replace(clf, lam=lam),
+       r"lam must be a finite number > 0")
+      for lam in (np.inf, np.nan, 0.0, -1.0)),
+], ids=["p_nan", "p_negative", "p_above_1",
+        "lam_inf", "lam_nan", "lam_zero", "lam_negative"])
+def test_classifier_that_load_refuses_not_saved(dataset, tmp_path, method,
+                                                edit, message):
+    # load_model refuses a constant classifier's p outside [0, 1] and a lam
+    # that is not finite and > 0; save_model refuses them before it opens
+    # the file, so no file is written.
+    model = br_fit(dataset) if method == "br" else nldd_train(dataset, seed=2)
+    path = tmp_path / "m.json"
+    with pytest.raises(ValueError, match=message):
+        save_model(_first_classifier(model, edit), str(path))
+    assert not path.exists()
+
+
 def test_unknown_format_version_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format_version":99,"method":"br"}')
