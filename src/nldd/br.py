@@ -7,7 +7,8 @@ import numpy as np
 from . import kernels
 from .data import (DataError, _labelset_groups, standardize_apply,
                    standardize_fit)
-from .learner import fit_fallback, fit_logistic, predict_proba_matrix
+from .learner import (LinearProbModel, fit_fallback, fit_logistic,
+                      predict_proba_matrix)
 
 
 class QueryRowError(DataError):
@@ -27,11 +28,15 @@ class BRModel:
     label_names: list
 
 
-def br_fit(train, lam=1.0):
+def br_fit(train, lam=1.0, start=None):
     """One probabilistic classifier per label, fit on standardized features.
 
     Constant label columns fall back to the Laplace-smoothed constant model;
-    the varying ones are fit together by one ``fit_logistic`` call.
+    the varying ones are fit together by one ``fit_logistic`` call. With a
+    ``start`` BRModel of the same labels and features, each varying label's
+    Newton loop begins at that model's weights for it, taken as they are
+    (in the start model's standardisation), or at zeros where the start
+    model holds a constant classifier.
     """
     stats = standardize_fit(train)
     # Standardised straight into the design matrix beside its intercept
@@ -43,7 +48,15 @@ def br_fit(train, lam=1.0):
     labels = train.labels
     constant = labels.min(axis=0) == labels.max(axis=0)
     targets = np.ascontiguousarray(labels.T[~constant], dtype=np.float64).T
-    fitted = iter(fit_logistic(X1, targets, lam))
+    if start is not None:
+        if len(start.classifiers) != train.n_labels:
+            raise ValueError(f"the start model has {len(start.classifiers)} "
+                             f"labels, the training data {train.n_labels}")
+        zeros = np.zeros(train.d + 1)
+        start = np.array([clf.weights if isinstance(clf, LinearProbModel)
+                          else zeros for clf in start.classifiers],
+                         dtype=np.float64)[~constant]
+    fitted = iter(fit_logistic(X1, targets, lam, start=start))
     classifiers = [fit_fallback(labels[:, j]) if constant[j] else next(fitted)
                    for j in range(train.n_labels)]
     return BRModel(classifiers=classifiers, stats=stats,

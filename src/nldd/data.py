@@ -288,20 +288,32 @@ def load_sparse(path, label_count, n_features=None):
 def standardize_fit(train):
     """Per-feature mean and sample (N-1) standard deviation over training rows.
 
-    Raises DataError, naming the first such column, when a mean or a
-    standard deviation overflows (finite values near the float64 maximum,
-    or spread beyond about 1e154)."""
+    A column spread beyond about 1e154 overflows the squared deviations;
+    its sd is taken from the column divided by its largest magnitude, and
+    scaled back. Every other column's sd is the plain computation's.
+
+    Raises DataError, naming the first such column, when a mean, a
+    standard deviation or a training value's deviation from the mean
+    overflows (finite values near the float64 maximum)."""
     if train.n < 2:
         raise DataError("standardization needs at least 2 rows")
     with np.errstate(over="ignore", invalid="ignore"):
         means = train.features.mean(axis=0)
         sds = train.features.std(axis=0, ddof=1)
+        wide = np.flatnonzero(np.isfinite(means) & ~np.isfinite(sds))
+        if wide.size:
+            cols = train.features[:, wide]
+            scale = np.abs(cols).max(axis=0)
+            sds[wide] = (cols / scale).std(axis=0, ddof=1) * scale
+            # x - mean, as standardize_apply forms it, must stay finite.
+            ends = np.stack([cols.max(axis=0), cols.min(axis=0)]) - means[wide]
+            sds[wide[~np.isfinite(ends).all(axis=0)]] = np.inf
     finite = np.isfinite(means) & np.isfinite(sds)
     if not finite.all():
         j = int(np.argmin(finite))
         raise DataError(f"feature column {j + 1} ({train.feature_names[j]}) "
-                        "is too large to standardise: its mean or standard "
-                        "deviation overflows")
+                        "is too large to standardise: its mean, standard "
+                        "deviation or a deviation from the mean overflows")
     return StandardizationStats(means=means, sds=sds)
 
 

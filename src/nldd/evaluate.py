@@ -60,7 +60,8 @@ def train_predictor(methods, train, seed=0, lam=1.0, subsample_fraction=1.0):
     (n, L) labelsets.
 
     The methods share one Binary Relevance fit on ``train``: the one inside
-    the nldd model when nldd trains on every row, else one ``br_fit``.
+    the nldd model when nldd trains on every row (its final fit, started at
+    the weights of its BR fit on T1), else one ``br_fit`` from zero weights.
     Raises ValueError for a training subsample when nldd, the only method
     that reads it, is not among ``methods``.
     """
@@ -72,7 +73,9 @@ def train_predictor(methods, train, seed=0, lam=1.0, subsample_fraction=1.0):
                           subsample_fraction=subsample_fraction)
         predictors["nldd"] = lambda x: nldd_predict(nldd, x)
         if subsample_fraction == 1.0:
-            br = nldd.br  # br_fit(train, lam) exactly
+            # br_fit(train, lam) up to the stop rule's tolerance: the same
+            # optimum, reached from T1's weights.
+            br = nldd.br
     if "br" in methods or "smbr" in methods:
         if br is None:
             br = br_fit(train, lam=lam)

@@ -246,7 +246,8 @@ def theta(fit, dx, dy):
 
 def nldd_train(train, seed, lam=1.0, subsample_fraction=1.0):
     """Full training pipeline: optional subsample, T1/T2 split, pair mining
-    on T2 against T1, binomial regression, and a final fit on all rows."""
+    on T2 against T1, binomial regression, and a final BR fit on all rows,
+    started at the weights of the BR fit on T1."""
     if not 0.0 < subsample_fraction <= 1.0:
         raise ValueError("subsample_fraction must be in (0, 1]")
     sub, keep = train, None
@@ -257,8 +258,10 @@ def nldd_train(train, seed, lam=1.0, subsample_fraction=1.0):
         sub = train.subset(keep)
 
     # The split's arrays die with the helper's frame, before the final fit.
-    fit, pair_count, distance_ops = _fit_pair_model(sub, seed, lam, keep)
-    br_full = br_fit(sub, lam)
+    fit, pair_count, distance_ops, br_star = _fit_pair_model(sub, seed, lam,
+                                                             keep)
+    # The final fit solves nearly T1's problem, so it starts at T1's optimum.
+    br_full = br_fit(sub, lam, start=br_star)
     train_std = standardize_apply(br_full.stats, sub.features)
     return NlddModel(br=br_full, fit=fit, train_features_std=train_std,
                      train_labelsets=np.array(sub.labels),
@@ -268,9 +271,10 @@ def nldd_train(train, seed, lam=1.0, subsample_fraction=1.0):
 def _fit_pair_model(sub, seed, lam, keep=None):
     """Steps 1-3 of ``nldd_train``: BR on T1, T2's pairs mined against T1,
     and the binomial regression on them. Returns ``(fit, pair_count,
-    distance_ops)``. ``keep`` holds the training rows ``sub`` took when it
-    is a subsample; a T2 row refused by ``_queries``, or whose mined dx or
-    dy is not finite, is named by its training row."""
+    distance_ops, br_star)``, ``br_star`` being the BR fit on T1. ``keep``
+    holds the training rows ``sub`` took when it is a subsample; a T2 row
+    refused by ``_queries``, or whose mined dx or dy is not finite, is
+    named by its training row."""
     t1_indices, t2_indices = split_random(sub, seed)
     # Mining needs the split's features standardised only, so no raw copy
     # of them outlives the BR fit on T1 or the standardisation of T2.
@@ -303,7 +307,7 @@ def _fit_pair_model(sub, seed, lam, keep=None):
         rate = int(losses.sum()) / (sub.n_labels * losses.size)
         fit = replace(fit, beta0=math.log(rate / (1.0 - rate)), beta1=0.0,
                       beta2=1.0)
-    return fit, losses.size, len(t1_indices) * len(t2_indices)
+    return fit, losses.size, len(t1_indices) * len(t2_indices), br_star
 
 
 def _best_rows(model, features):

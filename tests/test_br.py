@@ -60,6 +60,31 @@ class TestBrFit:
         assert [(c.iterations, c.converged) for c in got] == \
             [(w.iterations, w.converged) for w in want]
 
+    def test_start_model_weights_start_the_varying_labels(self):
+        # Label 0 is constant in the start model, so it starts at zeros;
+        # label 2 is constant in the data, so it takes the fallback and its
+        # start row is dropped.
+        ds = _dataset(2, n=200)
+        start_labels = ds.labels.copy()
+        start_labels[:, 0] = 0
+        start = br_fit(Dataset(ds.features[:100], start_labels[:100]))
+        labels = ds.labels.copy()
+        labels[:, 2] = 1
+        model = br_fit(Dataset(ds.features, labels), start=start)
+        z = standardize_apply(model.stats, ds.features)
+        rows = np.array([np.zeros(4), start.classifiers[1].weights])
+        want = fit_logistic(np.column_stack([np.ones(len(z)), z]),
+                            labels[:, :2], start=rows)
+        assert [c.weights.tobytes() for c in model.classifiers[:2]] == \
+            [w.weights.tobytes() for w in want]
+        assert isinstance(model.classifiers[2], ConstantProbModel)
+
+    def test_start_model_of_other_labels_is_refused(self):
+        ds = _dataset(3)
+        start = br_fit(Dataset(ds.features, ds.labels[:, :2]))
+        with pytest.raises(ValueError, match="start model has 2 labels"):
+            br_fit(ds, start=start)
+
 
 class TestBrPredict:
     def test_probabilities_strictly_inside(self):

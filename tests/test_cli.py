@@ -621,6 +621,24 @@ class TestBoundaries:
             assert "feature column 1 (f1) is too large to standardise" in err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("method", ["br", "nldd"])
+    @pytest.mark.filterwarnings("error")
+    def test_wide_training_column_trains(self, tmp_path, capsys, method):
+        # Cells of 1e200 and -1e200 in two T1 rows: the squared deviations
+        # of column 1 overflow but its sd (about 1.5e199) does not, so the
+        # column trains, and the same rows predict as queries.
+        ds = generate_synthetic(90, 4, 3, 0.8, 0.3, seed=1)
+        ds.features[split_random(ds, 0)[0][:2], 0] = [1e200, -1e200]
+        data, model = str(tmp_path / "wide.csv"), str(tmp_path / "m.json")
+        save_csv(ds, data)
+        assert main(["train", "--data", data, "--labels", "3", "--method",
+                     method, "--model", model]) == 0
+        out = tmp_path / "p.txt"
+        assert main(["predict", "--data", data, "--labels", "3", "--model",
+                     model, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 90
+        assert "error" not in capsys.readouterr().err
+
     def test_non_finite_training_row_exit_3(self, tmp_path, capsys):
         data = tmp_path / "nf.csv"
         data.write_text("a,b,l1,l2\n1,2,0,1\nnan,3,1,0\n2,1,1,1\n0,0,0,0\n"

@@ -422,7 +422,9 @@ class TestStandardize:
 
     @pytest.mark.parametrize("column", [
         [1.7e308, 1.7e308, 0.0],  # the sum, so the mean, overflows
-        [1e200, -1e200, 0.0],  # the squared deviations overflow
+        # The mean (7.3e306) and the sd (1.6e308) are finite, but the first
+        # value's deviation from the mean, as standardising forms it, is not.
+        [-1.78e308, 1e308, 1e308],
     ])
     def test_overflowing_statistics_name_the_column(self, column):
         features = np.column_stack([[1.0, 2.0, 4.0], column])
@@ -431,6 +433,35 @@ class TestStandardize:
         with pytest.raises(DataError, match=r"^feature column 2 \(big\) is "
                            "too large to standardise"):
             standardize_fit(ds)
+
+    def test_overflowing_sd_names_the_column(self):
+        # Scaled to [-1, 1] the sd is sqrt(2); scaled back it overflows.
+        ds = Dataset(np.array([[1.0, 1.7e308], [2.0, -1.7e308]]),
+                     np.array([[0], [1]]), feature_names=["a", "big"])
+        with pytest.raises(DataError, match=r"^feature column 2 \(big\) is "
+                           "too large to standardise"):
+            standardize_fit(ds)
+
+    @pytest.mark.parametrize("column, sd", [
+        ([1e200, -1e200, 0.0], 1e200),
+        ([1.7e308, -1.7e308, 0.0], 1.7e308),
+        ([3e160, 1e160, 2e160], 1e160),
+    ])
+    def test_column_of_squared_deviations_past_the_maximum(self, column, sd):
+        # The squared deviations overflow, but the sd is representable: it is
+        # taken from the column scaled by its max-abs, and the other columns
+        # keep the plain computation's bits.
+        rng = np.random.default_rng(5)
+        plain = rng.standard_normal((3, 3)) * [1.0, 1e150, 1e-3]
+        features = np.column_stack([plain[:, :2], column, plain[:, 2]])
+        stats = standardize_fit(Dataset(features, np.array([[0], [1], [0]])))
+        want = standardize_fit(Dataset(plain, np.array([[0], [1], [0]])))
+        assert stats.sds[[0, 1, 3]].tobytes() == want.sds.tobytes()
+        assert stats.means[[0, 1, 3]].tobytes() == want.means.tobytes()
+        assert stats.sds[2] == pytest.approx(sd, rel=1e-15)
+        z = standardize_apply(stats, features)
+        assert np.isfinite(z).all()
+        assert z[:, 2] == pytest.approx((np.array(column) - stats.means[2]) / sd)
 
     def test_dimension_mismatch(self):
         ds = Dataset(np.array([[1.0], [2.0]]), np.array([[0], [1]]))

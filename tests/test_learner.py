@@ -189,10 +189,10 @@ class TestFallback:
         assert predict_proba_matrix(m, [[1.0, 2.0]])[0] == 0.25
 
 
-def fit_logistic_loop(X, y, lam=1.0, max_iter=100, tol=1e-8):
+def fit_logistic_loop(X, y, lam=1.0, max_iter=100, tol=1e-8, start=None):
     """The single-label IRLS loop the stacked fit must reproduce bit for
-    bit: (weights, iterations, converged, steps taken after 20 failed
-    halvings)."""
+    bit, from the (d+1,) weights ``start`` (zeros when None): (weights,
+    iterations, converged, steps taken after 20 failed halvings)."""
     n, d = X.shape
     X1 = np.hstack([np.ones((n, 1)), X])
     y = np.asarray(y, dtype=np.float64)
@@ -208,7 +208,7 @@ def fit_logistic_loop(X, y, lam=1.0, max_iter=100, tol=1e-8):
         g[1:] -= lam * w[1:]
         return p, g
 
-    w = np.zeros(d + 1)
+    w = np.zeros(d + 1) if start is None else np.array(start, dtype=np.float64)
     converged, exhausted, it = False, 0, 0
     for it in range(1, max_iter + 1):
         p, g = gradient(w)
@@ -234,18 +234,40 @@ def fit_logistic_loop(X, y, lam=1.0, max_iter=100, tol=1e-8):
     return w, it, converged, exhausted
 
 
-def _assert_stacked_equals_loop(X, Y, **kw):
-    """Fit the columns of Y stacked and one by one; return the loop's
-    (iterations, converged, exhausted) per column."""
+def _assert_stacked_equals_loop(X, Y, start=None, **kw):
+    """Fit the columns of Y stacked and one by one, from the (L, d+1)
+    ``start`` if one is given; return the loop's (iterations, converged,
+    exhausted) per column."""
+    starts = [None] * Y.shape[1] if start is None else list(start)
     with np.errstate(over="ignore"):
-        stacked = fit_logistic(_design(X), Y, **kw)
-        loops = [fit_logistic_loop(X, Y[:, j], **kw) for j in range(Y.shape[1])]
+        stacked = fit_logistic(_design(X), Y, start=start, **kw)
+        loops = [fit_logistic_loop(X, Y[:, j], start=s, **kw)
+                 for j, s in enumerate(starts)]
     assert len(stacked) == Y.shape[1]
     for model, (w, it, conv, _) in zip(stacked, loops):
         assert model.weights.tobytes() == w.tobytes()
         assert model.iterations == it
         assert model.converged == conv
     return [loop[1:] for loop in loops]
+
+
+def _assert_stacked_equals_loop_or_fails(X, Y, start=None, **kw):
+    """As ``_assert_stacked_equals_loop`` where the per-label loop ends with
+    finite weights; where it meets a singular Hessian or diverges, the
+    stacked fit must raise TrainingError."""
+    starts = [None] * Y.shape[1] if start is None else list(start)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            loops = [fit_logistic_loop(X, Y[:, j], start=s, **kw)[0]
+                     for j, s in enumerate(starts)]
+        except np.linalg.LinAlgError:
+            loops = None  # a singular Hessian on some column
+    if loops is not None and np.isfinite(loops).all():
+        _assert_stacked_equals_loop(X, Y, start=start, **kw)
+    else:
+        with pytest.raises(TrainingError), \
+                np.errstate(over="ignore", invalid="ignore"):
+            fit_logistic(_design(X), Y, start=start, **kw)
 
 
 def _two_class(Y):
@@ -279,19 +301,8 @@ class TestStackedIRLS:
            tol=st.sampled_from([0.0, 1e-8, 1e-3]))
     def test_equals_per_label_loop(self, case, lam, max_iter, tol):
         X, Y = case
-        kw = dict(lam=lam, max_iter=max_iter, tol=tol)
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                loops = [fit_logistic_loop(X, Y[:, j], **kw)[0]
-                         for j in range(Y.shape[1])]
-            except np.linalg.LinAlgError:
-                loops = None  # a singular Hessian on some column
-        if loops is not None and np.isfinite(loops).all():
-            _assert_stacked_equals_loop(X, Y, **kw)
-        else:
-            with pytest.raises(TrainingError), \
-                    np.errstate(over="ignore", invalid="ignore"):
-                fit_logistic(_design(X), Y, **kw)
+        _assert_stacked_equals_loop_or_fails(X, Y, lam=lam, max_iter=max_iter,
+                                             tol=tol)
 
     def test_labels_stop_at_different_iterations(self):
         rng = np.random.default_rng(0)
@@ -374,3 +385,66 @@ class TestStackedIRLS:
                 w, it, conv, _ = fit_logistic_loop(z, labels[:, j])
                 assert clf.weights.tobytes() == w.tobytes()
                 assert (clf.iterations, clf.converged) == (it, conv)
+
+
+class TestStart:
+    """``fit_logistic``'s ``start``: each column's Newton loop begins at its
+    row of weights, with the loop and stop rule unchanged."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=irls_cases(), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-6, 0.1, 1.0, 3.0]),
+           lam=st.sampled_from([1e-3, 1.0, 100.0]),
+           max_iter=st.sampled_from([1, 3, 100]))
+    def test_equals_per_label_loop(self, case, seed, scale, lam, max_iter):
+        X, Y = case
+        start = scale * np.random.default_rng(seed).standard_normal(
+            (Y.shape[1], X.shape[1] + 1))
+        _assert_stacked_equals_loop_or_fails(X, Y, start=start, lam=lam,
+                                             max_iter=max_iter)
+
+    def test_equals_per_label_loop_from_a_fixed_start(self):
+        # The property above draws its starts afresh on every run.
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((200, 5))
+        Y = _two_class(np.column_stack([
+            X[:, 0] + rng.standard_normal(200) > 0,
+            X[:, 1] > 0,
+            rng.standard_normal(200) > 0]))
+        start = rng.standard_normal((3, 6))
+        runs = _assert_stacked_equals_loop(X, Y, start=start, lam=1e-6)
+        assert all(conv for _, conv, _ in runs)
+
+    def test_start_at_the_optimum_stops_at_once(self):
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((150, 4))
+        Y = _two_class(np.column_stack([X[:, 0] > 0.3,
+                                        X[:, 1] - X[:, 2] + rng.standard_normal(150) > 0]))
+        cold = fit_logistic(_design(X), Y)
+        assert all(m.converged and m.iterations > 1 for m in cold)
+        start = np.array([m.weights for m in cold])
+        warm = fit_logistic(_design(X), Y, start=start)
+        for c, w in zip(cold, warm):
+            assert (w.iterations, w.converged) == (1, True)
+            assert np.max(np.abs(w.weights - c.weights)) < 1e-8
+
+    def test_start_is_not_modified(self):
+        X, y = _synthetic(13)
+        start = np.full((1, 3), 0.25)
+        fit_logistic(_design(X), y[:, None], start=start)
+        assert np.all(start == 0.25)
+
+    @pytest.mark.parametrize("start", [
+        np.zeros(3), np.zeros((2, 3)), np.zeros((1, 2)), np.zeros((1, 3, 1))])
+    def test_start_of_the_wrong_shape_is_refused(self, start):
+        X, y = _synthetic(14)
+        with pytest.raises(ValueError, match=r"start must be an \(1, 3\) array"):
+            fit_logistic(_design(X), y[:, None], start=start)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_is_refused(self, bad):
+        X, y = _synthetic(15)
+        start = np.zeros((1, 3))
+        start[0, 1] = bad
+        with pytest.raises(ValueError, match="start weights must be finite"):
+            fit_logistic(_design(X), y[:, None], start=start)

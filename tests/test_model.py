@@ -14,10 +14,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import nldd
-from nldd import kernels, model as model_module
-from nldd.data import Dataset, standardize_apply
+from nldd import br as br_module, kernels, model as model_module
+from nldd.br import br_fit
+from nldd.data import Dataset, split_random, standardize_apply
 from nldd.evaluate import generate_synthetic
-from nldd.learner import TrainingError
+from nldd.learner import LinearProbModel, TrainingError
 from nldd.model import (BinomialFit, fit_binomial_glm,
                         mine_pairs, nldd_predict, nldd_train,
                         predict_with_confidence, theta)
@@ -338,31 +339,34 @@ class TestTrain:
     @pytest.mark.parametrize("fraction", [1.0, 0.5])
     def test_refused_t2_row_named_by_its_training_row(self, fraction):
         # One cell of 1.7e308 at a time: a row left out of the subsample
-        # trains, a T1 row makes T1's statistics overflow, and a T2 row is
-        # refused by its row in the data given to nldd_train, through the
-        # split and the subsample. Column 0 is scaled to an sd well below
-        # 1, so that the cell's standardised value overflows.
+        # trains, a T1 row trains (T1's sd of column 0 is then about 2.5e307,
+        # from the column scaled by its max-abs), and a T2 row is refused by
+        # its row in the data given to nldd_train, through the split and the
+        # subsample. Column 0 is scaled to an sd well below 1, so that the
+        # cell's standardised value overflows.
         from nldd.data import DataError
         ds = generate_synthetic(90, 4, 3, 0.8, 0.3, seed=1)
-        named = 0
+        t1 = split_random(ds, 0)[0]
+        named = trained = 0
         for row in range(16):
             features = ds.features.copy()
             features[:, 0] *= 0.25
             features[row, 0] = 1.7e308
             try:
-                nldd_train(Dataset(features, ds.labels), seed=0,
-                           subsample_fraction=fraction)
+                model = nldd_train(Dataset(features, ds.labels), seed=0,
+                                   subsample_fraction=fraction)
             except DataError as exc:
-                if "T2 half" in str(exc):
-                    assert str(exc) == (
-                        "T2 half of the training split: standardised feature "
-                        f"value overflows in training row {row + 1}")
-                    named += 1
-                else:
-                    assert "feature column 1" in str(exc)
+                assert str(exc) == (
+                    "T2 half of the training split: standardised feature "
+                    f"value overflows in training row {row + 1}")
+                named += 1
             else:
-                assert fraction < 1.0
+                if fraction == 1.0:
+                    assert row in t1
+                    assert model.br.stats.sds[0] > 1e306
+                    trained += 1
         assert named >= 4
+        assert trained >= 4 or fraction < 1.0
 
     @pytest.mark.parametrize("fraction", [1.0, 0.5])
     @pytest.mark.filterwarnings("error")
@@ -371,28 +375,31 @@ class TestTrain:
         # One cell of 1e200 at a time. Its standardised value is finite, so
         # the query boundary passes a T2 row, but its squared distances to
         # T1 overflow: the row is refused by its row in the data given to
-        # nldd_train before the GLM sees an inf dx. A T1 row makes T1's
-        # statistics overflow, and a row left out of the subsample trains.
+        # nldd_train before the GLM sees an inf dx. A T1 row trains (T1's sd
+        # of column 0 is then about 1.5e199), and so does a row left out of
+        # the subsample.
         from nldd.data import DataError
         ds = generate_synthetic(90, 4, 3, 0.8, 0.3, seed=1)
-        named = 0
+        t1 = split_random(ds, 0)[0]
+        named = trained = 0
         for row in range(16):
             features = ds.features.copy()
             features[row, 0] = 1e200
             try:
-                nldd_train(Dataset(features, ds.labels), seed=0,
-                           subsample_fraction=fraction)
+                model = nldd_train(Dataset(features, ds.labels), seed=0,
+                                   subsample_fraction=fraction)
             except DataError as exc:
-                if "T2 half" in str(exc):
-                    assert str(exc) == (
-                        "T2 half of the training split: mined distance "
-                        f"overflows in training row {row + 1}")
-                    named += 1
-                else:
-                    assert "feature column 1" in str(exc)
+                assert str(exc) == (
+                    "T2 half of the training split: mined distance "
+                    f"overflows in training row {row + 1}")
+                named += 1
             else:
-                assert fraction < 1.0
+                if fraction == 1.0:
+                    assert row in t1
+                    assert model.br.stats.sds[0] > 1e198
+                    trained += 1
         assert named >= 4
+        assert trained >= 4 or fraction < 1.0
 
     @pytest.mark.parametrize("overflow", [False, True])
     def test_one_engine_run(self, overflow):
@@ -470,6 +477,63 @@ class TestTrain:
             finally:
                 tracemalloc.stop()
         assert peak < 4.2 * data.features.nbytes
+
+
+class TestFinalBrFit:
+    """nldd_train's final BR fit starts at the weights of the BR fit on T1:
+    the optimum of a fit from zeros, within the stop rule's tolerance, in
+    fewer iterations."""
+
+    @pytest.mark.parametrize("seed, fraction", [(0, 1.0), (1, 1.0), (2, 0.5)])
+    def test_matches_a_cold_fit(self, seed, fraction):
+        data = generate_synthetic(600, 10, 5, 0.8, 0.3, seed=seed)
+        with mock.patch.object(model_module, "br_fit",
+                               wraps=model_module.br_fit) as fits:
+            model = nldd_train(data, seed=seed, subsample_fraction=fraction)
+        sub = fits.call_args_list[-1].args[0]  # the rows nldd trained on
+        assert sub.n == (data.n if fraction == 1.0 else round(fraction * data.n))
+        cold = br_fit(sub)
+        assert model.br.stats.means.tobytes() == cold.stats.means.tobytes()
+        assert model.br.stats.sds.tobytes() == cold.stats.sds.tobytes()
+        for warm, ref in zip(model.br.classifiers, cold.classifiers):
+            assert warm.converged and ref.converged
+            assert warm.iterations <= ref.iterations
+            assert np.max(np.abs(warm.weights - ref.weights)) < 1e-6
+        assert (sum(c.iterations for c in model.br.classifiers)
+                < sum(c.iterations for c in cold.classifiers))
+
+    def test_final_fit_starts_at_the_t1_weights(self):
+        data = generate_synthetic(300, 6, 4, 0.8, 0.3, seed=4)
+        with mock.patch.object(br_module, "fit_logistic",
+                               wraps=br_module.fit_logistic) as fits:
+            nldd_train(data, seed=4)
+        first, final = fits.call_args_list
+        assert first.kwargs["start"] is None
+        t1 = br_fit(data.subset(split_random(data, 4)[0]))
+        want = np.array([clf.weights for clf in t1.classifiers])
+        assert final.kwargs["start"].tobytes() == want.tobytes()
+
+    def test_label_constant_in_t1_starts_from_zeros(self):
+        # Label 2 is 1 in three T2 rows only: T1 fits it as a constant, the
+        # final fit as a varying label, from zero weights.
+        data = generate_synthetic(120, 5, 3, 0.8, 0.3, seed=5)
+        t2 = split_random(data, 0)[1]
+        labels = data.labels.copy()
+        labels[:, 2] = 0
+        labels[t2[:3], 2] = 1
+        data = Dataset(data.features, labels)
+        with mock.patch.object(br_module, "fit_logistic",
+                               wraps=br_module.fit_logistic) as fits:
+            model = nldd_train(data, seed=0)
+        first, final = fits.call_args_list
+        assert first.args[1].shape[1] == 2  # label 2 is constant on T1
+        start = final.kwargs["start"]
+        assert start.shape == (3, 6)
+        assert np.all(start[2] == 0.0) and np.all(start[:2] != 0.0)
+        clf = model.br.classifiers[2]
+        assert isinstance(clf, LinearProbModel) and clf.converged
+        ref = br_fit(data).classifiers[2]
+        assert np.max(np.abs(clf.weights - ref.weights)) < 1e-6
 
 
 class TestPredict:
