@@ -288,17 +288,23 @@ def load_sparse(path, label_count, n_features=None):
 def standardize_fit(train):
     """Per-feature mean and sample (N-1) standard deviation over training rows.
 
-    A column spread beyond about 1e154 overflows the squared deviations;
-    its sd is taken from the column divided by its largest magnitude, and
-    scaled back. Every other column's sd is the plain computation's.
+    A column whose sum overflows takes its mean, and a column spread beyond
+    about 1e154 (whose squared deviations overflow) its sd, from the column
+    divided by its largest magnitude, and scaled back. Every other column's
+    mean and sd are the plain computation's.
 
-    Raises DataError, naming the first such column, when a mean, a
-    standard deviation or a training value's deviation from the mean
-    overflows (finite values near the float64 maximum)."""
+    Raises DataError, naming the first such column, when a standard
+    deviation or a training value's deviation from the mean overflows
+    (finite values near the float64 maximum)."""
     if train.n < 2:
         raise DataError("standardization needs at least 2 rows")
     with np.errstate(over="ignore", invalid="ignore"):
         means = train.features.mean(axis=0)
+        big = np.flatnonzero(~np.isfinite(means))
+        if big.size:
+            cols = train.features[:, big]
+            scale = np.abs(cols).max(axis=0)
+            means[big] = (cols / scale).mean(axis=0) * scale
         sds = train.features.std(axis=0, ddof=1)
         wide = np.flatnonzero(np.isfinite(means) & ~np.isfinite(sds))
         if wide.size:
@@ -312,7 +318,7 @@ def standardize_fit(train):
     if not finite.all():
         j = int(np.argmin(finite))
         raise DataError(f"feature column {j + 1} ({train.feature_names[j]}) "
-                        "is too large to standardise: its mean, standard "
+                        "is too large to standardise: its standard "
                         "deviation or a deviation from the mean overflows")
     return StandardizationStats(means=means, sds=sds)
 

@@ -14,17 +14,92 @@ from .model import BinomialFit, NlddModel
 FORMAT_VERSION = 1
 
 
-def _finite(name, values):
-    """``values`` if every one is finite, as ``load_model`` requires;
-    ValueError otherwise."""
-    if not np.isfinite(values).all():
-        raise ValueError(f"cannot save a model whose {name} is not finite")
-    return values
+def _real(value, name, finite=False):
+    """``value`` if it is a float or an int, not a bool or NumPy integer,
+    within the float range, and finite when ``finite``; ValueError otherwise."""
+    try:  # OverflowError: an int past the float range
+        if ((isinstance(value, float) or type(value) is int)
+                and (math.isfinite(value) or not finite)):
+            return value
+    except OverflowError:
+        pass
+    raise ValueError(f"{name} must be a {'finite ' if finite else ''}real number")
 
 
-def _stats_doc(stats):
-    return {"means": _finite("means", stats.means).tolist(),
-            "sds": _finite("sds", stats.sds).tolist()}
+def _flag(value, name):
+    if type(value) is not bool:  # nor is 0, 1 or a NumPy bool a flag
+        raise ValueError(f"{name} must be true or false")
+
+
+def _count(value, name):
+    if type(value) is not int:  # a bool or a NumPy integer is no count either
+        raise ValueError(f"{name} must be an integer")
+
+
+def _array(arr, name, ndim):
+    if arr.dtype.kind not in "iuf":  # repr of a bool or complex is not JSON
+        raise ValueError(f"{name} is not a numeric array")
+    if arr.ndim != ndim or 0 in arr.shape:
+        raise ValueError(f"{name} must be a non-empty {ndim}-D list")
+    if not np.isfinite(arr).all():  # json reads NaN and Infinity
+        raise ValueError(f"{name} must hold finite numbers only")
+    return arr
+
+
+def _check(model):
+    """``model``, a BRModel or an NlddModel, if ``save_model`` can write each
+    of its values and ``load_model`` read it back; ValueError otherwise."""
+    nldd = isinstance(model, NlddModel)
+    br = model.br if nldd else model
+    means = _array(br.stats.means, "means", 1)
+    sds = _array(br.stats.sds, "sds", 1)
+    if means.shape != sds.shape:
+        raise ValueError(f"{means.shape[0]} means but {sds.shape[0]} sds")
+    d, classifiers = means.shape[0], br.classifiers
+    if not isinstance(classifiers, (list, tuple)) or not classifiers:
+        raise ValueError("classifiers must be a non-empty list")
+    for clf in classifiers:
+        if isinstance(clf, ConstantProbModel):
+            if not 0.0 <= _real(clf.p, "p") <= 1.0:  # NaN too
+                raise ValueError("p must be a probability in [0, 1]")
+            continue
+        weights = _array(clf.weights, "classifier weights", 1)
+        if weights.shape[0] != d + 1:
+            raise ValueError(f"classifier has {weights.shape[0]} weights for "
+                             f"{d} features (expected {d + 1})")
+        if not (math.isfinite(_real(clf.lam, "lam")) and clf.lam > 0):
+            raise ValueError("lam must be a finite number > 0")
+        _flag(clf.converged, "converged")
+        _count(clf.iterations, "iterations")
+    if nldd:
+        fit = model.fit
+        for key in ("beta0", "beta1", "beta2"):
+            _real(getattr(fit, key), key, finite=True)
+        _flag(fit.converged, "converged")
+        _count(fit.iterations, "iterations")
+        _real(fit.final_gradient_norm, "final_gradient_norm")
+        features = _array(model.train_features_std, "train_features_std", 2)
+        labelsets = _array(model.train_labelsets, "train_labelsets", 2)
+        if not np.isin(labelsets, (0, 1)).all():
+            raise ValueError("train_labelsets entries must be 0 or 1")
+        if features.shape[0] != labelsets.shape[0]:
+            raise ValueError(f"{features.shape[0]} feature rows but "
+                             f"{labelsets.shape[0]} labelset rows")
+        if features.shape[1] != d:
+            raise ValueError(f"train_features_std has {features.shape[1]} "
+                             f"columns for {d} features")
+        if labelsets.shape[1] != len(classifiers):
+            raise ValueError(f"train_labelsets has {labelsets.shape[1]} columns "
+                             f"for {len(classifiers)} classifiers")
+        _count(model.pair_count, "pair_count")
+        _count(model.distance_ops, "distance_ops")
+    # After the shapes, which name a missing classifier better.
+    names = br.label_names
+    if (not isinstance(names, (list, tuple)) or len(names) != len(classifiers)
+            or not all(isinstance(name, str) for name in names)):
+        raise ValueError(f"label_names must be a list of {len(classifiers)} "
+                         "strings, one per classifier")
+    return model
 
 
 def _get(doc, key):
@@ -33,136 +108,61 @@ def _get(doc, key):
     return doc[key]
 
 
-def _real(doc, key, finite=False):
-    """``doc[key]`` if it is a real number (not a bool) within the float
-    range, and finite when ``finite``; DataError otherwise."""
+def _floats(doc, key, name=None):
+    """``doc[key]`` as a float64 array; DataError if it is not numeric."""
     value = _get(doc, key)
     try:  # OverflowError: an int past the float range
-        if type(value) in (int, float) and (math.isfinite(value) or not finite):
-            return value
-    except OverflowError:
-        pass
-    raise DataError(f"{key} must be a {'finite ' if finite else ''}real number")
-
-
-def _bool(doc, key):
-    if type(_get(doc, key)) is not bool:  # nor is 0 or 1 a flag
-        raise DataError(f"{key} must be true or false")
-    return doc[key]
-
-
-def _integer(doc, key):
-    if type(_get(doc, key)) is not int:  # a bool is no count either
-        raise DataError(f"{key} must be an integer")
-    return doc[key]
-
-
-def _array(value, name, ndim):
-    try:
-        arr = np.array(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise DataError(f"{name} is not a numeric array") from None
-    if arr.ndim != ndim or 0 in arr.shape:
-        raise DataError(f"{name} must be a non-empty {ndim}-D list")
-    if not np.isfinite(arr).all():  # json reads NaN and Infinity
-        raise DataError(f"{name} must hold finite numbers only")
-    return arr
-
-
-def _stats_from(doc):
-    stats = StandardizationStats(means=_array(_get(doc, "means"), "means", 1),
-                                 sds=_array(_get(doc, "sds"), "sds", 1))
-    if stats.means.shape != stats.sds.shape:
-        raise DataError(f"{stats.means.shape[0]} means but "
-                        f"{stats.sds.shape[0]} sds")
-    return stats
-
-
-def _checked(clf, error):
-    """``clf`` if ``load_model`` accepts its p or lam; ``error`` otherwise."""
-    if isinstance(clf, ConstantProbModel) and not 0.0 <= clf.p <= 1.0:  # NaN too
-        raise error("p must be a probability in [0, 1]")
-    if isinstance(clf, LinearProbModel) and not (math.isfinite(clf.lam) and clf.lam > 0):
-        raise error("lam must be a finite number > 0")
-    return clf
+        return np.array(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise DataError(f"{name or key} is not a numeric array") from None
 
 
 def _classifier_doc(clf):
-    if isinstance(_checked(clf, ValueError), ConstantProbModel):
+    if isinstance(clf, ConstantProbModel):
         return {"type": "constant", "p": clf.p}
-    return {"type": "linear",
-            "weights": _finite("classifier weights", clf.weights).tolist(),
-            "lam": clf.lam,
+    return {"type": "linear", "weights": clf.weights.tolist(), "lam": clf.lam,
             "converged": clf.converged, "iterations": clf.iterations}
 
 
-def _classifier_from(doc, d):
+def _classifier_from(doc):
     kind = _get(doc, "type")
     if kind == "constant":
-        return _checked(ConstantProbModel(p=_real(doc, "p")), DataError)
+        return ConstantProbModel(p=_get(doc, "p"))
     if kind != "linear":
         raise DataError(f"unknown classifier type {kind!r}")
-    weights = _array(_get(doc, "weights"), "classifier weights", 1)
-    if weights.shape[0] != d + 1:
-        raise DataError(f"classifier has {weights.shape[0]} weights for "
-                        f"{d} features (expected {d + 1})")
-    return _checked(LinearProbModel(weights=weights, lam=_real(doc, "lam"),
-                                    converged=_bool(doc, "converged"),
-                                    iterations=_integer(doc, "iterations")), DataError)
+    return LinearProbModel(weights=_floats(doc, "weights", "classifier weights"),
+                           lam=_get(doc, "lam"), converged=_get(doc, "converged"),
+                           iterations=_get(doc, "iterations"))
 
 
 def _br_doc(br):
-    return {"stats": _stats_doc(br.stats),
+    return {"stats": {"means": br.stats.means.tolist(),
+                      "sds": br.stats.sds.tolist()},
             "classifiers": [_classifier_doc(c) for c in br.classifiers],
-            "label_names": list(br.label_names)}
+            "label_names": br.label_names}
 
 
 def _br_from(doc):
-    stats = _stats_from(_get(doc, "stats"))
+    stats = _get(doc, "stats")
     classifiers = _get(doc, "classifiers")
-    if not isinstance(classifiers, list) or not classifiers:
-        raise DataError("classifiers must be a non-empty list")
-    d = stats.means.shape[0]
-    return BRModel(classifiers=[_classifier_from(c, d) for c in classifiers],
-                   stats=stats, label_names=_get(doc, "label_names"))
-
-
-def _named(br):
-    """``br`` once its label_names are a list of one string per classifier;
-    checked after the shapes, which name a missing classifier better."""
-    names, n_labels = br.label_names, len(br.classifiers)
-    if (not isinstance(names, list) or len(names) != n_labels
-            or not all(isinstance(name, str) for name in names)):
-        raise DataError(f"label_names must be a list of {n_labels} strings, "
-                        "one per classifier")
-    return br
+    if isinstance(classifiers, list):  # _check refuses any other value
+        classifiers = [_classifier_from(c) for c in classifiers]
+    return BRModel(classifiers=classifiers,
+                   stats=StandardizationStats(means=_floats(stats, "means"),
+                                              sds=_floats(stats, "sds")),
+                   label_names=_get(doc, "label_names"))
 
 
 def _nldd_from(doc):
     br = _br_from(_get(doc, "br"))
-    fit_doc = _get(doc, "fit")
-    fit = BinomialFit(*(_real(fit_doc, key, finite=True)
-                        for key in ("beta0", "beta1", "beta2")),
-                      converged=_bool(fit_doc, "converged"),
-                      iterations=_integer(fit_doc, "iterations"),
-                      final_gradient_norm=_real(fit_doc, "final_gradient_norm"))
-    features = _array(_get(doc, "train_features_std"), "train_features_std", 2)
-    labelsets = _array(_get(doc, "train_labelsets"), "train_labelsets", 2)
-    if not np.isin(labelsets, (0, 1)).all():
-        raise DataError("train_labelsets entries must be 0 or 1")
-    if features.shape[0] != labelsets.shape[0]:
-        raise DataError(f"{features.shape[0]} feature rows but "
-                        f"{labelsets.shape[0]} labelset rows")
-    if features.shape[1] != br.stats.means.shape[0]:
-        raise DataError(f"train_features_std has {features.shape[1]} columns "
-                        f"for {br.stats.means.shape[0]} features")
-    if labelsets.shape[1] != len(br.classifiers):
-        raise DataError(f"train_labelsets has {labelsets.shape[1]} columns "
-                        f"for {len(br.classifiers)} classifiers")
-    return NlddModel(br=_named(br), fit=fit, train_features_std=features,
-                     train_labelsets=labelsets.astype(np.int64),
-                     pair_count=_integer(doc, "pair_count"),
-                     distance_ops=_integer(doc, "distance_ops"))
+    fit = _get(doc, "fit")
+    keys = ("beta0", "beta1", "beta2", "converged", "iterations",
+            "final_gradient_norm")
+    return NlddModel(br=br, fit=BinomialFit(*(_get(fit, key) for key in keys)),
+                     train_features_std=_floats(doc, "train_features_std"),
+                     train_labelsets=_floats(doc, "train_labelsets"),
+                     pair_count=_get(doc, "pair_count"),
+                     distance_ops=_get(doc, "distance_ops"))
 
 
 def save_model(model, path):
@@ -170,25 +170,23 @@ def save_model(model, path):
 
     Raises ValueError, before the file is opened, for a model that
     ``load_model`` would refuse for one of its values."""
+    if not isinstance(model, (BRModel, NlddModel)):
+        raise TypeError(f"cannot serialize {type(model).__name__}")
+    _check(model)
     if isinstance(model, BRModel):
         doc = {"format_version": FORMAT_VERSION, "method": "br",
                "br": _br_doc(model)}
-    elif isinstance(model, NlddModel):
-        fit = model.fit
-        _finite("coefficients", (fit.beta0, fit.beta1, fit.beta2))
+    else:
         doc = {
             "format_version": FORMAT_VERSION,
             "method": "nldd",
             "br": _br_doc(model.br),
-            "fit": asdict(fit),
-            "train_features_std": _finite("train_features_std",
-                                          model.train_features_std),
+            "fit": asdict(model.fit),
+            "train_features_std": model.train_features_std,
             "train_labelsets": model.train_labelsets,
             "pair_count": model.pair_count,
             "distance_ops": model.distance_ops,
         }
-    else:
-        raise TypeError(f"cannot serialize {type(model).__name__}")
     with open(path, "w", encoding="utf-8") as fh:
         _write_doc(fh, doc)
 
@@ -228,14 +226,16 @@ def load_model(path):
     if not isinstance(doc, dict):
         raise DataError(f"{path}: not a valid model file: not a JSON object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # nor true, 1.0
         raise DataError(f"{path}: unsupported format_version {version!r}")
     method = doc.get("method")
-    try:
-        if method == "br":
-            return "br", _named(_br_from(_get(doc, "br")))
-        if method == "nldd":
-            return "nldd", _nldd_from(doc)
-    except DataError as exc:
+    if method not in ("br", "nldd"):
+        raise DataError(f"{path}: unknown method {method!r}")
+    try:  # DataError from the parsing, ValueError from _check
+        model = _check(_br_from(_get(doc, "br")) if method == "br"
+                       else _nldd_from(doc))
+    except ValueError as exc:
         raise DataError(f"{path}: malformed model file: {exc}") from None
-    raise DataError(f"{path}: unknown method {method!r}")
+    if method == "nldd":  # only once _check has found them 0 or 1
+        model.train_labelsets = model.train_labelsets.astype(np.int64)
+    return method, model

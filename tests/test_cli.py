@@ -607,9 +607,11 @@ class TestBoundaries:
 
     @pytest.mark.parametrize("method", ["br", "nldd"])
     def test_overflowing_training_column_exit_3(self, tmp_path, capsys, method):
-        # Finite cells whose sum overflows: the mean of column 1 is inf.
+        # Five cells of 1e308 and one of -1.78e308 in column 1: its mean
+        # (3.6e306) and sd (3e307) are finite, but the last cell's deviation
+        # from the mean is not.
         ds = generate_synthetic(90, 4, 3, 0.8, 0.3, seed=1)
-        ds.features[[0, 1], 0] = 1.7e308
+        ds.features[:6, 0] = [1e308] * 5 + [-1.78e308]
         data = str(tmp_path / "big.csv")
         save_csv(ds, data)
         rc = main(["train", "--data", data, "--labels", "3", "--method",

@@ -421,7 +421,10 @@ class TestStandardize:
             standardize_fit(ds)
 
     @pytest.mark.parametrize("column", [
-        [1.7e308, 1.7e308, 0.0],  # the sum, so the mean, overflows
+        # The sum overflows, so the mean (8e307) is taken from the scaled
+        # column; the sd (1.7e308) is finite, but the last value's deviation
+        # from the mean is not.
+        [1.7e308, 1.7e308, -1e308],
         # The mean (7.3e306) and the sd (1.6e308) are finite, but the first
         # value's deviation from the mean, as standardising forms it, is not.
         [-1.78e308, 1e308, 1e308],
@@ -433,6 +436,24 @@ class TestStandardize:
         with pytest.raises(DataError, match=r"^feature column 2 \(big\) is "
                            "too large to standardise"):
             standardize_fit(ds)
+
+    @pytest.mark.parametrize("column, mean, sd", [
+        ([1.7e308, 1.7e308, 0.0], 1.7e308 / 3 * 2, 1.7e308 / 3 ** 0.5),
+        ([-1.7e308, -1.7e308, -1.7e308], -1.7e308, 0.0),
+    ])
+    def test_column_whose_sum_overflows_trains(self, column, mean, sd):
+        # The plain mean is inf; the mean is taken from the column scaled by
+        # its max-abs, and the other columns keep the plain mean's bits.
+        rng = np.random.default_rng(6)
+        plain = rng.standard_normal((3, 2)) * [1.0, 1e300]
+        features = np.column_stack([plain[:, 0], column, plain[:, 1]])
+        stats = standardize_fit(Dataset(features, np.array([[0], [1], [0]])))
+        want = standardize_fit(Dataset(plain, np.array([[0], [1], [0]])))
+        assert stats.means[[0, 2]].tobytes() == want.means.tobytes()
+        assert stats.sds[[0, 2]].tobytes() == want.sds.tobytes()
+        assert stats.means[1] == pytest.approx(mean, rel=1e-15)
+        assert stats.sds[1] == pytest.approx(sd, rel=1e-15)
+        assert np.isfinite(standardize_apply(stats, features)).all()
 
     def test_overflowing_sd_names_the_column(self):
         # Scaled to [-1, 1] the sd is sqrt(2); scaled back it overflows.
