@@ -13,8 +13,8 @@ from .learner import (LinearProbModel, fit_fallback, fit_logistic,
 
 class QueryRowError(DataError):
     """A refused query row: ``problem`` says what is wrong with the batch's
-    0-based row ``row``. ``_queries`` raises it, and so does NLDD training
-    for a T2 row whose mined distances overflow."""
+    0-based row ``row``. ``_queries`` raises it, and so does ``mine_pairs``
+    for a query row whose mined distance overflows."""
 
     def __init__(self, problem, row):
         super().__init__(f"{problem} in query row {row + 1}")

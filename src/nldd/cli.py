@@ -139,9 +139,9 @@ def cmd_compare(args):
     if len(methods) < 2:
         raise ValueError("--methods needs at least 2 method ids")
     _check_methods(methods, args.subsample)
+    if args.cv < 2:
+        raise ValueError("--cv must be >= 2")
     datasets = [_load_dataset(p, args.labels, args.format) for p in args.data]
-    if len(datasets) < 2 and args.cv < 2:
-        raise ValueError("need at least 2 datasets or --cv >= 2")
 
     # Per dataset, each method's (fold reports, mean report).
     results = [cross_validate(data, tuple(methods), args.cv, args.seed,

@@ -165,8 +165,6 @@ def fit_fallback(targets):
     """Laplace-smoothed constant model: p = (k+1)/(n+2)."""
     y = np.asarray(targets)
     n = y.shape[0]
-    if n == 0:
-        return ConstantProbModel(p=0.5)
     k = int(np.sum(y))
     return ConstantProbModel(p=(k + 1) / (n + 2))
 

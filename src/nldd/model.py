@@ -128,10 +128,6 @@ def _argmin_rows(x, p_hat, features, labels, weights, squared):
     return rows, dx_out, dy_out
 
 
-# The (beta1, beta2) of mining's two pairs: the smallest dx, the smallest dy.
-_MINING_WEIGHTS = ((1.0, 0.0), (0.0, 1.0))
-
-
 def mine_pairs(p_hat, true_labels, t1_features_std, t1_labels, x_std):
     """Select the two informative (dx, dy) pairs for each validation instance.
 
@@ -149,18 +145,31 @@ def mine_pairs(p_hat, true_labels, t1_features_std, t1_labels, x_std):
     ``kernels`` module (per row, the squared differences added in feature
     or label order with one accumulator); the GEMM screen only decides
     which rows need them.
+
+    Raises ValueError for an empty T1 or unless ``p_hat`` and
+    ``true_labels`` are (n, L), ``t1_features_std`` (N, d), ``t1_labels``
+    (N, L) and ``x_std`` (n, d); and QueryRowError, a DataError, naming the
+    first query row whose mined dx or dy is not finite.
     """
-    if t1_features_std.shape[0] == 0:
-        raise ValueError("empty T1")
     p_hat, x_std, t1_features_std = (np.asarray(a, dtype=np.float64)
                                      for a in (p_hat, x_std, t1_features_std))
     true_labels, t1_labels = np.asarray(true_labels), np.asarray(t1_labels)
-    return _pairs(true_labels, t1_labels, *_argmin_rows(
-        x_std, p_hat, t1_features_std, t1_labels, _MINING_WEIGHTS, squared=True))
-
-
-def _pairs(true_labels, t1_labels, rows, dxsq, dysq):
-    """``mine_pairs``'s (dx, dy, loss) from the engine's (2, n) results."""
+    shapes = [a.shape for a in (p_hat, true_labels, t1_features_std,
+                                t1_labels, x_std)]
+    n, L, N, d = (shapes[0] + shapes[2] if len(shapes[0]) == len(shapes[2]) == 2
+                  else (None,) * 4)
+    if shapes != [(n, L), (n, L), (N, d), (N, L), (n, d)]:
+        raise ValueError("mine_pairs needs p_hat and true_labels (n, L), "
+                         "t1_features_std (N, d), t1_labels (N, L) and x_std "
+                         f"(n, d); got {', '.join(map(str, shapes))}")
+    if t1_features_std.shape[0] == 0:
+        raise ValueError("empty T1")
+    # The (beta1, beta2) of the two pairs: the smallest dx, the smallest dy.
+    rows, dxsq, dysq = _argmin_rows(x_std, p_hat, t1_features_std, t1_labels,
+                                    ((1.0, 0.0), (0.0, 1.0)), squared=True)
+    finite = np.isfinite(dxsq).all(axis=0) & np.isfinite(dysq).all(axis=0)
+    if not finite.all():
+        raise QueryRowError("mined distance overflows", int(np.argmin(finite)))
     losses = np.sum(true_labels[None] != t1_labels[rows], axis=2)
     # Masking the (n, 2) transposes takes row 0's pairs, then row 1's, ...
     keep = np.column_stack([np.ones(rows.shape[1], dtype=bool),
@@ -178,8 +187,9 @@ def fit_binomial_glm(dx, dy, losses, n_labels, max_iter=50, tol=1e-8):
     count (out of ``n_labels`` trials) on (dx, dy), three equal-length 1-D
     arrays as ``mine_pairs`` returns them.
 
-    Raises ValueError on empty or unequal-length arrays or a negative
-    ``max_iter``, TrainingError when every loss is 0 or every loss is
+    Raises ValueError on empty or unequal-length arrays, a dx or dy that is
+    not finite, a loss that is NaN or outside [0, n_labels], or a negative
+    ``max_iter``; TrainingError when every loss is 0 or every loss is
     n_labels. Non-convergence is reported via ``converged=False``, not an
     exception.
     """
@@ -190,6 +200,10 @@ def fit_binomial_glm(dx, dy, losses, n_labels, max_iter=50, tol=1e-8):
     n = losses.shape[0]
     if n == 0:
         raise ValueError("no distance pairs")
+    if not (np.isfinite(dx).all() and np.isfinite(dy).all()):
+        raise ValueError("dx and dy must be finite")
+    if not ((losses >= 0) & (losses <= n_labels)).all():
+        raise ValueError("losses must be in [0, n_labels]")
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
     X = np.column_stack([np.ones(n), dx, dy])
@@ -280,16 +294,10 @@ def _fit_pair_model(sub, seed, lam, keep=None):
     # of them outlives the BR fit on T1 or the standardisation of T2.
     br_star = br_fit(sub.subset(t1_indices), lam)
     t1_std = standardize_apply(br_star.stats, sub.features[t1_indices])
-    t1_labels = sub.labels[t1_indices]
     try:
         t2_std, p_hat = _queries(br_star, sub.features[t2_indices])
-        # As mine_pairs, keeping the per-row distances that name an overflow.
-        mined = _argmin_rows(t2_std, p_hat, t1_std, t1_labels,
-                             _MINING_WEIGHTS, squared=True)
-        finite = np.isfinite(mined[1:]).all(axis=(0, 1))
-        if not finite.all():
-            raise QueryRowError("mined distance overflows", int(np.argmin(finite)))
-        dx, dy, losses = _pairs(sub.labels[t2_indices], t1_labels, *mined)
+        dx, dy, losses = mine_pairs(p_hat, sub.labels[t2_indices], t1_std,
+                                    sub.labels[t1_indices], t2_std)
     except QueryRowError as exc:  # T2's rows, queried against T1 and mined
         row = t2_indices[exc.row] if keep is None else keep[t2_indices[exc.row]]
         raise DataError(f"T2 half of the training split: {exc.problem} in "

@@ -6,6 +6,7 @@ row-by-row oracles exactly; the screened mining and predict equal exact
 full scans.
 """
 
+import contextlib
 import copy
 import dataclasses
 import math
@@ -19,7 +20,8 @@ from hypothesis.extra.numpy import arrays
 
 from nldd import kernels
 from nldd.br import BRModel, br_fit, br_predict, br_predict_proba_matrix, smbr_predict
-from nldd.data import Dataset, StandardizationStats, standardize_apply
+from nldd.data import (DataError, Dataset, StandardizationStats,
+                       standardize_apply)
 from nldd.evaluate import generate_synthetic
 from nldd.learner import (PROB_CLAMP, LinearProbModel, TrainingError,
                           predict_proba_matrix)
@@ -277,13 +279,18 @@ def engine_cases(draw, huge=False):
     """Standardised training rows and query rows that stress the screen:
     an offset of 1e4 (G cancels), duplicated training rows, rows one ulp
     apart, queries that copy a training row, and few labels (dy ties);
-    with ``huge``, also query features near 1e155, 1e200 and 1.7e308
-    (G overflows to inf, or to inf - inf = NaN)."""
+    with ``huge``, also query features of +-1e154 (4S overflows, so the
+    row takes the full scan, but dx does not) or, in other batches, near
+    1e155, 1e200 and 1.7e308 (G overflows to inf, or to inf - inf = NaN,
+    and so does dx)."""
     d = draw(st.integers(1, 6))
     n_labels = draw(st.integers(1, 3))
     offset = draw(st.sampled_from([0.0, 1e4, -1e4]))
     values = st.one_of(st.floats(-3.0, 3.0, allow_nan=False),
                        st.sampled_from([-1.0, 0.0, 0.5]))
+    huge_values = (draw(st.sampled_from([(1e154, -1e154),
+                                         (1e155, -1e155, 1e200, 1.7e308)]))
+                   if huge else ())
     train = draw(arrays(np.float64, (draw(st.integers(1, 30)), d),
                         elements=values)) + offset
     queries = draw(arrays(np.float64, (draw(st.integers(1, 10)), d),
@@ -299,7 +306,7 @@ def engine_cases(draw, huge=False):
                 rows[i] = np.nextafter(train[j], draw(st.sampled_from([-np.inf, np.inf])))
             elif kind == "huge":
                 rows[i, draw(st.integers(0, d - 1))] = draw(
-                    st.sampled_from([1e155, -1e155, 1e200, 1.7e308]))
+                    st.sampled_from(huge_values))
     labels = draw(arrays(np.int64, (train.shape[0], n_labels),
                          elements=st.integers(0, 1)))
     return train, labels, queries
@@ -315,13 +322,19 @@ def test_screened_mining_equals_exhaustive_oracle(rows_per_block, case, data):
     p_hat = data.draw(arrays(np.float64, (n, n_labels), elements=st.one_of(
         st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.01, 0.99))))
     true = data.draw(arrays(np.int64, (n, n_labels), elements=st.integers(0, 1)))
+    want = [mine_pairs_oracle(p_hat[i], true[i], t1, t1_labels, x[i])
+            for i in range(n)]
+    # A batch is refused at its first row whose mined dx or dy is inf.
+    overflows = [i for i, pairs in enumerate(want)
+                 if not np.isfinite([pair[:2] for pair in pairs]).all()]
+    expect = (pytest.raises(DataError, match="mined distance overflows in "
+                            f"query row {overflows[0] + 1}$")
+              if overflows else contextlib.nullcontext())
     with mock.patch.object(kernels, "BLOCK_BYTES",
-                           _block_bytes(t1.shape[0], rows_per_block)):
+                           _block_bytes(t1.shape[0], rows_per_block)), expect:
         got = mine_pairs(p_hat, true, np.asfortranarray(t1), t1_labels, x_std=x)
-    want = []
-    for i in range(n):
-        want += mine_pairs_oracle(p_hat[i], true[i], t1, t1_labels, x[i])
-    assert pair_tuples(got) == want
+    if not overflows:
+        assert pair_tuples(got) == sum(want, [])
 
 
 def _linear_br(weights):

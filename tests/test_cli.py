@@ -546,7 +546,10 @@ class TestBoundaries:
         (["predict", "--model", "nldd.json", "--format", "sparse",
           "--labels", "0"], 3, "sparse input requires --labels >= 1"),
         (["compare", "--methods", "br,nldd", "--labels", "3", "--cv", "1"],
-         2, "need at least 2 datasets or --cv >= 2")])
+         2, "--cv must be >= 2"),
+        # Refused before any file is loaded: the second file does not exist.
+        (["compare", "--methods", "br,nldd", "--labels", "3", "--cv", "1",
+          "--data", "missing.csv"], 2, "--cv must be >= 2")])
     def test_option_combinations_refused(self, csv_path, tmp_path, capsys,
                                          argv, rc, message):
         methods = {"br.json": "br", "nldd.json": "nldd"}

@@ -131,6 +131,27 @@ class TestMinePairs:
             mine_pairs(np.array([[0.5]]), [[0]], np.empty((0, 1)),
                        np.empty((0, 1)), x_std=np.array([[0.0]]))
 
+    @pytest.mark.parametrize("name, shape", [
+        ("x_std", (4,)), ("x_std", (4, 2)), ("x_std", (3, 3)),
+        ("t1_features_std", (6, 3)), ("t1_features_std", (5, 2)),
+        ("t1_features_std", (5, 3, 1)),
+        ("p_hat", (1, 2)), ("p_hat", (7, 2)), ("p_hat", (2, 2)),
+        ("p_hat", (4, 3)), ("true_labels", (1, 2)), ("true_labels", (4,)),
+        ("t1_labels", (6, 2)), ("t1_labels", (5, 1))])
+    def test_mismatched_shapes_raise(self, name, shape):
+        # Every array has the shape it should but one: n = 4 queries,
+        # N = 5 T1 rows, d = 3 features and L = 2 labels.
+        rng = np.random.default_rng(0)
+        args = dict(p_hat=rng.uniform(0, 1, (4, 2)),
+                    true_labels=rng.integers(0, 2, (4, 2)),
+                    t1_features_std=rng.standard_normal((5, 3)),
+                    t1_labels=rng.integers(0, 2, (5, 2)),
+                    x_std=rng.standard_normal((4, 3)))
+        assert len(mine_pairs(**args)[0]) >= 4
+        args[name] = np.resize(args[name], shape)
+        with pytest.raises(ValueError, match="mine_pairs needs"):
+            mine_pairs(**args)
+
 
 # Mines pairs on fixed standardized inputs (T1 = T2 = 4000, d = 50, L = 10:
 # large enough for OpenBLAS to split its products across threads) and
@@ -191,6 +212,17 @@ class TestBinomialGlm:
         with pytest.raises(ValueError, match="max_iter"):
             fit_binomial_glm(np.ones(5), np.full(5, 0.5), np.ones(5), 3,
                              max_iter=-1)
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="dx and dy must be finite"):
+                fit_binomial_glm(np.r_[np.ones(4), bad], np.full(5, 0.5),
+                                 np.ones(5), 3)
+            with pytest.raises(ValueError, match="dx and dy must be finite"):
+                fit_binomial_glm(np.ones(5), np.r_[bad, np.full(4, 0.5)],
+                                 np.ones(5), 3)
+        for bad in (np.nan, -1, 4, 5):
+            with pytest.raises(ValueError, match=r"losses must be in \[0, n_labels\]"):
+                fit_binomial_glm(np.ones(5), np.full(5, 0.5),
+                                 np.r_[1, 0, bad, 2, 3], 3)
 
     def test_separable_losses_fit_without_overflow_warning(self):
         # dx separates the losses, so the scores of many pairs run far below
@@ -415,10 +447,13 @@ class TestTrain:
                                 f"in training row {row + 1}$")
                   if overflow else contextlib.nullcontext())
         with mock.patch.object(model_module, "_argmin_rows",
-                               wraps=model_module._argmin_rows) as engine:
+                               wraps=model_module._argmin_rows) as engine, \
+                mock.patch.object(model_module, "mine_pairs",
+                                  wraps=model_module.mine_pairs) as mining:
             with expect:
                 nldd_train(Dataset(features, ds.labels), seed=0)
-        assert engine.call_count == 1
+        # Through mine_pairs, the function the benchmark times as mining.
+        assert (engine.call_count, mining.call_count) == (1, 1)
 
     def test_distance_counter(self):
         train, _ = _train_test(2)
