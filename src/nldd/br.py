@@ -14,7 +14,8 @@ from .learner import (LinearProbModel, fit_fallback, fit_logistic,
 class QueryRowError(DataError):
     """A refused query row: ``problem`` says what is wrong with the batch's
     0-based row ``row``. ``_queries`` raises it, and so does ``mine_pairs``
-    for a query row whose mined distance overflows."""
+    for a query row with a non-finite input cell or whose mined distance
+    overflows."""
 
     def __init__(self, problem, row):
         super().__init__(f"{problem} in query row {row + 1}")

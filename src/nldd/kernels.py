@@ -12,32 +12,41 @@ The screen. Scanning every training row exactly for every query is slow, so
 
     G = ||a||^2 + ||b||^2 - 2 a.b
 
-with one matrix product, as FAISS does (Johnson, Douze & Jegou, arXiv
-1702.08734), together with a per-query margin
+as one matrix product, as FAISS does (Johnson, Douze & Jegou, arXiv
+1702.08734): the query rows, augmented as [-2a, ||a||^2, 1], times the
+rows, which ``augment`` stores once as [b, 1, ||b||^2]. With G comes a
+per-query margin
 
-    m = 8 (d + 4) (eps (||a||^2 + max_b ||b||^2) + tiny),
+    m = 10 (d + 4) (eps (||a||^2 + max_b ||b||^2) + tiny),
 
 eps = 2^-52 and tiny = 2^-1022. Callers keep the rows that the margin says
 could win and recompute only those exactly, so their results equal those of
 an exact full scan.
 
-Why m is safe. Write S = ||a||^2 + max_b ||b||^2 and u = eps/2 for the unit
-roundoff. The exact value D = ||a - b||^2 is at most 2S. Forward error
+Why m is safe. Write S = ||a||^2 + max_b ||b||^2, s = ||a||^2 + ||b||^2 <= S,
+u = eps/2 for the unit roundoff and g_n = n u / (1 - n u). Forward error
 bounds (Higham, "Accuracy and Stability of Numerical Algorithms", ch. 3),
-which hold for any summation order and so for any BLAS:
+which hold for any summation order, with or without fused multiply-adds,
+and so for any BLAS:
 
-- the norms and the dot product are each within d u S of their true
-  values (|a.b| <= S/2), and the two final additions add at most 3 u S each,
-  so |G - D| <= (2d + 6) u S;
+- the stored norms are within g_d of ||a||^2 and ||b||^2 (relative), so
+  their sum is within g_d s of s;
+- scaling by -2 and multiplying by 1 are exact, so G is the product of
+  two (d + 2)-vectors whose exact value is the sum of the stored norms
+  minus 2 a.b, and G is within g_(d+2) of the sum of the absolute terms,
+  2 |a|.|b| + the stored norms <= (2 + g_d) s;
 - the exact kernel rounds each difference and its square and then adds d
-  terms in order, so it is within (d + 2) u D <= (2d + 4) u S of D.
+  terms in order, so it is within g_(d+2) D of D = ||a - b||^2 <= 2 s.
 
-So |G - E| <= (4d + 10) u S <= m/4 for every row, E being the exact
-kernel's value. A row j that wins on E has G_j <= E_j + m/4 <= E_k + m/4
-<= G_k + m/2 for every k, and every row that ties it on E does too. Keeping
-the rows with G <= min G + m, or using [G - m, G + m] as an interval for E,
-therefore never drops a winner, with a factor of two to spare for the
-rounding of m and of the threshold; the tiny term covers underflow.
+So |G - E| <= (g_d + 4 g_(d+2) + g_d g_(d+2)) s, E being the exact
+kernel's value: (5d + 8) u S to first order, and below (5d + 9) u S for any
+d up to 10^6. The margin's m/4 is (5d + 20) u S, less its own rounding
+(well under u S), so |G - E| <= m/4 for every row. A row j that wins on E
+has G_j <= E_j + m/4 <= E_k + m/4 <= G_k + m/2 for every k, and every row
+that ties it on E does too. Keeping the rows with G <= min G + m, or using
+[G - m, G + m] as an interval for E, therefore never drops a winner, with a
+factor of two to spare for the rounding of the threshold; the tiny term
+covers underflow.
 
 Groups of rows. Mining and predict share one engine,
 ``model._argmin_rows``: per query row it finds the training row that
@@ -45,7 +54,8 @@ minimizes beta1*dx + beta2*dy. Mining's two pairs are the weights (1, 0)
 and (0, 1) on squared distances, predict is the fitted weights on
 distances. It screens dx against the training rows and dy against the K
 labelsets (d = L), brackets each labelset as a whole, compares single rows
-with their group's bound, and computes only the kept rows exactly.
+with their group's bound once for all the weights, and computes the kept
+rows exactly once.
 
 A query row for which 4 S overflows (a standardised feature near 1e154 or
 larger) has no usable screen: G overflows to inf, or to inf - inf = NaN
@@ -54,8 +64,11 @@ drops no training row and the row gets the exact full scan.
 
 Memory: blocks of query rows are sized so that a (block, N) float64
 temporary is at most ``BLOCK_BYTES``; the exact kernel chunks its
-(d, pairs) work arrays to the same size.
+(d, pairs) work arrays to the same size. The rows exist once: the exact
+kernel reads them as the first d entries of ``augment``'s copy.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,30 +111,54 @@ def paired_sq_dists(a, b, rows, cols):
     return out
 
 
-def row_norms(mat):
-    """``(||b||^2 for each row b of mat, their maximum)``, as ``screen``
-    takes them."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        mat_sq = np.einsum("ij,ij->i", mat, mat)
-    return mat_sq, mat_sq.max()
+class Augmented(NamedTuple):
+    """Rows b as ``screen`` reads them: ``table``, a C-contiguous (d + 2, N)
+    array whose column k is [b_k, 1, ||b_k||^2], and ``sq_max``, the largest
+    ||b_k||^2."""
+    table: np.ndarray
+    sq_max: float
+
+    @property
+    def rows(self):
+        """The (N, d) rows b themselves, a view of ``table``."""
+        return self.table[:-2].T
 
 
-def screen(a, mat, norms):
-    """``(G, margin)`` for the query rows ``a`` against the rows of ``mat``:
-    the (len(a), N) screen values and the per-row bound described in the
-    module docstring (inf, with G = 0, for a row that needs the full scan).
-    Call it on ``blocks`` of the queries to bound its memory, passing
-    ``norms = row_norms(mat)`` computed once for all of them."""
-    d = a.shape[1]
-    mat_sq, mat_sq_max = norms
+def augment(mat, order=None):
+    """The rows of ``mat`` (taken in ``order``, if given) as an
+    ``Augmented``. Compute it once for all the blocks of queries."""
+    n, d = mat.shape
+    table = np.empty((d + 2, n))
+    if order is None:
+        table[:d] = mat.T
+    else:
+        # Gathered one feature at a time, straight into place, so that no
+        # second (N, d) copy exists even for a moment; ``order`` is a valid
+        # index, so "clip" changes nothing but spares take its buffered
+        # output.
+        for j in range(d):
+            np.take(mat[:, j], order, out=table[j], mode="clip")
+    table[d] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        a_sq = np.einsum("ij,ij->i", a, a)
-        total = a_sq + mat_sq_max
-        margin = 8.0 * (d + 4) * (_EPS * total + _TINY)
+        np.einsum("ij,ij->j", table[:d], table[:d], out=table[d + 1])
+    return Augmented(table, table[d + 1].max())
+
+
+def screen(a, augmented):
+    """``(G, margin)`` for the query rows ``a`` against the ``Augmented``
+    rows: the (len(a), N) screen values and the per-row bound described in
+    the module docstring (inf, with G = 0, for a row that needs the full
+    scan). Call it on ``blocks`` of the queries to bound its memory."""
+    q, d = a.shape
+    query = np.empty((q, d + 2))
+    with np.errstate(over="ignore", invalid="ignore"):
         # Scaling by -2 is exact, and the tiny term covers a subnormal product.
-        G = (-2.0 * a) @ mat.T
-        G += a_sq[:, None]
-        G += mat_sq
+        np.multiply(a, -2.0, out=query[:, :d])
+        a_sq = np.einsum("ij,ij->i", a, a, out=query[:, d])
+        query[:, d + 1] = 1.0
+        total = a_sq + augmented.sq_max
+        margin = 10.0 * (d + 4) * (_EPS * total + _TINY)
+        G = query @ augmented.table
         full = ~np.isfinite(4.0 * total)
     if full.any():
         G[full] = 0.0

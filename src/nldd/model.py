@@ -2,6 +2,7 @@
 regression of the per-label misclassification probability, and prediction
 by minimum expected loss."""
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -82,16 +83,23 @@ def _argmin_rows(x, p_hat, features, labels, weights, squared):
     smallest exact dx, which the screen places within m/2 of g (the
     ``kernels`` argument with the labelset's rows for all rows), so its
     bound is g + m; for beta1 < 0 a rounding tie in the score can let a row
-    of smaller dx win, so its bound is +inf. A row is kept iff its G is
-    within its labelset's bound (-inf if the labelset is dropped), and only
-    kept rows get their exact dx and dy. A full-scan row has G = 0 and
-    m = inf: every labelset survives when beta1 != 0, and when beta1 = 0 dy
-    alone brackets the score (p-hat in [0, 1] keeps m_y finite).
+    of smaller dx win, so its bound is +inf. Each weighting's bound is -inf
+    on the labelsets it drops. A full-scan row has G = 0 and m = inf: every
+    labelset survives when beta1 != 0, and when beta1 = 0 dy alone brackets
+    the score (p-hat in [0, 1] keeps m_y finite).
+
+    Per block the rows are kept in one pass, by comparing each row's G with
+    the largest of the weightings' bounds on its labelset, and only the kept
+    rows get their exact dx and dy, once for all the weightings. Each
+    weighting then picks its winner among the kept rows whose G lies within
+    its own bound: the rows it would have kept on its own, so its winner
+    does not depend on the other weightings.
     """
     table, order, starts, sizes = _labelset_groups(labels)
-    table = np.asarray(table, dtype=np.float64)
-    train_rows = features[order]  # in labelset order
-    norms, table_norms = kernels.row_norms(train_rows), kernels.row_norms(table)
+    # The rows in labelset order, and the labelsets, as the screen reads
+    # them; the exact kernel reads the same copies.
+    train = kernels.augment(features, order)
+    vertices = kernels.augment(table)
     group_of = np.repeat(np.arange(len(sizes)), sizes)
     dist = (lambda sq: sq) if squared else (lambda sq: np.sqrt(sq, out=sq))  # in place
     n = x.shape[0]
@@ -100,26 +108,32 @@ def _argmin_rows(x, p_hat, features, labels, weights, squared):
 
     def fill(block):
         # A function, so that each block's (block, N) arrays die before the next's.
-        G, margin = kernels.screen(x[block], train_rows, norms)
+        G, margin = kernels.screen(x[block], train)
         # dy's interval ends; the far end is Gy + m_y, formed in Gy.
-        Gy, margin_y = kernels.screen(p_hat[block], table, table_norms)
+        Gy, margin_y = kernels.screen(p_hat[block], vertices)
         m_y = margin_y[:, None]
         dy_ends = dist(np.maximum(Gy - m_y, 0.0)), dist(np.add(Gy, m_y, out=Gy))
         # Each labelset's smallest G (largest for beta1 < 0), once per block.
         extreme = {f: f.reduceat(G, starts, axis=1) for f in
                    {np.minimum if beta1 >= 0 else np.maximum for beta1, _ in weights}}
         m = margin[:, None]
-        for w, (beta1, beta2) in enumerate(weights):
+        bounds = []
+        for beta1, beta2 in weights:
             g = extreme[np.minimum if beta1 >= 0 else np.maximum]
             survive = _survivors(beta1, beta2, (dist(np.maximum(g - m, 0.0)),
                                                 dist(g + m)), dy_ends)
-            bound = np.where(survive, g + m if beta1 >= 0 else np.inf, -np.inf)
-            keep = G <= np.repeat(bound, sizes, axis=1)
-            q, pos = np.divmod(np.flatnonzero(keep), keep.shape[1])
-            dx = dist(kernels.paired_sq_dists(x[block], train_rows, q, pos))
-            dy = dist(kernels.paired_sq_dists(p_hat[block], table, q, group_of[pos]))
-            j = order[pos]
-            first = _first_per_row(q, (_score(beta1, beta2, dx, dy), dy, dx, j))
+            bounds.append(np.where(survive, g + m if beta1 >= 0 else np.inf, -np.inf))
+        keep = G <= np.repeat(functools.reduce(np.maximum, bounds), sizes, axis=1)
+        q, pos = np.divmod(np.flatnonzero(keep), keep.shape[1])
+        group = group_of[pos]
+        dx = dist(kernels.paired_sq_dists(x[block], train.rows, q, pos))
+        dy = dist(kernels.paired_sq_dists(p_hat[block], vertices.rows, q, group))
+        G_kept, j = G[q, pos], order[pos]
+        for w, (beta1, beta2) in enumerate(weights):
+            own = np.flatnonzero(G_kept <= bounds[w][q, group])
+            dx_w, dy_w = dx[own], dy[own]
+            first = own[_first_per_row(q[own], (_score(beta1, beta2, dx_w, dy_w),
+                                                dy_w, dx_w, j[own]))]
             rows[w, block], dx_out[w, block], dy_out[w, block] = (
                 j[first], dx[first], dy[first])
 
@@ -149,7 +163,8 @@ def mine_pairs(p_hat, true_labels, t1_features_std, t1_labels, x_std):
     Raises ValueError for an empty T1 or unless ``p_hat`` and
     ``true_labels`` are (n, L), ``t1_features_std`` (N, d), ``t1_labels``
     (N, L) and ``x_std`` (n, d); and QueryRowError, a DataError, naming the
-    first query row whose mined dx or dy is not finite.
+    first query row with a NaN or an infinity in ``x_std`` or ``p_hat`` or,
+    when there is none, the first whose mined dx or dy overflows.
     """
     p_hat, x_std, t1_features_std = (np.asarray(a, dtype=np.float64)
                                      for a in (p_hat, x_std, t1_features_std))
@@ -164,6 +179,10 @@ def mine_pairs(p_hat, true_labels, t1_features_std, t1_labels, x_std):
                          f"(n, d); got {', '.join(map(str, shapes))}")
     if t1_features_std.shape[0] == 0:
         raise ValueError("empty T1")
+    finite = np.isfinite(x_std).all(axis=1) & np.isfinite(p_hat).all(axis=1)
+    if not finite.all():
+        raise QueryRowError("non-finite x_std or p_hat value",
+                            int(np.argmin(finite)))
     # The (beta1, beta2) of the two pairs: the smallest dx, the smallest dy.
     rows, dxsq, dysq = _argmin_rows(x_std, p_hat, t1_features_std, t1_labels,
                                     ((1.0, 0.0), (0.0, 1.0)), squared=True)
@@ -215,6 +234,7 @@ def fit_binomial_glm(dx, dy, losses, n_labels, max_iter=50, tol=1e-8):
     rate = total / (n_labels * n)
     beta = np.array([math.log(rate / (1.0 - rate)), 0.0, 0.0])
     converged = False
+    ll = None  # the log-likelihood at beta, once it is known
     # Pass it checks the gradient after it - 1 steps; the last pass only
     # checks it.
     for it in range(1, max_iter + 2):
@@ -232,15 +252,18 @@ def fit_binomial_glm(dx, dy, losses, n_labels, max_iter=50, tol=1e-8):
             delta = np.linalg.solve(H, g)
         except np.linalg.LinAlgError:
             break
-        ll_old = _binomial_loglik(X, losses, n_labels, beta)
+        ll_old = _binomial_loglik(X, losses, n_labels, beta) if ll is None else ll
         step = 1.0
         beta_new = beta + delta
         for _ in range(20):
-            if (np.isfinite(beta_new).all()
-                    and _binomial_loglik(X, losses, n_labels, beta_new) >= ll_old):
+            ll = (_binomial_loglik(X, losses, n_labels, beta_new)
+                  if np.isfinite(beta_new).all() else None)
+            if ll is not None and ll >= ll_old:
                 break
             step *= 0.5
             beta_new = beta + step * delta
+        else:
+            ll = None  # the last halving was never evaluated
         beta = beta_new
         if not np.isfinite(beta).all():
             beta = np.where(np.isfinite(beta), beta, 0.0)

@@ -337,6 +337,26 @@ def test_screened_mining_equals_exhaustive_oracle(rows_per_block, case, data):
         assert pair_tuples(got) == sum(want, [])
 
 
+@pytest.mark.parametrize("rows_per_block", [1, 3, None])
+def test_mining_computes_kept_rows_once_per_block(rows_per_block):
+    # Both weightings pick their winners from one set of kept rows, so each
+    # block runs the exact kernel twice, once for dx and once for dy.
+    rng = np.random.default_rng(5)
+    t1, t1_labels = rng.standard_normal((40, 3)), rng.integers(0, 2, (40, 2))
+    x, p_hat, true = (rng.standard_normal((10, 3)), rng.random((10, 2)),
+                      rng.integers(0, 2, (10, 2)))
+    with mock.patch.object(kernels, "BLOCK_BYTES", _block_bytes(40, rows_per_block)), \
+            mock.patch.object(kernels, "paired_sq_dists",
+                              wraps=kernels.paired_sq_dists) as exact:
+        got = mine_pairs(p_hat, true, t1, t1_labels, x_std=x)
+        n_blocks = len(kernels.blocks(10, 40))
+    assert n_blocks == {1: 10, 3: 4, None: 1}[rows_per_block]
+    assert exact.call_count == 2 * n_blocks
+    assert pair_tuples(got) == sum((mine_pairs_oracle(p_hat[i], true[i], t1,
+                                                      t1_labels, x[i])
+                                    for i in range(10)), [])
+
+
 def _linear_br(weights):
     """BR of one logistic model per row of ``weights`` on unscaled features."""
     d = weights.shape[1] - 1

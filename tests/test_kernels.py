@@ -1,12 +1,17 @@
-"""The distance engine: exact kernels against an index-order loop, and the
-GEMM screen's margin against the exact kernel's values."""
+"""The distance engine: exact kernels against an index-order loop, the
+GEMM screen's margin against the exact kernel's values, and the engine's
+results under other BLAS thread counts and kernels."""
 
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import nldd
 from nldd import kernels
 from test_model import sq_dist_oracle, sq_dists
 
@@ -84,7 +89,7 @@ def test_screen_error_within_a_quarter_margin(sets, scale, rows_per_block):
     if rows_per_block is not None:
         assert {blk.stop - blk.start for blk in blocks[:-1]} <= {rows_per_block}
     for blk in blocks:
-        G, margin = kernels.screen(a[blk], b, kernels.row_norms(b))
+        G, margin = kernels.screen(a[blk], kernels.augment(b))
         assert np.isfinite(margin).all()
         assert_within_a_quarter_margin(G, margin, a[blk], b)
 
@@ -104,7 +109,7 @@ def test_dy_screen_error_within_a_quarter_margin(n_labels, data):
                              elements=st.one_of(edges, st.floats(0.0, 1.0))))
     table = data.draw(arrays(np.float64, (data.draw(st.integers(1, 8)), n_labels),
                              elements=st.sampled_from([0.0, 1.0])))
-    G, margin = kernels.screen(p_hat, table, kernels.row_norms(table))
+    G, margin = kernels.screen(p_hat, kernels.augment(table))
     assert np.isfinite(margin).all()
     assert_within_a_quarter_margin(G, margin, p_hat, table)
 
@@ -114,7 +119,49 @@ def test_screen_gives_overflowing_rows_the_full_scan():
     b = np.random.default_rng(3).standard_normal((5, 4)) + 3.0
     a = np.zeros((4, 4))
     a[1, 2], a[2, 0], a[3, 1] = 1e155, 1e200, 1.7e308
-    G, margin = kernels.screen(a, b, kernels.row_norms(b))
+    G, margin = kernels.screen(a, kernels.augment(b))
     assert np.isfinite(margin[0]) and np.isfinite(G[0]).all()
     assert np.isinf(margin[1:]).all()
     assert (G[1:] == 0.0).all()
+
+
+# Mines pairs and runs the engine on fixed standardised inputs (T1 = T2 =
+# 4000, d = 50, L = 10: large enough for OpenBLAS to split its products
+# across threads), and prints a digest of the results.
+_ENGINE_DIGEST = """
+import hashlib
+import numpy as np
+from nldd.data import Dataset, standardize_apply, standardize_fit
+from nldd.model import _argmin_rows, mine_pairs
+rng = np.random.default_rng(11)
+raw = rng.standard_normal((8000, 50)) * rng.uniform(0.5, 3.0, 50)
+labels = (rng.random((8000, 10)) < 0.3).astype(np.int64)
+x = standardize_apply(standardize_fit(Dataset(raw, labels)), raw)
+p_hat = rng.random((4000, 10))
+digest = hashlib.sha256()
+results = mine_pairs(p_hat, labels[4000:], x[:4000], labels[:4000], x[4000:])
+results += _argmin_rows(x[4000:4400], p_hat[:400], x[:4000], labels[:4000],
+                        ((-0.3, 1.9), (0.7, 0.4)), squared=False)
+for a in results:
+    digest.update(np.ascontiguousarray(a).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_engine_does_not_depend_on_the_blas():
+    # The screen's GEMM rounds differently on one thread, on two and on
+    # OpenBLAS's SSE3 kernel (no fused multiply-add); the margin holds for
+    # any of them, so the mined pairs and the winners, with a beta1 < 0
+    # among the weightings, must not change. One child per setting.
+    src = os.path.dirname(os.path.dirname(nldd.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")}
+    digests = []
+    for setting in ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"},
+                    {"OPENBLAS_CORETYPE": "Prescott"}):
+        proc = subprocess.run([sys.executable, "-c", _ENGINE_DIGEST],
+                              capture_output=True, text=True,
+                              env=dict(env, PYTHONPATH=src, **setting))
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1] == digests[2]

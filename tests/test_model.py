@@ -2,9 +2,6 @@ import contextlib
 import copy
 import functools
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
 from unittest import mock
@@ -13,9 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-import nldd
 from nldd import br as br_module, kernels, model as model_module
-from nldd.br import br_fit
+from nldd.br import QueryRowError, br_fit
 from nldd.data import Dataset, split_random, standardize_apply
 from nldd.evaluate import generate_synthetic
 from nldd.learner import LinearProbModel, TrainingError
@@ -131,6 +127,36 @@ class TestMinePairs:
             mine_pairs(np.array([[0.5]]), [[0]], np.empty((0, 1)),
                        np.empty((0, 1)), x_std=np.array([[0.0]]))
 
+    @staticmethod
+    def _args():
+        # n = 4 queries, N = 5 T1 rows, d = 3 features and L = 2 labels.
+        rng = np.random.default_rng(0)
+        return dict(p_hat=rng.uniform(0, 1, (4, 2)),
+                    true_labels=rng.integers(0, 2, (4, 2)),
+                    t1_features_std=rng.standard_normal((5, 3)),
+                    t1_labels=rng.integers(0, 2, (5, 2)),
+                    x_std=rng.standard_normal((4, 3)))
+
+    @pytest.mark.parametrize("name", ["x_std", "p_hat"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_refused_by_its_row(self, name, bad):
+        # A NaN or an infinity did not overflow: the reason says what it is.
+        args = self._args()
+        args[name][2, 1] = bad
+        with pytest.raises(QueryRowError, match="^non-finite x_std or p_hat "
+                           "value in query row 3$") as exc:
+            mine_pairs(**args)
+        assert exc.value.row == 2
+
+    def test_overflowing_finite_row_is_refused_as_overflowing(self):
+        # 1e200 is finite, but every squared dx of its row overflows to inf.
+        args = self._args()
+        args["x_std"][1, 0] = 1e200
+        with pytest.raises(QueryRowError, match="^mined distance overflows "
+                           "in query row 2$") as exc:
+            mine_pairs(**args)
+        assert exc.value.row == 1
+
     @pytest.mark.parametrize("name, shape", [
         ("x_std", (4,)), ("x_std", (4, 2)), ("x_std", (3, 3)),
         ("t1_features_std", (6, 3)), ("t1_features_std", (5, 2)),
@@ -139,52 +165,12 @@ class TestMinePairs:
         ("p_hat", (4, 3)), ("true_labels", (1, 2)), ("true_labels", (4,)),
         ("t1_labels", (6, 2)), ("t1_labels", (5, 1))])
     def test_mismatched_shapes_raise(self, name, shape):
-        # Every array has the shape it should but one: n = 4 queries,
-        # N = 5 T1 rows, d = 3 features and L = 2 labels.
-        rng = np.random.default_rng(0)
-        args = dict(p_hat=rng.uniform(0, 1, (4, 2)),
-                    true_labels=rng.integers(0, 2, (4, 2)),
-                    t1_features_std=rng.standard_normal((5, 3)),
-                    t1_labels=rng.integers(0, 2, (5, 2)),
-                    x_std=rng.standard_normal((4, 3)))
+        # Every array has the shape it should but one.
+        args = self._args()
         assert len(mine_pairs(**args)[0]) >= 4
         args[name] = np.resize(args[name], shape)
         with pytest.raises(ValueError, match="mine_pairs needs"):
             mine_pairs(**args)
-
-
-# Mines pairs on fixed standardized inputs (T1 = T2 = 4000, d = 50, L = 10:
-# large enough for OpenBLAS to split its products across threads) and
-# prints a digest of (dx, dy, loss).
-_MINE_DIGEST = """
-import hashlib
-import numpy as np
-from nldd.data import Dataset, standardize_apply, standardize_fit
-from nldd.model import mine_pairs
-rng = np.random.default_rng(11)
-raw = rng.standard_normal((8000, 50)) * rng.uniform(0.5, 3.0, 50)
-labels = (rng.random((8000, 10)) < 0.3).astype(np.int64)
-x = standardize_apply(standardize_fit(Dataset(raw, labels)), raw)
-p_hat = rng.random((4000, 10))
-dx, dy, loss = mine_pairs(p_hat, labels[4000:], x[:4000], labels[:4000],
-                          x[4000:])
-digest = hashlib.sha256()
-for a in (dx, dy, loss):
-    digest.update(np.ascontiguousarray(a).tobytes())
-print(digest.hexdigest())
-"""
-
-
-def test_mined_pairs_do_not_depend_on_blas_threads():
-    src = os.path.dirname(os.path.dirname(nldd.__file__))
-    digests = []
-    for threads in ("1", "2"):
-        proc = subprocess.run(
-            [sys.executable, "-c", _MINE_DIGEST], capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads))
-        assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout)
-    assert digests[0] == digests[1]
 
 
 class TestBinomialGlm:
@@ -245,6 +231,28 @@ class TestBinomialGlm:
         assert fit.converged
         for got, want in zip((fit.beta0, fit.beta1, fit.beta2), SCENE_COEFS):
             assert abs(got - want) <= 0.10 * abs(want)
+
+    @pytest.mark.parametrize("case, calls", [("full steps", 6), ("halvings", 58)])
+    def test_accepted_log_likelihood_is_not_recomputed(self, case, calls):
+        # One evaluation at the start and one per candidate step: the
+        # accepted step's value is the next iteration's baseline. Recomputing
+        # it took 10 and 73 calls here.
+        if case == "full steps":
+            rng = np.random.default_rng(4)
+            dx, dy = rng.uniform(0, 20, 5000), rng.uniform(0, 2, 5000)
+            losses = rng.binomial(6, 1 / (1 + np.exp(3.0 - 0.1 * dx - 1.5 * dy)))
+            n_labels, iterations = 6, 6
+        else:  # dy spans 0.01, so beta2 runs to ~100 and steps are halved
+            rng = np.random.default_rng(22)
+            n, n_labels = int(rng.integers(5, 40)), int(rng.integers(1, 4))
+            dx = rng.uniform(0, 1, n) * 10.0 ** rng.integers(-2, 4)
+            dy = rng.uniform(0, 1, n) * 10.0 ** rng.integers(-2, 3)
+            losses, iterations = rng.integers(0, n_labels + 1, n), 17
+        with mock.patch.object(model_module, "_binomial_loglik",
+                               wraps=model_module._binomial_loglik) as loglik:
+            fit = fit_binomial_glm(dx, dy, losses, n_labels)
+        assert fit.converged and fit.iterations == iterations
+        assert loglik.call_count == calls
 
     def test_local_maximum_grid(self):
         rng = np.random.default_rng(5)
