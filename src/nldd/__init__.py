@@ -7,8 +7,8 @@ from .data import (Dataset, DataError, StandardizationStats,
                    dataset_summary, load_csv, load_sparse, save_csv,
                    split_random, standardize_apply, standardize_fit)
 from .evaluate import (cross_validate, generate_synthetic, holdout_eval,
-                       observed_labelset_split, scaling_experiment,
-                       wilcoxon_signed_rank, WilcoxonResult)
+                       scaling_experiment, wilcoxon_signed_rank,
+                       WilcoxonResult)
 from .learner import (ConstantProbModel, LinearProbModel, TrainingError,
                       fit_fallback, fit_logistic)
 from .metrics import MetricsReport, aggregate, instance_metrics_matrix

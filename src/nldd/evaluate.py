@@ -264,15 +264,3 @@ def scaling_experiment(data, fractions, seed, lam=1.0):
             "mean_mismatched_labels": float(hl) * data.n_labels,
         })
     return rows
-
-
-def observed_labelset_split(train, test):
-    """Test indices whose exact labelset occurs in train, and the rest."""
-    if train.n_labels != test.n_labels:
-        raise DataError("label dimension mismatch")
-    # Row ids of one labelset table over both sets, train rows first.
-    _, ids = np.unique(np.vstack([train.labels, test.labels]), axis=0,
-                       return_inverse=True)
-    ids = ids.ravel()
-    seen = np.isin(ids[train.n:], ids[:train.n])
-    return np.flatnonzero(seen).tolist(), np.flatnonzero(~seen).tolist()

@@ -53,9 +53,9 @@ Groups of rows. Mining and predict share one engine,
 minimizes beta1*dx + beta2*dy. Mining's two pairs are the weights (1, 0)
 and (0, 1) on squared distances, predict is the fitted weights on
 distances. It screens dx against the training rows and dy against the K
-labelsets (d = L), brackets each labelset as a whole, compares single rows
-with their group's bound once for all the weights, and computes the kept
-rows exactly once.
+labelsets (d = L), brackets each labelset as a whole, keeps single rows by
+one bound per labelset for all the weights, and computes the kept rows
+exactly once; every weighting picks its winner among them.
 
 A query row for which 4 S overflows (a standardised feature near 1e154 or
 larger) has no usable screen: G overflows to inf, or to inf - inf = NaN

@@ -2,7 +2,6 @@
 regression of the per-label misclassification probability, and prediction
 by minimum expected loss."""
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -88,12 +87,16 @@ def _argmin_rows(x, p_hat, features, labels, weights, squared):
     labelset survives when beta1 != 0, and when beta1 = 0 dy alone brackets
     the score (p-hat in [0, 1] keeps m_y finite).
 
-    Per block the rows are kept in one pass, by comparing each row's G with
-    the largest of the weightings' bounds on its labelset, and only the kept
-    rows get their exact dx and dy, once for all the weightings. Each
-    weighting then picks its winner among the kept rows whose G lies within
-    its own bound: the rows it would have kept on its own, so its winner
-    does not depend on the other weightings.
+    Per block one bound, the elementwise max of the weightings', keeps the
+    rows; only those get their exact dx and dy, once, and each weighting
+    picks its winner among all of them. A row that only another
+    weighting's bound keeps loses strictly. In a labelset that survives,
+    beta1 >= 0 (a bound of +inf keeps every row) and the row's G exceeds
+    g + m, so its exact dx² is more than m/2 above the labelset's least
+    (|G - E| <= m/4), far beyond the sqrt's rounding; its dy is the
+    labelset's, so it loses on the score or, at a rounding tie, on dx. In
+    a dropped labelset its score is at least the labelset's lower bound,
+    above another labelset's upper bound.
     """
     table, order, starts, sizes = _labelset_groups(labels)
     # The rows in labelset order, and the labelsets, as the screen reads
@@ -117,23 +120,21 @@ def _argmin_rows(x, p_hat, features, labels, weights, squared):
         extreme = {f: f.reduceat(G, starts, axis=1) for f in
                    {np.minimum if beta1 >= 0 else np.maximum for beta1, _ in weights}}
         m = margin[:, None]
-        bounds = []
+        bound = -np.inf
         for beta1, beta2 in weights:
             g = extreme[np.minimum if beta1 >= 0 else np.maximum]
             survive = _survivors(beta1, beta2, (dist(np.maximum(g - m, 0.0)),
                                                 dist(g + m)), dy_ends)
-            bounds.append(np.where(survive, g + m if beta1 >= 0 else np.inf, -np.inf))
-        keep = G <= np.repeat(functools.reduce(np.maximum, bounds), sizes, axis=1)
+            bound = np.maximum(bound, np.where(
+                survive, g + m if beta1 >= 0 else np.inf, -np.inf))
+        keep = G <= np.repeat(bound, sizes, axis=1)
         q, pos = np.divmod(np.flatnonzero(keep), keep.shape[1])
-        group = group_of[pos]
         dx = dist(kernels.paired_sq_dists(x[block], train.rows, q, pos))
-        dy = dist(kernels.paired_sq_dists(p_hat[block], vertices.rows, q, group))
-        G_kept, j = G[q, pos], order[pos]
+        dy = dist(kernels.paired_sq_dists(p_hat[block], vertices.rows, q,
+                                          group_of[pos]))
+        j = order[pos]
         for w, (beta1, beta2) in enumerate(weights):
-            own = np.flatnonzero(G_kept <= bounds[w][q, group])
-            dx_w, dy_w = dx[own], dy[own]
-            first = own[_first_per_row(q[own], (_score(beta1, beta2, dx_w, dy_w),
-                                                dy_w, dx_w, j[own]))]
+            first = _first_per_row(q, (_score(beta1, beta2, dx, dy), dy, dx, j))
             rows[w, block], dx_out[w, block], dy_out[w, block] = (
                 j[first], dx[first], dy[first])
 
@@ -160,11 +161,13 @@ def mine_pairs(p_hat, true_labels, t1_features_std, t1_labels, x_std):
     or label order with one accumulator); the GEMM screen only decides
     which rows need them.
 
-    Raises ValueError for an empty T1 or unless ``p_hat`` and
-    ``true_labels`` are (n, L), ``t1_features_std`` (N, d), ``t1_labels``
-    (N, L) and ``x_std`` (n, d); and QueryRowError, a DataError, naming the
-    first query row with a NaN or an infinity in ``x_std`` or ``p_hat`` or,
-    when there is none, the first whose mined dx or dy overflows.
+    Raises ValueError for an empty T1, for a NaN or an infinity in
+    ``t1_features_std`` (naming the first such T1 row, 1-based) or unless
+    ``p_hat`` and ``true_labels`` are (n, L), ``t1_features_std`` (N, d),
+    ``t1_labels`` (N, L) and ``x_std`` (n, d); and QueryRowError, a
+    DataError, naming the first query row with a NaN or an infinity in
+    ``x_std`` or ``p_hat`` or, when there is none, the first whose mined dx
+    or dy overflows.
     """
     p_hat, x_std, t1_features_std = (np.asarray(a, dtype=np.float64)
                                      for a in (p_hat, x_std, t1_features_std))
@@ -179,6 +182,10 @@ def mine_pairs(p_hat, true_labels, t1_features_std, t1_labels, x_std):
                          f"(n, d); got {', '.join(map(str, shapes))}")
     if t1_features_std.shape[0] == 0:
         raise ValueError("empty T1")
+    finite = np.isfinite(t1_features_std).all(axis=1)
+    if not finite.all():
+        raise ValueError("non-finite t1_features_std value in T1 row "
+                         f"{int(np.argmin(finite)) + 1}")
     finite = np.isfinite(x_std).all(axis=1) & np.isfinite(p_hat).all(axis=1)
     if not finite.all():
         raise QueryRowError("non-finite x_std or p_hat value",

@@ -26,9 +26,9 @@ from nldd.evaluate import generate_synthetic
 from nldd.learner import (PROB_CLAMP, LinearProbModel, TrainingError,
                           predict_proba_matrix)
 from nldd.metrics import instance_metrics_matrix
-from nldd.model import (BinomialFit, NlddModel, _best_rows, mine_pairs,
-                        nldd_predict, nldd_train, predict_with_confidence,
-                        theta)
+from nldd.model import (BinomialFit, NlddModel, _argmin_rows, _best_rows,
+                        mine_pairs, nldd_predict, nldd_train,
+                        predict_with_confidence, theta)
 from nldd.persist import load_model, save_model
 from test_metrics import set_oracle
 from test_model import mine_pairs_oracle, pair_tuples, sq_dists
@@ -355,6 +355,32 @@ def test_mining_computes_kept_rows_once_per_block(rows_per_block):
     assert pair_tuples(got) == sum((mine_pairs_oracle(p_hat[i], true[i], t1,
                                                       t1_labels, x[i])
                                     for i in range(10)), [])
+
+
+@PROPERTY
+@pytest.mark.parametrize("rows_per_block", [1, 3, None])
+@given(case=engine_cases(huge=True), data=st.data())
+def test_each_weighting_wins_as_it_would_alone(rows_per_block, case, data):
+    # One bound per block keeps the rows of every weighting at once; a row
+    # that only another weighting needs must never change a winner.
+    train, labels, x = case
+    p_hat = data.draw(arrays(np.float64, (x.shape[0], labels.shape[1]),
+                             elements=st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                                                st.floats(0.01, 0.99))))
+    beta = st.sampled_from([-1.3, -0.5, -1e-20, 0.0, 0.5, 1.0, 2.0])
+    weights = tuple(data.draw(st.lists(st.tuples(beta, beta), min_size=2,
+                                       max_size=4)))
+    squared = data.draw(st.booleans())
+    # A squared dx near 1e308 (a query feature of 1e154) times beta = 2
+    # overflows the score to inf, which ranks like any other score.
+    with mock.patch.object(kernels, "BLOCK_BYTES",
+                           _block_bytes(train.shape[0], rows_per_block)), \
+            np.errstate(over="ignore"):
+        together = _argmin_rows(x, p_hat, train, labels, weights, squared)
+        for w, weighting in enumerate(weights):
+            alone = _argmin_rows(x, p_hat, train, labels, (weighting,), squared)
+            for got, want in zip(together, alone):
+                assert np.array_equal(got[w], want[0]), weighting
 
 
 def _linear_br(weights):

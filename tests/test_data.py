@@ -558,6 +558,15 @@ class TestSummary:
         ds = Dataset(np.zeros((13, 1)), labels)
         assert dataset_summary(ds)["lcard"] == labels.sum() / 13
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 12), n_labels=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_distinct_labelsets_equal_tuple_set(self, n, n_labels, seed):
+        labels = np.random.default_rng(seed).integers(0, 2, (n, n_labels))
+        ds = Dataset(np.zeros((n, 1)), labels)
+        assert dataset_summary(ds)["distinct_labelsets"] == len(
+            {tuple(row) for row in labels})
+
 
 @st.composite
 def label_matrices(draw):

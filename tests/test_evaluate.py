@@ -11,8 +11,7 @@ from nldd.data import DataError, Dataset, dataset_summary
 from nldd import br as br_module
 from nldd.evaluate import (METHODS, average_ranks, cross_validate,
                            generate_synthetic, holdout_eval, make_folds,
-                           observed_labelset_split, scaling_experiment,
-                           wilcoxon_signed_rank)
+                           scaling_experiment, wilcoxon_signed_rank)
 from nldd.learner import TrainingError
 
 
@@ -319,38 +318,6 @@ class TestScaling:
         ds = generate_synthetic(80, 4, 3, 0.8, 0.3, seed=1)
         with pytest.raises(ValueError):
             scaling_experiment(ds, [0.0], seed=0)
-
-
-class TestObservedSplit:
-    def test_identity(self):
-        ds = generate_synthetic(40, 4, 3, 0.7, 0.3, seed=0)
-        observed, unobserved = observed_labelset_split(ds, ds)
-        assert observed == list(range(40)) and unobserved == []
-
-    def test_absent_labelset(self):
-        tr = Dataset(np.zeros((3, 1)), np.array([[0, 0], [0, 1], [0, 1]]))
-        te = Dataset(np.zeros((2, 1)), np.array([[1, 1], [0, 1]]))
-        observed, unobserved = observed_labelset_split(tr, te)
-        assert observed == [1] and unobserved == [0]
-
-    @settings(max_examples=60, deadline=None)
-    @given(n_train=st.integers(1, 12), n_test=st.integers(1, 12),
-           n_labels=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-    def test_equals_tuple_set_loop(self, n_train, n_test, n_labels, seed):
-        rng = np.random.default_rng(seed)
-        tr = Dataset(np.zeros((n_train, 1)), rng.integers(0, 2, (n_train, n_labels)))
-        te = Dataset(np.zeros((n_test, 1)), rng.integers(0, 2, (n_test, n_labels)))
-        seen = {tuple(row) for row in tr.labels}
-        expected = ([i for i in range(te.n) if tuple(te.labels[i]) in seen],
-                    [i for i in range(te.n) if tuple(te.labels[i]) not in seen])
-        assert observed_labelset_split(tr, te) == expected
-        assert dataset_summary(tr)["distinct_labelsets"] == len(seen)
-
-    def test_partition(self):
-        tr = generate_synthetic(50, 4, 4, 0.3, 0.5, seed=2)
-        te = generate_synthetic(30, 4, 4, 0.3, 0.5, seed=3)
-        observed, unobserved = observed_labelset_split(tr, te)
-        assert sorted(observed + unobserved) == list(range(30))
 
 
 class TestFoldErrors:

@@ -18,7 +18,7 @@ from test_model import sq_dist_oracle, sq_dists
 PROPERTY = settings(max_examples=60, deadline=None)
 
 
-def test_python_backend_matches_direct_computation():
+def test_sq_dists_helper_equals_sq_dist_oracle():
     # d >= 8 is where einsum, NumPy's pairwise sum and a sequential sum all
     # round differently; n = 1 is where NumPy's reduction would go pairwise.
     rng = np.random.default_rng(0)

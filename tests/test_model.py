@@ -148,6 +148,18 @@ class TestMinePairs:
             mine_pairs(**args)
         assert exc.value.row == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_t1_row_is_refused_by_its_row(self, bad):
+        # Such a T1 row could never be mined: its dx is NaN or inf whatever
+        # the query. The call names the first one instead of skipping it.
+        args = self._args()
+        args["t1_features_std"][3, 2] = bad
+        args["t1_features_std"][4, 0] = bad
+        with pytest.raises(ValueError, match="^non-finite t1_features_std "
+                           "value in T1 row 4$") as exc:
+            mine_pairs(**args)
+        assert type(exc.value) is ValueError  # not a query row's DataError
+
     def test_overflowing_finite_row_is_refused_as_overflowing(self):
         # 1e200 is finite, but every squared dx of its row overflows to inf.
         args = self._args()
