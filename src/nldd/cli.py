@@ -6,6 +6,7 @@ Exit codes: 2 usage errors, 3 data errors, 4 training failures.
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -123,7 +124,7 @@ def cmd_eval(args):
         rows = [("test", report)]
     _print_metrics_table(rows)
     if args.out:
-        _write_report(args.out, (dict(split=name.replace(" ", ""), **rep.as_dict())
+        _write_report(args.out, (dict(split=name.replace(" ", ""), **asdict(rep))
                                  for name, rep in rows))
     return 0
 

@@ -54,44 +54,10 @@ def _check_methods(methods, subsample_fraction):
         raise ValueError("a training subsample applies to nldd only")
 
 
-def train_predictor(methods, train, seed=0, lam=1.0, subsample_fraction=1.0):
-    """Fit each method id of the tuple ``methods`` on ``train``, returning a
-    dict by id of callables that map an (n, d) batch of raw feature rows to
-    (n, L) labelsets.
-
-    The methods share one Binary Relevance fit on ``train``: the one inside
-    the nldd model when nldd trains on every row (its final fit, started at
-    the weights of its BR fit on T1), else one ``br_fit`` from zero weights.
-    Raises ValueError for a training subsample when nldd, the only method
-    that reads it, is not among ``methods``.
-    """
-    _check_methods(methods, subsample_fraction)
-    predictors = {}
-    br = None
-    if "nldd" in methods:
-        nldd = nldd_train(train, seed, lam=lam,
-                          subsample_fraction=subsample_fraction)
-        predictors["nldd"] = lambda x: nldd_predict(nldd, x)
-        if subsample_fraction == 1.0:
-            # br_fit(train, lam) up to the stop rule's tolerance: the same
-            # optimum, reached from T1's weights.
-            br = nldd.br
-    if "br" in methods or "smbr" in methods:
-        if br is None:
-            br = br_fit(train, lam=lam)
-        predictors["br"] = lambda x: br_predict(br, x)
-        predictors["smbr"] = lambda x: smbr_predict(br, train, x)
-    return {m: predictors[m] for m in methods}
-
-
-def _evaluate_rows(predict, test):
-    return aggregate(instance_metrics_matrix(test.labels, predict(test.features)))
-
-
 def cross_validate(data, methods, k, seed, lam=1.0, subsample_fraction=1.0):
     """k-fold CV of each method id of the tuple ``methods``; returns a dict
-    by id of (per-fold reports, mean report). Each fold fits Binary
-    Relevance once for all of them (see ``train_predictor``).
+    by id of (per-fold reports, mean report). Each fold is one
+    ``holdout_eval`` of its training rows against its test rows.
 
     Errors raised inside a fold name the fold, and a refused test row is
     named by its 1-based row of ``data``; the method ids and the subsample
@@ -103,12 +69,9 @@ def cross_validate(data, methods, k, seed, lam=1.0, subsample_fraction=1.0):
         test_idx = np.flatnonzero(folds == fold)
         train_idx = np.flatnonzero(folds != fold)
         try:
-            predictors = train_predictor(
-                methods, data.subset(train_idx), seed=seed, lam=lam,
-                subsample_fraction=subsample_fraction)
-            test = data.subset(test_idx)
-            for m in fold_reports:
-                fold_reports[m].append(_evaluate_rows(predictors[m], test))
+            reports = holdout_eval(
+                data.subset(train_idx), data.subset(test_idx), methods,
+                seed=seed, lam=lam, subsample_fraction=subsample_fraction)
         except QueryRowError as exc:  # a test row, queried against the fold's fit
             raise DataError(f"fold {fold}: {exc.problem} in data row "
                             f"{test_idx[exc.row] + 1}") from None
@@ -116,6 +79,8 @@ def cross_validate(data, methods, k, seed, lam=1.0, subsample_fraction=1.0):
             if type(exc) not in _FOLD_TAGGED:
                 raise
             raise type(exc)(f"fold {fold}: {exc}") from exc
+        for m in methods:
+            fold_reports[m].append(reports[m])
     results = {}
     for m, reports in fold_reports.items():
         rows = [(r.hamming, r.zero_one, r.jaccard, r.f_measure) for r in reports]
@@ -126,13 +91,41 @@ def cross_validate(data, methods, k, seed, lam=1.0, subsample_fraction=1.0):
 
 def holdout_eval(train, test, methods, seed=0, lam=1.0,
                  subsample_fraction=1.0):
-    """Train each method id of the tuple ``methods`` on ``train``; returns a
-    dict by id of the report aggregated over all ``test`` rows."""
+    """Train each method id of the tuple ``methods`` on ``train``, then
+    predict ``test`` with each; returns a dict by id of the report
+    aggregated over all ``test`` rows.
+
+    Every method is trained before any of them predicts. The methods share
+    one Binary Relevance fit on ``train``: the one inside the nldd model
+    when nldd trains on every row (its final fit, started at the weights of
+    its BR fit on T1), else one ``br_fit`` from zero weights. Raises
+    DataError when ``train`` and ``test`` differ in features or labels,
+    and ValueError for a training subsample when nldd, the only method
+    that reads it, is not among ``methods``.
+    """
     if train.d != test.d or train.n_labels != test.n_labels:
         raise DataError("train/test dimension mismatch")
-    predictors = train_predictor(methods, train, seed=seed, lam=lam,
-                                 subsample_fraction=subsample_fraction)
-    return {m: _evaluate_rows(predictors[m], test) for m in methods}
+    _check_methods(methods, subsample_fraction)
+    nldd = br = None
+    if "nldd" in methods:
+        nldd = nldd_train(train, seed, lam=lam,
+                          subsample_fraction=subsample_fraction)
+        if subsample_fraction == 1.0:
+            # br_fit(train, lam) up to the stop rule's tolerance: the same
+            # optimum, reached from T1's weights.
+            br = nldd.br
+    if br is None and ("br" in methods or "smbr" in methods):
+        br = br_fit(train, lam=lam)
+    reports = {}
+    for m in methods:
+        if m == "nldd":
+            pred = nldd_predict(nldd, test.features)
+        elif m == "br":
+            pred = br_predict(br, test.features)
+        else:
+            pred = smbr_predict(br, train, test.features)
+        reports[m] = aggregate(instance_metrics_matrix(test.labels, pred))
+    return reports
 
 
 def average_ranks(values):

@@ -120,9 +120,11 @@ def fit_logistic(X1, targets, lam=1.0, max_iter=100, tol=1e-8, start=None):
         if not active.size:
             break
         wt = np.clip(P * (1.0 - P), 1e-12, None)
-        # One Hessian per label: a stacked (a, n, d+1) temporary would cost
-        # a times the memory of X1.
-        H = np.stack([X1.T @ (w[:, None] * X1) for w in wt])
+        # One Hessian per label, written in place into the stack: a stacked
+        # (a, n, d+1) temporary would cost a times the memory of X1.
+        H = np.empty((active.size, d + 1, d + 1))
+        for k, w in enumerate(wt):
+            np.matmul(X1.T, w[:, None] * X1, out=H[k])
         H[:, diag, diag] += lam
         try:
             delta = np.linalg.solve(H, G[:, :, None])[:, :, 0]

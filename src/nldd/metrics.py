@@ -1,6 +1,6 @@
 """Per-instance multi-label evaluation metrics and their aggregation."""
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,9 +12,6 @@ class MetricsReport:
     jaccard: float
     f_measure: float
     n_instances: int
-
-    def as_dict(self):
-        return asdict(self)
 
 
 def instance_metrics_matrix(y, yhat):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from nldd import cli
 from nldd.data import DataError, Dataset, dataset_summary
 from nldd import br as br_module
+from nldd.br import QueryRowError
 from nldd.evaluate import (METHODS, average_ranks, cross_validate,
                            generate_synthetic, holdout_eval, make_folds,
                            scaling_experiment, wilcoxon_signed_rank)
@@ -248,9 +249,11 @@ class TestHoldout:
         assert rep.hamming < 0.02
         assert rep.zero_one < 0.05
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("d, n_labels", [(5, 3), (4, 4)],
+                             ids=["features", "labels"])
+    def test_dimension_mismatch(self, d, n_labels):
         a = generate_synthetic(30, 4, 3, 0.7, 0.3, seed=4)
-        b = generate_synthetic(30, 5, 3, 0.7, 0.3, seed=4)
+        b = generate_synthetic(30, d, n_labels, 0.7, 0.3, seed=4)
         with pytest.raises(DataError):
             holdout_eval(a, b, ("br",))
 
@@ -322,9 +325,9 @@ class TestScaling:
 
 class TestFoldErrors:
     def _fail_with(self, monkeypatch, exc):
-        def train_predictor(*args, **kwargs):
+        def holdout_eval(*args, **kwargs):
             raise exc
-        monkeypatch.setattr("nldd.evaluate.train_predictor", train_predictor)
+        monkeypatch.setattr("nldd.evaluate.holdout_eval", holdout_eval)
 
     @pytest.mark.parametrize("exc_type", [DataError, TrainingError, ValueError])
     def test_tagged_with_fold(self, monkeypatch, exc_type):
@@ -348,11 +351,20 @@ class TestFoldErrors:
 class TestBatchedEvaluation:
     @pytest.mark.parametrize("method", ["br", "smbr", "nldd"])
     def test_holdout_equals_row_by_row(self, method):
-        from nldd.evaluate import train_predictor
+        from nldd.br import br_fit, br_predict, smbr_predict
         from nldd.metrics import aggregate, instance_metrics_matrix
+        from nldd.model import nldd_predict, nldd_train
         ds = generate_synthetic(90, 4, 3, 0.7, 0.3, seed=4)
         tr, te = ds.subset(np.arange(60)), ds.subset(np.arange(60, 90))
-        predict = train_predictor((method,), tr, seed=1)[method]
+        if method == "nldd":
+            model = nldd_train(tr, 1)
+            predict = lambda x: nldd_predict(model, x)
+        elif method == "br":
+            model = br_fit(tr)
+            predict = lambda x: br_predict(model, x)
+        else:
+            model = br_fit(tr)
+            predict = lambda x: smbr_predict(model, tr, x)
         want = aggregate([instance_metrics_matrix([te.labels[i]],
                                                   predict(te.features[i][None]))[0]
                           for i in range(te.n)])
@@ -364,6 +376,56 @@ def _outcome(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except (DataError, TrainingError, ValueError) as exc:
         return type(exc), str(exc)
+
+
+class TestFoldsAreHoldouts:
+    """cross_validate scores each fold as holdout_eval scores that fold's
+    make_folds split, and a failing split fails its fold with the same
+    error type. A feature cell near the float64 maximum, in a training or
+    a test row, makes some splits fail."""
+
+    @settings(max_examples=16, deadline=None)
+    @given(seed=st.integers(0, 2**16), fraction=st.sampled_from([1.0, 0.5]),
+           methods=st.permutations(METHODS), size=st.integers(1, 3),
+           poison=st.one_of(st.none(), st.integers(0, 79)))
+    # A refused test row in fold 0, and a training row refused in fold 2.
+    @example(seed=1, fraction=1.0, methods=["br", "smbr", "nldd"], size=1,
+             poison=40)
+    @example(seed=0, fraction=1.0, methods=["nldd", "smbr", "br"], size=2,
+             poison=40)
+    def test_each_fold_is_a_holdout(self, seed, fraction, methods, size,
+                                    poison):
+        ds = generate_synthetic(80, 4, 3, 0.7, 0.3, seed=seed)
+        if poison is not None:
+            features = ds.features.copy()
+            features[poison, 0] = 1.7e308
+            ds = Dataset(features, ds.labels)
+        methods = tuple(methods[:size])
+        folds = make_folds(ds.n, 4, seed)
+        splits = []
+        for fold in range(4):
+            splits.append(_outcome(
+                holdout_eval, ds.subset(np.flatnonzero(folds != fold)),
+                ds.subset(np.flatnonzero(folds == fold)), methods, seed=seed,
+                lam=1.0, subsample_fraction=fraction))
+            if not isinstance(splits[-1], dict):
+                break
+        got = _outcome(cross_validate, ds, methods, 4, seed, lam=1.0,
+                       subsample_fraction=fraction)
+        if isinstance(splits[-1], dict):
+            assert list(got) == list(methods)
+            for m in methods:
+                assert got[m][0] == [split[m] for split in splits]
+        elif fraction != 1.0 and "nldd" not in methods:
+            # The call's own error, raised before the first fold.
+            assert got == splits[-1]
+        else:
+            fold, (exc_type, message) = len(splits) - 1, splits[-1]
+            if exc_type is QueryRowError:  # a test row, named by its data row
+                assert got[0] is DataError
+                assert got[1].startswith(f"fold {fold}: ")
+            else:
+                assert got == (exc_type, f"fold {fold}: {message}")
 
 
 class TestSharedBrFit:

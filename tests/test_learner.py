@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from nldd.br import br_fit
 from nldd.data import Dataset, standardize_apply
+from nldd.evaluate import generate_synthetic
 from nldd.learner import (ConstantProbModel, LinearProbModel, TrainingError,
                           fit_fallback, fit_logistic, predict_proba_matrix,
                           _gradients, _logliks)
@@ -385,6 +387,21 @@ class TestStackedIRLS:
                 w, it, conv, _ = fit_logistic_loop(z, labels[:, j])
                 assert clf.weights.tobytes() == w.tobytes()
                 assert (clf.iterations, clf.converged) == (it, conv)
+
+    def test_peak_memory_is_bounded(self):
+        # Each label's Hessian is written into one (L, d+1, d+1) stack, and
+        # the solve holds one copy of it. At this size a BR fit peaks at
+        # 2.19x the stack's bytes; a list of Hessians stacked by np.stack
+        # held both and peaked at 3.18x.
+        n, d, n_labels = 400, 200, 20
+        data = generate_synthetic(n, d, n_labels, 0.5, 0.3, seed=0)
+        tracemalloc.start()
+        try:
+            br_fit(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.6 * n_labels * (d + 1) ** 2 * 8
 
 
 class TestStart:
