@@ -13,9 +13,9 @@ import numpy as np
 from .br import br_fit, br_predict
 from .data import (DataError, dataset_summary, load_csv, load_sparse,
                    read_dense_csv)
-from .evaluate import (_check_methods, average_ranks, cross_validate,
-                       holdout_eval, scaling_experiment, wilcoxon_signed_rank,
-                       METHODS)
+from .evaluate import (_FOLD_TAGGED, _check_methods, average_ranks,
+                       cross_validate, holdout_eval, scaling_experiment,
+                       wilcoxon_signed_rank, METHODS)
 from .learner import TrainingError
 from .model import nldd_predict, nldd_train, predict_with_confidence
 from .persist import load_model, save_model
@@ -145,9 +145,16 @@ def cmd_compare(args):
     datasets = [_load_dataset(p, args.labels, args.format) for p in args.data]
 
     # Per dataset, each method's (fold reports, mean report).
-    results = [cross_validate(data, tuple(methods), args.cv, args.seed,
-                              lam=args.lam, subsample_fraction=args.subsample)
-               for data in datasets]
+    results = []
+    for path, data in zip(args.data, datasets):
+        try:
+            results.append(cross_validate(
+                data, tuple(methods), args.cv, args.seed, lam=args.lam,
+                subsample_fraction=args.subsample))
+        except _FOLD_TAGGED as exc:  # as cross_validate names a fold
+            if type(exc) not in _FOLD_TAGGED:
+                raise
+            raise type(exc)(f"{path}: {exc}") from exc
 
     print("per-method per-dataset means:")
     for di, by_method in enumerate(results):
@@ -291,18 +298,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TrainingError as exc:
+    except (TrainingError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (FileNotFoundError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # DataError is a ValueError, so it is tested before ValueError.
+        return (4 if isinstance(exc, TrainingError) else
+                3 if isinstance(exc, (DataError, OSError)) else 2)
 
 
 if __name__ == "__main__":

@@ -18,6 +18,8 @@ class Dataset:
     labels: np.ndarray  # (N, L) 0/1 int
     feature_names: list = field(default_factory=list)
     label_names: list = field(default_factory=list)
+    # Each row's 0-based row in the Dataset first built; subset keeps it.
+    row_ids: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -33,11 +35,11 @@ class Dataset:
         bad = (self.labels != 0) & (self.labels != 1)
         if bad.any():
             i, j = np.argwhere(bad)[0]
-            raise DataError(f"label entry at row {i}, column {j} is not 0/1")
+            raise DataError(f"label entry at row {i + 1}, column {j + 1} is not 0/1")
         bad = ~np.isfinite(self.features)
         if bad.any():
             i, j = np.argwhere(bad)[0]
-            raise DataError(f"feature entry at row {i}, column {j} is not finite")
+            raise DataError(f"feature entry at row {i + 1}, column {j + 1} is not finite")
         if not self.feature_names:
             self.feature_names = [f"f{i + 1}" for i in range(d)]
         if not self.label_names:
@@ -46,6 +48,7 @@ class Dataset:
             raise DataError("feature_names length does not match feature count")
         if len(self.label_names) != l:
             raise DataError("label_names length does not match label count")
+        self.row_ids = np.arange(n)
 
     @property
     def n(self):
@@ -60,10 +63,13 @@ class Dataset:
         return self.labels.shape[1]
 
     def subset(self, indices):
-        """New Dataset restricted to the given row indices."""
+        """New Dataset restricted to the given row indices; its rows keep
+        their ``row_ids``."""
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.features[idx], self.labels[idx],
-                       list(self.feature_names), list(self.label_names))
+        sub = Dataset(self.features[idx], self.labels[idx],
+                      list(self.feature_names), list(self.label_names))
+        sub.row_ids = self.row_ids[idx]
+        return sub
 
 
 @dataclass

@@ -59,22 +59,22 @@ def cross_validate(data, methods, k, seed, lam=1.0, subsample_fraction=1.0):
     by id of (per-fold reports, mean report). Each fold is one
     ``holdout_eval`` of its training rows against its test rows.
 
-    Errors raised inside a fold name the fold, and a refused test row is
-    named by its 1-based row of ``data``; the method ids and the subsample
-    rule are checked once, before the first fold."""
+    Errors raised inside a fold name the fold, and a refused test or
+    training row is named by its ``row_ids`` entry, 1-based: its row of
+    ``data`` when ``data`` is not itself a subset. The method ids and the
+    subsample rule are checked once, before the first fold."""
     _check_methods(methods, subsample_fraction)
     folds = make_folds(data.n, k, seed)
     fold_reports = {m: [] for m in methods}
     for fold in range(k):
-        test_idx = np.flatnonzero(folds == fold)
-        train_idx = np.flatnonzero(folds != fold)
+        test = data.subset(np.flatnonzero(folds == fold))
         try:
             reports = holdout_eval(
-                data.subset(train_idx), data.subset(test_idx), methods,
+                data.subset(np.flatnonzero(folds != fold)), test, methods,
                 seed=seed, lam=lam, subsample_fraction=subsample_fraction)
         except QueryRowError as exc:  # a test row, queried against the fold's fit
             raise DataError(f"fold {fold}: {exc.problem} in data row "
-                            f"{test_idx[exc.row] + 1}") from None
+                            f"{test.row_ids[exc.row] + 1}") from None
         except _FOLD_TAGGED as exc:
             if type(exc) not in _FOLD_TAGGED:
                 raise
@@ -164,6 +164,8 @@ def wilcoxon_signed_rank(a, b, alternative="two_sided"):
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.size < 1:
         raise ValueError("samples must be nonempty and of equal length")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("samples must be finite")
     diffs = a - b
     nz = diffs[diffs != 0]
     n = nz.size
@@ -233,7 +235,8 @@ def scaling_experiment(data, fractions, seed, lam=1.0):
 
     Returns one record per fraction with the deterministic mining distance
     counter, the measured wall time, and L * mean Hamming loss (the average
-    number of mismatched labels).
+    number of mismatched labels). A refused training or test row is named
+    by its ``row_ids`` entry, 1-based.
     """
     for f in fractions:
         if not 0.0 < f <= 1.0:
@@ -248,8 +251,12 @@ def scaling_experiment(data, fractions, seed, lam=1.0):
     for f in fractions:
         t0 = time.perf_counter()
         model = nldd_train(train, seed, lam=lam, subsample_fraction=f)
-        hl = np.mean(instance_metrics_matrix(
-            test.labels, nldd_predict(model, test.features))[:, 0])
+        try:
+            pred = nldd_predict(model, test.features)
+        except QueryRowError as exc:
+            raise DataError(f"{exc.problem} in data row "
+                            f"{test.row_ids[exc.row] + 1}") from None
+        hl = np.mean(instance_metrics_matrix(test.labels, pred)[:, 0])
         rows.append({
             "fraction": f,
             "distance_ops": model.distance_ops,

@@ -294,16 +294,14 @@ def nldd_train(train, seed, lam=1.0, subsample_fraction=1.0):
     started at the weights of the BR fit on T1."""
     if not 0.0 < subsample_fraction <= 1.0:
         raise ValueError("subsample_fraction must be in (0, 1]")
-    sub, keep = train, None
+    sub = train
     if subsample_fraction < 1.0:
         rng = np.random.default_rng(seed)
         m = max(4, int(round(subsample_fraction * train.n)))
-        keep = np.sort(rng.permutation(train.n)[:m])
-        sub = train.subset(keep)
+        sub = train.subset(np.sort(rng.permutation(train.n)[:m]))
 
     # The split's arrays die with the helper's frame, before the final fit.
-    fit, pair_count, distance_ops, br_star = _fit_pair_model(sub, seed, lam,
-                                                             keep)
+    fit, pair_count, distance_ops, br_star = _fit_pair_model(sub, seed, lam)
     # The final fit solves nearly T1's problem, so it starts at T1's optimum.
     br_full = br_fit(sub, lam, start=br_star)
     train_std = standardize_apply(br_full.stats, sub.features)
@@ -312,13 +310,12 @@ def nldd_train(train, seed, lam=1.0, subsample_fraction=1.0):
                      pair_count=pair_count, distance_ops=distance_ops)
 
 
-def _fit_pair_model(sub, seed, lam, keep=None):
+def _fit_pair_model(sub, seed, lam):
     """Steps 1-3 of ``nldd_train``: BR on T1, T2's pairs mined against T1,
     and the binomial regression on them. Returns ``(fit, pair_count,
-    distance_ops, br_star)``, ``br_star`` being the BR fit on T1. ``keep``
-    holds the training rows ``sub`` took when it is a subsample; a T2 row
+    distance_ops, br_star)``, ``br_star`` being the BR fit on T1. A T2 row
     refused by ``_queries``, or whose mined dx or dy is not finite, is
-    named by its training row."""
+    named by its ``row_ids`` entry, 1-based."""
     t1_indices, t2_indices = split_random(sub, seed)
     # Mining needs the split's features standardised only, so no raw copy
     # of them outlives the BR fit on T1 or the standardisation of T2.
@@ -329,7 +326,7 @@ def _fit_pair_model(sub, seed, lam, keep=None):
         dx, dy, losses = mine_pairs(p_hat, sub.labels[t2_indices], t1_std,
                                     sub.labels[t1_indices], t2_std)
     except QueryRowError as exc:  # T2's rows, queried against T1 and mined
-        row = t2_indices[exc.row] if keep is None else keep[t2_indices[exc.row]]
+        row = sub.row_ids[t2_indices[exc.row]]
         raise DataError(f"T2 half of the training split: {exc.problem} in "
                         f"training row {row + 1}") from None
 

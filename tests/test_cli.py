@@ -296,6 +296,21 @@ class TestCompare:
         pair_records = records[1:]
         assert len(pair_records) == 4 * 3  # 4 metrics x 3 method pairs
 
+    def test_refused_row_names_its_file(self, csv_path, tmp_path, capsys):
+        # Data row 17 of the second file is a test row of fold 0 whose
+        # standardised value overflows; the error names that file.
+        ds = generate_synthetic(60, 3, 3, 0.8, 0.3, seed=1)
+        features = ds.features.copy()
+        features[16, 0] = 1.7e308
+        other = str(tmp_path / "b.csv")
+        save_csv(Dataset(features, ds.labels), other)
+        rc = main(["compare", "--data", csv_path, other, "--labels", "3",
+                   "--methods", "br,nldd", "--cv", "3"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: {other}: fold 0: standardised feature value overflows "
+            "in data row 17\n")
+
     def test_single_method_usage_error(self, csv_path):
         rc = main(["compare", "--data", csv_path, "--labels", "3",
                    "--methods", "br", "--cv", "3"])

@@ -610,5 +610,35 @@ class TestDatasetInvariants:
     def test_rejects_non_finite_features(self, value):
         features = np.zeros((3, 2))
         features[1, 1] = value
-        with pytest.raises(DataError, match="row 1, column 1 is not finite"):
+        with pytest.raises(DataError, match="row 2, column 2 is not finite"):
             Dataset(features, np.array([[0], [1], [0]]))
+
+    def test_label_entry_named_one_based(self):
+        labels = np.zeros((3, 2), dtype=np.int64)
+        labels[2, 1] = 2
+        with pytest.raises(DataError, match="^label entry at row 3, column 2 "
+                                            "is not 0/1$"):
+            Dataset(np.zeros((3, 1)), labels)
+
+
+class TestRowIds:
+    """Every Dataset knows each row's 0-based row in the Dataset first
+    built, through any chain of subsets."""
+
+    def test_built_dataset_numbers_its_rows(self):
+        ds = Dataset(np.zeros((4, 1)), np.zeros((4, 1)))
+        assert ds.row_ids.tolist() == [0, 1, 2, 3]
+        assert "row_ids" not in repr(ds)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 30), draws=st.data())
+    def test_nested_subsets_compose(self, n, draws):
+        a = np.array(draws.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                         max_size=20)))
+        b = np.array(draws.draw(st.lists(st.integers(0, len(a) - 1),
+                                         min_size=1, max_size=20)))
+        ds = Dataset(np.arange(n, dtype=float)[:, None],
+                     np.zeros((n, 1), dtype=np.int64))
+        sub = ds.subset(a).subset(b)
+        assert np.array_equal(sub.row_ids, a[b])
+        assert np.array_equal(sub.features[:, 0], a[b])

@@ -156,6 +156,16 @@ class TestWilcoxon:
         with pytest.raises(ValueError):
             wilcoxon_signed_rank([1.0], [2.0], alternative="both")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_sample_refused(self, value, side):
+        # A NaN difference is neither zero nor ranked, and inf - inf warns.
+        samples = {"a": [1.0, 1.0, 2.0], "b": [0.0, 0.0, 0.0]}
+        samples[side][0] = value
+        with pytest.raises(ValueError, match="^samples must be finite$"):
+            wilcoxon_signed_rank(samples["a"], samples["b"])
+
     @settings(max_examples=60, deadline=None)
     @given(diffs=st.integers(15, 20).flatmap(lambda n: st.lists(
         st.integers(-1000, 1000).filter(bool), min_size=n, max_size=n,
@@ -321,6 +331,65 @@ class TestScaling:
         ds = generate_synthetic(80, 4, 3, 0.8, 0.3, seed=1)
         with pytest.raises(ValueError):
             scaling_experiment(ds, [0.0], seed=0)
+
+    @pytest.mark.parametrize("row, message", [
+        (41, "T2 half of the training split: mined distance overflows in "
+             "training row 41"),
+        (61, "T2 half of the training split: mined distance overflows in "
+             "training row 61"),
+        (78, "standardised feature value overflows in data row 78")])
+    def test_refused_row_named_by_its_data_row(self, row, message):
+        # Rows 41 and 61 (1-based) fall in the 75% training split, row 78
+        # in the test split; each is named by its row of the data.
+        ds = _poisoned(row - 1)
+        with pytest.raises(DataError) as err:
+            scaling_experiment(ds, [1.0], 0)
+        assert type(err.value) is DataError
+        assert str(err.value) == message
+
+
+def _poisoned(row):
+    """The 80-row synthetic data of seed 0 with feature cell (row, 0), a
+    0-based row, set to 1.7e308."""
+    ds = generate_synthetic(80, 4, 3, 0.7, 0.3, seed=0)
+    features = ds.features.copy()
+    features[row, 0] = 1.7e308
+    return Dataset(features, ds.labels)
+
+
+class TestRefusedTrainingRows:
+    """A T2 row refused inside a fold is named by its row of the data,
+    through the fold and nldd's training subsample."""
+
+    def test_named_through_the_fold(self):
+        with pytest.raises(DataError) as err:
+            cross_validate(_poisoned(40), ("nldd",), 4, 0)
+        assert str(err.value) == (
+            "fold 2: T2 half of the training split: standardised feature "
+            "value overflows in training row 41")
+
+    def test_named_through_the_fold_and_the_subsample(self):
+        # Data row 10 is the 7th training row of fold 0 and the 6th row of
+        # that fold's subsample.
+        with pytest.raises(DataError) as err:
+            cross_validate(_poisoned(9), ("nldd",), 4, 0,
+                           subsample_fraction=0.5)
+        assert str(err.value) == (
+            "fold 0: T2 half of the training split: standardised feature "
+            "value overflows in training row 10")
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.5])
+    def test_every_refused_training_row_named(self, fraction):
+        named = 0
+        for row in range(0, 80, 2):
+            try:
+                cross_validate(_poisoned(row), ("nldd",), 4, 0,
+                               subsample_fraction=fraction)
+            except DataError as exc:
+                if "training row" in str(exc):
+                    assert str(exc).endswith(f" training row {row + 1}")
+                    named += 1
+        assert named >= 8
 
 
 class TestFoldErrors:
