@@ -72,9 +72,6 @@ def cross_validate(data, methods, k, seed, lam=1.0, subsample_fraction=1.0):
             reports = holdout_eval(
                 data.subset(np.flatnonzero(folds != fold)), test, methods,
                 seed=seed, lam=lam, subsample_fraction=subsample_fraction)
-        except QueryRowError as exc:  # a test row, queried against the fold's fit
-            raise DataError(f"fold {fold}: {exc.problem} in data row "
-                            f"{test.row_ids[exc.row] + 1}") from None
         except _FOLD_TAGGED as exc:
             if type(exc) not in _FOLD_TAGGED:
                 raise
@@ -99,9 +96,10 @@ def holdout_eval(train, test, methods, seed=0, lam=1.0,
     one Binary Relevance fit on ``train``: the one inside the nldd model
     when nldd trains on every row (its final fit, started at the weights of
     its BR fit on T1), else one ``br_fit`` from zero weights. Raises
-    DataError when ``train`` and ``test`` differ in features or labels,
-    and ValueError for a training subsample when nldd, the only method
-    that reads it, is not among ``methods``.
+    DataError when ``train`` and ``test`` differ in features or labels, or
+    for a refused test row, named by its ``row_ids`` entry, 1-based; and
+    ValueError for a training subsample when nldd, the only method that
+    reads it, is not among ``methods``.
     """
     if train.d != test.d or train.n_labels != test.n_labels:
         raise DataError("train/test dimension mismatch")
@@ -118,12 +116,16 @@ def holdout_eval(train, test, methods, seed=0, lam=1.0,
         br = br_fit(train, lam=lam)
     reports = {}
     for m in methods:
-        if m == "nldd":
-            pred = nldd_predict(nldd, test.features)
-        elif m == "br":
-            pred = br_predict(br, test.features)
-        else:
-            pred = smbr_predict(br, train, test.features)
+        try:
+            if m == "nldd":
+                pred = nldd_predict(nldd, test.features)
+            elif m == "br":
+                pred = br_predict(br, test.features)
+            else:
+                pred = smbr_predict(br, train, test.features)
+        except QueryRowError as exc:  # a test row, queried against the fit
+            raise DataError(f"{exc.problem} in data row "
+                            f"{test.row_ids[exc.row] + 1}") from None
         reports[m] = aggregate(instance_metrics_matrix(test.labels, pred))
     return reports
 

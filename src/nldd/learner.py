@@ -1,5 +1,5 @@
-"""L2-regularized logistic regression fit by IRLS, plus a constant fallback
-for degenerate (single-class) label columns."""
+"""L2-regularized logistic regression fit by truncated Newton, plus a
+constant fallback for degenerate (single-class) label columns."""
 
 import math
 from dataclasses import dataclass
@@ -34,39 +34,95 @@ def _sigmoid(z):
         return 1.0 / (1.0 + np.exp(-z))
 
 
-def _scores(X1, W):
-    # One gemv per row of W: the call X1 @ w makes for a single label.
-    return (X1[None] @ W[:, :, None])[:, :, 0]
-
-
 def _logliks(X1, Y, W, lam):
     """Scores and penalized log-likelihoods of the (a, d+1) weight rows
     ``W`` against the (a, n) target rows ``Y``."""
     # X1 carries the intercept column; the intercept is unpenalized.
-    Z = _scores(X1, W)
+    Z = W @ X1.T
     # log(1+e^z) computed stably
     ll = np.sum(Y * Z - np.logaddexp(0.0, Z), axis=1)
     return Z, ll - 0.5 * lam * np.sum(W[:, 1:] ** 2, axis=1)
 
 
 def _gradients(X1, Y, Z, W, lam):
-    """Probabilities and penalized gradients at the scores ``Z = X1 @ W``."""
+    """Probabilities and penalized gradients at the scores ``Z = W @ X1.T``."""
     P = _sigmoid(Z)
-    G = (X1.T[None] @ (Y - P)[:, :, None])[:, :, 0]
+    G = (Y - P) @ X1
     G[:, 1:] -= lam * W[:, 1:]
     return P, G
 
 
+def _newton_steps(X1, wt, G, penalty, floor, it):
+    """Truncated Newton steps: row k solves label k's system H δ = g inexactly.
+
+    Row k of ``wt`` holds the label's IRLS weights p(1-p) and row k of
+    ``G`` its gradient g; its Hessian is H = X1ᵀ diag(wt[k]) X1 +
+    diag(``penalty``), never formed. Conjugate gradients start at δ = 0
+    and run on each label until the residual r = g - Hδ meets ‖r‖ ≤
+    max(η‖g‖, ``floor``) with the forcing term η = min(0.1, ‖g‖²), or for
+    d+1 steps at most. The fit passes tol/2 as the floor: after a full
+    step the gradient is about r, so a smaller residual would only pass
+    the stop rule's gradient test by a wider margin. One CG step of the
+    labels still running is two matrix products with X1 (Lin, Weng &
+    Keerthi, "Trust region Newton method for large-scale logistic
+    regression", JMLR 9, 2008). ``it`` numbers the Newton iteration for
+    the error message.
+    """
+    sq = np.einsum("ij,ij->i", G, G)
+    if not np.isfinite(sq).all():
+        raise TrainingError(f"gradient overflows at Newton iteration {it}; "
+                            "rescale the features")
+    bound = np.maximum(np.minimum(0.1, sq) ** 2 * sq, floor * floor)  # ‖r‖²
+    delta = np.zeros_like(G)
+    run = np.flatnonzero(sq > bound)
+    # The running labels' iterate, residual, direction, ‖r‖², weights and
+    # bound.
+    D, R, P, rr, Wt, bound = delta[run], G[run], G[run], sq[run], wt[run], bound[run]
+    for _ in range(G.shape[1]):
+        if not run.size:
+            break
+        U = P @ X1.T
+        U *= Wt
+        HP = U @ X1
+        HP += penalty * P
+        curv = np.einsum("ij,ij->i", P, HP)
+        if not 0 < curv.min() <= curv.max() < math.inf:
+            raise TrainingError(f"CG curvature p'Hp is not finite and > 0 "
+                                f"at Newton iteration {it}; rescale the "
+                                "features or try a larger lambda")
+        alpha = (rr / curv)[:, None]
+        D += alpha * P
+        R -= alpha * HP
+        rr_next = np.einsum("ij,ij->i", R, R)
+        done = rr_next <= bound
+        if done.any():
+            delta[run[done]] = D[done]
+            go = ~done
+            run, D, R, P, Wt = run[go], D[go], R[go], P[go], Wt[go]
+            rr, rr_next, bound = rr[go], rr_next[go], bound[go]
+        P *= (rr_next / rr)[:, None]
+        P += R
+        rr = rr_next
+    delta[run] = D
+    return delta
+
+
 def fit_logistic(X1, targets, lam=1.0, max_iter=100, tol=1e-8, start=None):
-    """Maximize the L2-penalized Bernoulli log-likelihood by Newton/IRLS.
+    """Maximize the L2-penalized Bernoulli log-likelihood by truncated Newton.
 
     ``X1`` is the (n, d+1) design matrix, column 0 the intercept's ones; it
     is not copied. ``targets`` is an (n, L) 0/1 matrix, copied unless its
     transpose is C-contiguous float64. The result is a list of L
     LinearProbModels, one per column, fit in one Newton loop. Each label
-    runs the single-label iteration on its own, with its own step halving
-    and stop rule, so its weights, iterations and convergence are the same
-    bits as a fit of that column alone.
+    runs the single-label iteration on its own, with its own Newton steps,
+    step halving and stop rule, so its weights match a fit of that column
+    alone up to the stop tolerance; its iterations and convergence are the
+    same. Each Newton step solves the label's system by conjugate gradients
+    on Hessian-vector products (``_newton_steps``), the labels batched into
+    one pair of matrix products per CG step. On a badly scaled design (a
+    near-constant feature of 1e6 beside the intercept, say) an inexact
+    step can be tiny far from the optimum, and ``change < tol`` then stops
+    that label early; standardised features keep far from that.
 
     ``start``, an (L, d+1) array of finite weights, one row per column,
     is where each column's Newton loop begins (zeros when it is None).
@@ -77,8 +133,9 @@ def fit_logistic(X1, targets, lam=1.0, max_iter=100, tol=1e-8, start=None):
     intercept is unpenalized. Raises ValueError for bad shapes, a column 0
     that is not all ones, a ``lam`` that is not finite and > 0 or a
     ``start`` that is not a finite (L, d+1) array, and
-    TrainingError for non-finite features, single-class targets and a
-    Hessian that is singular to working precision.
+    TrainingError for non-finite features, single-class targets, a
+    gradient or CG curvature that overflows or is not > 0, and non-finite
+    weights.
     """
     X1 = np.asarray(X1, dtype=np.float64)
     targets = np.asarray(targets)
@@ -109,7 +166,8 @@ def fit_logistic(X1, targets, lam=1.0, max_iter=100, tol=1e-8, start=None):
         weights[:] = start
     iterations = np.zeros(n_labels, dtype=np.int64)
     converged = np.zeros(n_labels, dtype=bool)
-    diag = np.arange(1, d + 1)
+    penalty = np.full(d + 1, lam)
+    penalty[0] = 0.0
 
     # State of the labels still iterating: their ids and targets, and their
     # weights with the log-likelihoods, probabilities and gradients there.
@@ -120,17 +178,7 @@ def fit_logistic(X1, targets, lam=1.0, max_iter=100, tol=1e-8, start=None):
         if not active.size:
             break
         wt = np.clip(P * (1.0 - P), 1e-12, None)
-        # One Hessian per label, written in place into the stack: a stacked
-        # (a, n, d+1) temporary would cost a times the memory of X1.
-        H = np.empty((active.size, d + 1, d + 1))
-        for k, w in enumerate(wt):
-            np.matmul(X1.T, w[:, None] * X1, out=H[k])
-        H[:, diag, diag] += lam
-        try:
-            delta = np.linalg.solve(H, G[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            raise TrainingError(f"singular Hessian at IRLS iteration {it}; "
-                                "try a larger lambda") from None
+        delta = _newton_steps(X1, wt, G, penalty, tol / 2, it)
 
         step = np.ones(active.size)
         Wn = W + delta

@@ -10,6 +10,7 @@ import nldd
 from nldd.cli import main
 from nldd.data import Dataset, save_csv, split_random
 from nldd.evaluate import generate_synthetic
+from nldd.persist import load_model
 
 
 @pytest.fixture
@@ -60,19 +61,36 @@ class TestTrain:
         b = _train(csv_path, tmp_path, seed="7", name="b.json")
         assert open(a, "rb").read() == open(b, "rb").read()
 
-    def test_singular_hessian_training_error(self, tmp_path, capsys):
-        # A duplicated feature makes the IRLS Hessian exactly singular once
-        # lambda is too small to change its diagonal.
+    def test_duplicated_feature_trains(self, tmp_path, capsys):
+        # A duplicated feature makes the Newton systems singular once lambda
+        # is too small to change their diagonal; conjugate gradients stay
+        # in the span of the gradients, so the two copies train with equal
+        # weights.
         rng = np.random.default_rng(0)
         x = rng.standard_normal(60)
         labels = (x[:, None] + rng.standard_normal((60, 2)) > 0).astype(int)
         path = str(tmp_path / "dup.csv")
         save_csv(Dataset(np.column_stack([x, x, rng.standard_normal(60)]),
                          labels), path)
+        model_path = str(tmp_path / "m.json")
         rc = main(["train", "--data", path, "--labels", "2", "--method", "br",
-                   "--lambda", "1e-300", "--model", str(tmp_path / "m.json")])
+                   "--lambda", "1e-300", "--model", model_path])
+        assert rc == 0
+        _, model = load_model(model_path)
+        for clf in model.classifiers:
+            assert clf.weights[1] == clf.weights[2]
+
+    def test_training_error_exit_4(self, tmp_path, capsys):
+        # One labelset on every row: each mined pair's loss is 0, and the
+        # binomial regression on the pairs is unidentifiable.
+        rng = np.random.default_rng(0)
+        labels = np.tile([1, 0, 1], (40, 1))
+        path = str(tmp_path / "one_labelset.csv")
+        save_csv(Dataset(rng.standard_normal((40, 3)), labels), path)
+        rc = main(["train", "--data", path, "--labels", "3", "--method",
+                   "nldd", "--model", str(tmp_path / "m.json")])
         assert rc == 4
-        assert "singular Hessian" in capsys.readouterr().err
+        assert "degenerate losses" in capsys.readouterr().err
 
     def test_refused_t2_row_named_by_its_training_row(self, tmp_path, capsys):
         # Two cells of 1.7e308 in column 0, both in T2 at seed 0, so T1's
@@ -609,7 +627,6 @@ class TestBoundaries:
 
     def test_batch_output_matches_row_api(self, csv_path, tmp_path):
         from nldd.model import predict_with_confidence
-        from nldd.persist import load_model
         model_path = _train(csv_path, tmp_path)
         out_path = str(tmp_path / "pred.txt")
         assert main(["predict", "--model", model_path, "--data", csv_path,

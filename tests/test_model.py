@@ -517,9 +517,8 @@ class TestTrain:
     def test_peak_memory_is_bounded(self):
         # T1, T2, their standardised copies, p-hat and the mined pairs die
         # before the final BR fit, and each BR fit standardises its rows
-        # straight into its one IRLS design matrix. At this size that peaks
-        # at 3.7x the features' bytes, and the final BR fit sets the peak
-        # (pair mining peaks at 3.1x). Copying the standardised rows into a
+        # straight into its one design matrix. At this size that peaks at
+        # 2.9x the features' bytes, and the final BR fit sets the peak. Copying the standardised rows into a
         # second design matrix peaked at 4.9x; keeping the split's arrays
         # alive through the final fit, 7.3x. Smaller engine blocks keep its
         # fixed-size (block, N) arrays from masking the difference.
