@@ -52,38 +52,55 @@ def _gradients(X1, Y, Z, W, lam):
     return P, G
 
 
-def _newton_steps(X1, wt, G, penalty, floor, it):
+def _newton_steps(Xc, mu, wt, G, penalty, floor, tight, it):
     """Truncated Newton steps: row k solves label k's system H δ = g inexactly.
 
     Row k of ``wt`` holds the label's IRLS weights p(1-p) and row k of
-    ``G`` its gradient g; its Hessian is H = X1ᵀ diag(wt[k]) X1 +
-    diag(``penalty``), never formed. Conjugate gradients start at δ = 0
-    and run on each label until the residual r = g - Hδ meets ‖r‖ ≤
-    max(η‖g‖, ``floor``) with the forcing term η = min(0.1, ‖g‖²), or for
-    d+1 steps at most. The fit passes tol/2 as the floor: after a full
-    step the gradient is about r, so a smaller residual would only pass
-    the stop rule's gradient test by a wider margin. One CG step of the
-    labels still running is two matrix products with X1 (Lin, Weng &
-    Keerthi, "Trust region Newton method for large-scale logistic
-    regression", JMLR 9, 2008). ``it`` numbers the Newton iteration for
-    the error message.
+    ``G`` its gradient g. The system is solved in centred weights: the
+    intercept b' = b + mu·w, for the feature means ``mu``, beside the
+    slopes w. There the design is ``Xc``, the features less their means,
+    the gradient is (g_0, g_w - mu g_0), and the Hessian is H = Xcᵀ
+    diag(wt[k]) Xc + diag(``penalty``), never formed. Beside the
+    intercept's ones, a feature far from zero that barely varies would
+    give the uncentred Hessian curvatures too far apart for CG to resolve.
+
+    Conjugate gradients start at δ = 0 and run on each label until the
+    residual r = g - Hδ meets ‖r‖ ≤ max(η‖g‖, ``floor``) with the forcing
+    term η = min(0.1, ‖g‖²), or for 3(d+1) steps at most: in exact
+    arithmetic CG ends within d+1 steps, but rounding on an
+    ill-conditioned system (a near-separable column, say) delays it. A
+    label flagged in ``tight`` drops the forcing term and runs to the
+    floor. The fit passes tol/2 as the floor: after a full step the
+    gradient is about r, so a smaller residual would only pass the stop
+    rule's gradient test by a wider margin. One CG step of the labels
+    still running is two matrix products with Xc (Lin, Weng & Keerthi,
+    "Trust region Newton method for large-scale logistic regression",
+    JMLR 9, 2008). ``it`` numbers the Newton iteration for the error
+    message. Returns the steps, in the weights of the uncentred design,
+    and per label whether its CG ran to the floor (or to its step cap)
+    rather than stopping at η‖g‖.
     """
+    # In centred weights, b' = b + mu·w, the gradient is (g_0, g_w - mu g_0).
+    G = G.copy()
+    G[:, 1:] -= G[:, :1] * mu
     sq = np.einsum("ij,ij->i", G, G)
     if not np.isfinite(sq).all():
         raise TrainingError(f"gradient overflows at Newton iteration {it}; "
                             "rescale the features")
-    bound = np.maximum(np.minimum(0.1, sq) ** 2 * sq, floor * floor)  # ‖r‖²
+    bound = np.where(tight, 0.0, np.minimum(0.1, sq) ** 2 * sq)
+    exact = bound <= floor * floor
+    bound = np.maximum(bound, floor * floor)  # ‖r‖²
     delta = np.zeros_like(G)
     run = np.flatnonzero(sq > bound)
     # The running labels' iterate, residual, direction, ‖r‖², weights and
     # bound.
     D, R, P, rr, Wt, bound = delta[run], G[run], G[run], sq[run], wt[run], bound[run]
-    for _ in range(G.shape[1]):
+    for _ in range(3 * G.shape[1]):
         if not run.size:
             break
-        U = P @ X1.T
+        U = P @ Xc.T
         U *= Wt
-        HP = U @ X1
+        HP = U @ Xc
         HP += penalty * P
         curv = np.einsum("ij,ij->i", P, HP)
         if not 0 < curv.min() <= curv.max() < math.inf:
@@ -104,33 +121,36 @@ def _newton_steps(X1, wt, G, penalty, floor, it):
         P += R
         rr = rr_next
     delta[run] = D
-    return delta
+    delta[:, 0] -= delta[:, 1:] @ mu  # back to the weights of X1
+    return delta, exact
 
 
 def fit_logistic(X1, targets, lam=1.0, max_iter=100, tol=1e-8, start=None):
     """Maximize the L2-penalized Bernoulli log-likelihood by truncated Newton.
 
-    ``X1`` is the (n, d+1) design matrix, column 0 the intercept's ones; it
-    is not copied. ``targets`` is an (n, L) 0/1 matrix, copied unless its
-    transpose is C-contiguous float64. The result is a list of L
-    LinearProbModels, one per column, fit in one Newton loop. Each label
-    runs the single-label iteration on its own, with its own Newton steps,
-    step halving and stop rule, so its weights match a fit of that column
-    alone up to the stop tolerance; its iterations and convergence are the
-    same. Each Newton step solves the label's system by conjugate gradients
-    on Hessian-vector products (``_newton_steps``), the labels batched into
-    one pair of matrix products per CG step. On a badly scaled design (a
-    near-constant feature of 1e6 beside the intercept, say) an inexact
-    step can be tiny far from the optimum, and ``change < tol`` then stops
-    that label early; standardised features keep far from that.
+    ``X1`` is the (n, d+1) design matrix, column 0 the intercept's ones.
+    ``targets`` is an (n, L) 0/1 matrix, copied unless its transpose is
+    C-contiguous float64. The result is a list of L LinearProbModels, one
+    per column, fit in one Newton loop. Each label runs the single-label
+    iteration on its own, with its own Newton steps, step halving and stop
+    rule, so its fit is that of the column alone, up to rounding: a
+    matrix product over the batch may round a column differently with the
+    batch's width. Each Newton step solves the label's system by conjugate
+    gradients on Hessian-vector products (``_newton_steps``), the labels
+    batched into one pair of matrix products per CG step. Those products
+    read a centred copy of the features, the one copy of ``X1`` the fit
+    makes. A step whose CG stopped at its forcing term may be short, so
+    ``change < tol`` ends a label only after a step whose CG ran to the
+    floor: a tiny truncated step is followed by one that is not truncated.
 
     ``start``, an (L, d+1) array of finite weights, one row per column,
     is where each column's Newton loop begins (zeros when it is None).
     The loop and its stop rule are unchanged, so a start near the optimum
     saves iterations, and ``iterations`` counts from the start.
 
-    Step halving (up to 20 halvings) keeps the ascent monotone. The
-    intercept is unpenalized. Raises ValueError for bad shapes, a column 0
+    Step halving (up to 20 halvings) keeps the ascent monotone; a step
+    that fails all 20 is taken untested at its last length. The intercept
+    is unpenalized. Raises ValueError for bad shapes, a column 0
     that is not all ones, a ``lam`` that is not finite and > 0 or a
     ``start`` that is not a finite (L, d+1) array, and
     TrainingError for non-finite features, single-class targets, a
@@ -169,16 +189,23 @@ def fit_logistic(X1, targets, lam=1.0, max_iter=100, tol=1e-8, start=None):
     penalty = np.full(d + 1, lam)
     penalty[0] = 0.0
 
-    # State of the labels still iterating: their ids and targets, and their
-    # weights with the log-likelihoods, probabilities and gradients there.
+    # The features less their means, for the CG steps.
+    mu = X1[:, 1:].mean(axis=0)
+    Xc = X1.copy()
+    Xc[:, 1:] -= mu
+
+    # State of the labels still iterating: their ids and targets, their
+    # weights with the log-likelihoods, probabilities and gradients there,
+    # and whether their next CG runs to the floor.
     active, Ya, W = np.arange(n_labels), Y, weights.copy()
     Z, LL = _logliks(X1, Ya, W, lam)
     P, G = _gradients(X1, Ya, Z, W, lam)
+    tight = np.zeros(n_labels, dtype=bool)
     for it in range(1, max_iter + 1):
         if not active.size:
             break
         wt = np.clip(P * (1.0 - P), 1e-12, None)
-        delta = _newton_steps(X1, wt, G, penalty, tol / 2, it)
+        delta, exact = _newton_steps(Xc, mu, wt, G, penalty, tol / 2, tight, it)
 
         step = np.ones(active.size)
         Wn = W + delta
@@ -198,11 +225,13 @@ def fit_logistic(X1, targets, lam=1.0, max_iter=100, tol=1e-8, start=None):
         P, G = _gradients(X1, Ya, Z, W, lam)
         iterations[active] = it
 
-        stop = (change < tol) | (np.max(np.abs(G), axis=1) < tol)
+        small = change < tol
+        stop = (small & exact) | (np.max(np.abs(G), axis=1) < tol)
         converged[active[stop]] = True
         weights[active[stop]] = W[stop]
         go = ~stop
         active, Ya, W, LL, P, G = active[go], Ya[go], W[go], LL[go], P[go], G[go]
+        tight = small[go]
     weights[active] = W
     if not np.isfinite(weights).all():
         raise TrainingError("logistic fit diverged to non-finite weights")

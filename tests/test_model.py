@@ -517,11 +517,14 @@ class TestTrain:
     def test_peak_memory_is_bounded(self):
         # T1, T2, their standardised copies, p-hat and the mined pairs die
         # before the final BR fit, and each BR fit standardises its rows
-        # straight into its one design matrix. At this size that peaks at
-        # 2.9x the features' bytes, and the final BR fit sets the peak. Copying the standardised rows into a
-        # second design matrix peaked at 4.9x; keeping the split's arrays
-        # alive through the final fit, 7.3x. Smaller engine blocks keep its
-        # fixed-size (block, N) arrays from masking the difference.
+        # straight into its one design matrix, of which the logistic fit
+        # makes one centred copy. At this size that peaks at 3.9x the
+        # features' bytes, and the final BR fit sets the peak (pair mining
+        # peaks at 3.1x). Under the exact-Newton fit, which peaked at 3.7x,
+        # copying the standardised rows into a second design matrix peaked
+        # at 4.9x, and keeping the split's arrays alive through the final
+        # fit at 7.3x. Smaller engine blocks keep its fixed-size (block, N)
+        # arrays from masking the difference.
         data = generate_synthetic(2000, 50, 10, 0.8, 0.3, seed=3)
         with mock.patch.object(kernels, "BLOCK_BYTES", 256 * 1024):
             tracemalloc.start()
