@@ -37,8 +37,11 @@ def br_fit(train, lam=1.0, start=None):
     ``start`` BRModel of the same labels and features, each varying label's
     Newton loop begins at that model's weights for it, taken as they are
     (in the start model's standardisation), or at zeros where the start
-    model holds a constant classifier.
+    model holds a constant classifier. Raises ValueError for a ``lam``
+    that is not finite and > 0: every BR classifier is penalized.
     """
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError(f"lambda must be finite and > 0, got {lam}")
     stats = standardize_fit(train)
     # Standardised straight into the design matrix beside its intercept
     # column, and the float targets laid out as the Newton loop reads them

@@ -382,5 +382,5 @@ def dataset_summary(data):
         "d": data.d,
         "labels": data.n_labels,
         "lcard": float(data.labels.sum()) / data.n,
-        "distinct_labelsets": len(np.unique(data.labels, axis=0)),
+        "distinct_labelsets": len(_labelset_groups(data.labels)[0]),
     }

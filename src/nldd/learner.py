@@ -39,9 +39,30 @@ def _logliks(X1, Y, W, lam):
     ``W`` against the (a, n) target rows ``Y``."""
     # X1 carries the intercept column; the intercept is unpenalized.
     Z = W @ X1.T
-    # log(1+e^z) computed stably
-    ll = np.sum(Y * Z - np.logaddexp(0.0, Z), axis=1)
+    # log(1+e^z) stably; faster than np.logaddexp(0, z), and no bigger
+    softplus = np.log1p(np.exp(-np.abs(Z)))
+    softplus += np.maximum(Z, 0.0)
+    ll = np.sum(Y * Z - softplus, axis=1)
     return Z, ll - 0.5 * lam * np.sum(W[:, 1:] ** 2, axis=1)
+
+
+def _small_step_gains(X1, Y, P, W, Wn, lam):
+    """Penalized log-likelihood gains of the steps from the weight rows
+    ``W``, where the probabilities are ``P``, to ``Wn``, summed row by row
+    from the score change dz: y·dz - log1p(σ(z)·expm1(dz)), the softplus
+    difference, taken as dz + log1p(σ(-z)·expm1(-dz)) for dz > 0. Where
+    every |dz| <= 1 log1p's argument stays in (-0.64, 0], so a gain far
+    below the log-likelihoods' rounding keeps its sign; other rows get NaN."""
+    step = Wn - W
+    dZ = step @ X1.T
+    small = np.abs(dZ).max(axis=1) <= 1.0
+    dZ, P = dZ[small], P[small]
+    diff = np.log1p(np.where(dZ > 0, 1.0 - P, P) * np.expm1(-np.abs(dZ)))
+    diff += np.maximum(dZ, 0.0)
+    ridge = np.sum(step[small, 1:] * (Wn + W)[small, 1:], axis=1)
+    gains = np.full(len(W), np.nan)
+    gains[small] = np.sum(Y[small] * dZ - diff, axis=1) - 0.5 * lam * ridge
+    return gains
 
 
 def _gradients(X1, Y, Z, W, lam):
@@ -129,9 +150,10 @@ def fit_logistic(X1, targets, lam=1.0, max_iter=100, tol=1e-8, start=None):
     """Maximize the L2-penalized Bernoulli log-likelihood by truncated Newton.
 
     ``X1`` is the (n, d+1) design matrix, column 0 the intercept's ones.
-    ``targets`` is an (n, L) 0/1 matrix, copied unless its transpose is
-    C-contiguous float64. The result is a list of L LinearProbModels, one
-    per column, fit in one Newton loop. Each label runs the single-label
+    ``targets`` is an (n, L) matrix of rates in [0, 1] (0/1 labels, or k/m
+    for k of m binomial trials), copied unless its transpose is C-contiguous
+    float64. The result is a list of L LinearProbModels, one per column,
+    fit in one Newton loop. Each label runs the single-label
     iteration on its own, with its own Newton steps, step halving and stop
     rule, so its fit is that of the column alone, up to rounding: a
     matrix product over the batch may round a column differently with the
@@ -149,11 +171,14 @@ def fit_logistic(X1, targets, lam=1.0, max_iter=100, tol=1e-8, start=None):
     saves iterations, and ``iterations`` counts from the start.
 
     Step halving (up to 20 halvings) keeps the ascent monotone; a step
-    that fails all 20 is taken untested at its last length. The intercept
-    is unpenalized. Raises ValueError for bad shapes, a column 0
-    that is not all ones, a ``lam`` that is not finite and > 0 or a
-    ``start`` that is not a finite (L, d+1) array, and
-    TrainingError for non-finite features, single-class targets, a
+    that fails all 20 is taken untested at its last length. A fall of the
+    rounded log-likelihood is checked by ``_small_step_gains``: near the
+    optimum a step gains far less than that rounding. The intercept is
+    unpenalized, and ``lam`` = 0 fits the plain maximum likelihood.
+    Raises ValueError for bad shapes, a column 0 that is not all ones, a
+    target outside [0, 1], a ``lam`` that is not finite and >= 0 or a
+    ``start`` that is not a finite (L, d+1) array, and TrainingError for
+    non-finite features, a column whose targets are all 0 or all 1, a
     gradient or CG curvature that overflows or is not > 0, and non-finite
     weights.
     """
@@ -167,11 +192,13 @@ def fit_logistic(X1, targets, lam=1.0, max_iter=100, tol=1e-8, start=None):
                          "intercept's ones")
     if not np.isfinite(X1).all():
         raise TrainingError("non-finite feature values")
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"lambda must be finite and > 0, got {lam}")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     # One C-contiguous row of float targets per label, as the loop reads them.
     Y = np.ascontiguousarray(targets.T, dtype=np.float64)
-    if (Y.min(axis=1) == Y.max(axis=1)).any():
+    if not ((Y >= 0) & (Y <= 1)).all():
+        raise ValueError("targets must be rates in [0, 1]")
+    if ((Y.max(axis=1) == 0) | (Y.min(axis=1) == 1)).any():
         raise TrainingError("targets contain a single class; use fit_fallback")
 
     n_labels, d = Y.shape[0], X1.shape[1] - 1
@@ -213,6 +240,10 @@ def fit_logistic(X1, targets, lam=1.0, max_iter=100, tol=1e-8, start=None):
         pending = np.arange(active.size)
         for _ in range(20):
             pending = pending[~(LLn[pending] >= LL[pending])]
+            if pending.size:  # a fall, unless the step's own gain says not
+                gains = _small_step_gains(X1, Ya[pending], P[pending],
+                                          W[pending], Wn[pending], lam)
+                pending = pending[~(gains >= 0)]
             if not pending.size:
                 break
             step[pending] *= 0.5

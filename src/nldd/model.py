@@ -11,7 +11,7 @@ import numpy as np
 from . import kernels
 from .br import QueryRowError, _queries, br_fit
 from .data import DataError, _labelset_groups, split_random, standardize_apply
-from .learner import PROB_CLAMP, TrainingError, _sigmoid
+from .learner import PROB_CLAMP, TrainingError, _sigmoid, fit_logistic
 
 
 @dataclass
@@ -203,21 +203,20 @@ def mine_pairs(p_hat, true_labels, t1_features_std, t1_labels, x_std):
     return np.sqrt(dxsq.T[keep]), np.sqrt(dysq.T[keep]), losses.T[keep]
 
 
-def _binomial_loglik(X, losses, n_trials, beta):
-    z = X @ beta
-    return float(np.sum(losses * z - n_trials * np.logaddexp(0.0, z)))
-
-
 def fit_binomial_glm(dx, dy, losses, n_labels, max_iter=50, tol=1e-8):
-    """Newton-Raphson MLE of the logit-link binomial regression of the loss
-    count (out of ``n_labels`` trials) on (dx, dy), three equal-length 1-D
-    arrays as ``mine_pairs`` returns them.
+    """MLE of the logit-link binomial regression of the loss count (out of
+    ``n_labels`` trials) on (dx, dy), three equal-length 1-D arrays as
+    ``mine_pairs`` returns them: the logistic fit of the rates losses /
+    n_labels (``fit_logistic``, unpenalized, from the empirical logit, tol
+    / n_labels so the gradient test is in counts), whose stop rule gives
+    ``converged``. Collinear distance columns converge to one of the MLEs.
+    ``final_gradient_norm`` is max |Xᵀ(losses - n_labels θ)|.
 
     Raises ValueError on empty or unequal-length arrays, a dx or dy that is
     not finite, a loss that is NaN or outside [0, n_labels], or a negative
     ``max_iter``; TrainingError when every loss is 0 or every loss is
-    n_labels. Non-convergence is reported via ``converged=False``, not an
-    exception.
+    n_labels, or where the fit fails (non-finite β, say). Non-convergence
+    is reported via ``converged=False``, not an exception.
     """
     dx, dy = np.asarray(dx, dtype=np.float64), np.asarray(dy, dtype=np.float64)
     losses = np.asarray(losses, dtype=np.float64)
@@ -239,46 +238,12 @@ def fit_binomial_glm(dx, dy, losses, n_labels, max_iter=50, tol=1e-8):
                             "binomial regression is unidentifiable")
 
     rate = total / (n_labels * n)
-    beta = np.array([math.log(rate / (1.0 - rate)), 0.0, 0.0])
-    converged = False
-    ll = None  # the log-likelihood at beta, once it is known
-    # Pass it checks the gradient after it - 1 steps; the last pass only
-    # checks it.
-    for it in range(1, max_iter + 2):
-        theta_i = _sigmoid(X @ beta)
-        g = X.T @ (losses - n_labels * theta_i)
-        grad_norm = float(np.max(np.abs(g)))
-        if grad_norm < tol:
-            converged = True
-            break
-        if it > max_iter:
-            break
-        wt = np.clip(n_labels * theta_i * (1.0 - theta_i), 1e-12, None)
-        H = X.T @ (wt[:, None] * X)
-        try:
-            delta = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            break
-        ll_old = _binomial_loglik(X, losses, n_labels, beta) if ll is None else ll
-        step = 1.0
-        beta_new = beta + delta
-        for _ in range(20):
-            ll = (_binomial_loglik(X, losses, n_labels, beta_new)
-                  if np.isfinite(beta_new).all() else None)
-            if ll is not None and ll >= ll_old:
-                break
-            step *= 0.5
-            beta_new = beta + step * delta
-        else:
-            ll = None  # the last halving was never evaluated
-        beta = beta_new
-        if not np.isfinite(beta).all():
-            beta = np.where(np.isfinite(beta), beta, 0.0)
-            break
-    return BinomialFit(beta0=float(beta[0]), beta1=float(beta[1]),
-                       beta2=float(beta[2]), converged=converged,
-                       iterations=min(it, max_iter),
-                       final_gradient_norm=grad_norm)
+    start = np.array([[math.log(rate / (1.0 - rate)), 0.0, 0.0]])
+    (fit,) = fit_logistic(X, (losses / n_labels)[:, None], lam=0.0,
+                          max_iter=max_iter, tol=tol / n_labels, start=start)
+    g = X.T @ (losses - n_labels * _sigmoid(X @ fit.weights))
+    return BinomialFit(*map(float, fit.weights), fit.converged, fit.iterations,
+                       final_gradient_norm=float(np.max(np.abs(g))))
 
 
 def theta(fit, dx, dy):

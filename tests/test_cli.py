@@ -134,7 +134,7 @@ class TestTrain:
         assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("method", ["br", "nldd"])
-    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    @pytest.mark.parametrize("lam", ["nan", "inf", "0", "-1"])
     @pytest.mark.filterwarnings("error")
     def test_lambda_not_finite_and_positive_usage_error(
             self, csv_path, tmp_path, capsys, method, lam):

@@ -89,9 +89,82 @@ class TestFitLogistic:
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_lambda_must_be_finite_and_positive(self, lam):
+        # For Binary Relevance; fit_logistic also takes the binomial GLM's
+        # lambda = 0, the plain maximum likelihood.
         X, y = _synthetic(12)
         with pytest.raises(ValueError, match="lambda must be finite and > 0"):
-            fit_logistic(_design(X), y[:, None], lam=lam)
+            br_fit(Dataset(X, y[:, None]), lam=lam)
+        if lam == 0:
+            (m,) = fit_logistic(_design(X), y[:, None], lam=lam)
+            _, g = _penalized(_design(X), y.astype(float), m.weights, 0.0)
+            assert m.converged and np.max(np.abs(g)) < 1e-8
+        else:
+            with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
+                fit_logistic(_design(X), y[:, None], lam=lam)
+
+    @pytest.mark.parametrize("bad", [-0.5, 1.5, math.nan])
+    def test_targets_must_be_rates(self, bad):
+        X, y = _synthetic(16)
+        targets = y[:, None].astype(float)
+        targets[3, 0] = bad
+        with pytest.raises(ValueError, match=r"rates in \[0, 1\]"):
+            fit_logistic(_design(X), targets)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="the oracle needs an extended long double")
+    @pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e-3, 0.1])
+    def test_small_step_gains_keep_their_digits(self, scale):
+        # The difference of two penalized log-likelihoods, each rounded at
+        # about 1e-14 here, keeps few digits of a step of 1e-9's gain (2e-7
+        # relative error); the gain formed from the score change keeps
+        # them. The oracle takes the difference in extended precision.
+        X, y = _synthetic(19, n=300)
+        X1, lam = _design(X), 0.5
+        rng = np.random.default_rng(19)
+        W = rng.standard_normal((2, 3))
+        Wn = W + scale * rng.standard_normal((2, 3))
+        Y = np.array([y, np.full(300, 0.25)], dtype=np.float64)
+        P = 1.0 / (1.0 + np.exp(-(W @ X1.T)))
+        gains = learner._small_step_gains(X1, Y, P, W, Wn, lam)
+
+        def loglik(w, t):
+            z = X1.astype(np.longdouble) @ w.astype(np.longdouble)
+            return (np.sum(t * z - np.logaddexp(np.longdouble(0), z))
+                    - lam / 2 * np.sum(w[1:].astype(np.longdouble) ** 2))
+
+        for gain, w, wn, t in zip(gains, W, Wn, Y):
+            want = float(loglik(wn, t) - loglik(w, t))
+            assert abs(gain - want) <= 1e-8 * abs(want)
+
+    def test_small_step_gains_leave_large_steps_to_the_log_likelihoods(self):
+        X, y = _synthetic(20)
+        X1 = _design(X)
+        W = np.zeros((1, 3))
+        gains = learner._small_step_gains(X1, y[None].astype(float),
+                                          np.full((1, len(y)), 0.5), W,
+                                          W + 0.8, 1.0)
+        assert np.isnan(gains).all()
+
+    def test_constant_fractional_column_fits_its_logit(self):
+        # Only all-0 or all-1 targets are a single class; a column of
+        # rates 1/3 is the MLE of an intercept of logit(1/3).
+        X, _ = _synthetic(17)
+        (m,) = fit_logistic(_design(X), np.full((len(X), 1), 1 / 3))
+        assert m.converged
+        assert m.weights[0] == pytest.approx(math.log(0.5), abs=1e-8)
+        assert np.all(np.abs(m.weights[1:]) < 1e-8)
+
+    def test_fractional_targets_are_the_binomial_fit(self):
+        # k successes of m trials: the rate k/m's log-likelihood is 1/m of
+        # the binomial one, so it matches m 0/1 rows per trial.
+        X, y = _synthetic(18, n=40)
+        k = (y + np.arange(40) % 2).astype(float)  # 0, 1 or 2 of 2 trials
+        (rates,) = fit_logistic(_design(X), (k / 2)[:, None], lam=0.5)
+        rows = np.repeat(X, 2, axis=0)
+        trials = (np.arange(80) % 2 < np.repeat(k, 2)).astype(float)
+        (ones,) = fit_logistic(_design(rows), trials[:, None], lam=1.0)
+        assert rates.converged and ones.converged
+        assert np.allclose(rates.weights, ones.weights, rtol=0, atol=1e-7)
 
     def test_gradient_small_at_optimum(self):
         X, y = _synthetic(3)

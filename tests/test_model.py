@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from nldd import br as br_module, kernels, model as model_module
+from nldd import br as br_module, kernels, learner, model as model_module
 from nldd.br import QueryRowError, br_fit
 from nldd.data import Dataset, split_random, standardize_apply
 from nldd.evaluate import generate_synthetic
@@ -18,6 +18,7 @@ from nldd.learner import LinearProbModel, TrainingError
 from nldd.model import (BinomialFit, fit_binomial_glm,
                         mine_pairs, nldd_predict, nldd_train,
                         predict_with_confidence, theta)
+from test_learner import _penalized, fit_logistic_loop
 
 SCENE_COEFS = (-3.5023, 0.0134, 1.8269)
 
@@ -244,24 +245,30 @@ class TestBinomialGlm:
         for got, want in zip((fit.beta0, fit.beta1, fit.beta2), SCENE_COEFS):
             assert abs(got - want) <= 0.10 * abs(want)
 
-    @pytest.mark.parametrize("case, calls", [("full steps", 6), ("halvings", 58)])
+    @pytest.mark.parametrize("case, calls", [
+        ("full steps", 6), ("steep dy", 7), ("halvings", 31)])
     def test_accepted_log_likelihood_is_not_recomputed(self, case, calls):
-        # One evaluation at the start and one per candidate step: the
-        # accepted step's value is the next iteration's baseline. Recomputing
-        # it took 10 and 73 calls here.
+        # One evaluation at the start, one per Newton step and one per
+        # halving round: the accepted step's value is the next iteration's
+        # baseline. Recomputing it would add one call per Newton step.
+        rng = np.random.default_rng({"full steps": 4, "steep dy": 22,
+                                     "halvings": 0}[case])
         if case == "full steps":
-            rng = np.random.default_rng(4)
             dx, dy = rng.uniform(0, 20, 5000), rng.uniform(0, 2, 5000)
             losses = rng.binomial(6, 1 / (1 + np.exp(3.0 - 0.1 * dx - 1.5 * dy)))
-            n_labels, iterations = 6, 6
-        else:  # dy spans 0.01, so beta2 runs to ~100 and steps are halved
-            rng = np.random.default_rng(22)
+            n_labels, iterations = 6, 5
+        elif case == "steep dy":  # dy spans 0.01, so beta2 runs to ~100
             n, n_labels = int(rng.integers(5, 40)), int(rng.integers(1, 4))
             dx = rng.uniform(0, 1, n) * 10.0 ** rng.integers(-2, 4)
             dy = rng.uniform(0, 1, n) * 10.0 ** rng.integers(-2, 3)
-            losses, iterations = rng.integers(0, n_labels + 1, n), 17
-        with mock.patch.object(model_module, "_binomial_loglik",
-                               wraps=model_module._binomial_loglik) as loglik:
+            losses, iterations = rng.integers(0, n_labels + 1, n), 6
+        else:  # dy all but separates losses of 0 and 2, the MLE far out
+            dx, dy = rng.uniform(0, 1, 200), rng.uniform(0, 0.1, 200)
+            z = 100.0 + 130.0 * (dy - dy.mean()) / dy.std()
+            losses = rng.binomial(2, 1 / (1 + np.exp(-np.clip(z, -50, 50))))
+            n_labels, iterations = 2, 27
+        with mock.patch.object(learner, "_logliks",
+                               wraps=learner._logliks) as loglik:
             fit = fit_binomial_glm(dx, dy, losses, n_labels)
         assert fit.converged and fit.iterations == iterations
         assert loglik.call_count == calls
@@ -327,25 +334,107 @@ class TestBinomialGlm:
     @given(data=st.data(), n_labels=st.integers(1, 6),
            tol=st.sampled_from([1e-8, 1e-6, 1e-3]))
     def test_converged_means_gradient_below_tol(self, data, n_labels, tol):
+        # The GLM is fit_logistic's fit of the rates loss / n_labels with
+        # lambda = 0 and tol / n_labels, so the exact-Newton loop on that
+        # problem, from the same start, is its oracle.
         n = data.draw(st.integers(1, 60))
         dx = data.draw(st.lists(st.one_of(st.floats(0.0, 20.0),
                                           st.sampled_from([0.0, 1.0, 2.5])),
                                 min_size=n, max_size=n))
         dy = data.draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
-        loss = data.draw(st.lists(st.integers(0, n_labels), min_size=n, max_size=n))
-        try:
-            fit = fit_binomial_glm(np.array(dx), np.array(dy), np.array(loss),
-                                   n_labels, tol=tol)
-        except TrainingError:
-            assume(False)  # every loss 0 or every loss n_labels
-        assume(fit.converged)
+        loss = np.array(data.draw(st.lists(st.integers(0, n_labels),
+                                           min_size=n, max_size=n)))
+        assume(0 < loss.sum() < n_labels * n)  # else degenerate losses
+        fit = fit_binomial_glm(np.array(dx), np.array(dy), loss, n_labels,
+                               tol=tol)
         X = np.column_stack([np.ones(n), dx, dy])
         beta = np.array([fit.beta0, fit.beta1, fit.beta2])
         with np.errstate(over="ignore"):  # exp(-z) = inf gives the limit 0
             th = 1.0 / (1.0 + np.exp(-(X @ beta)))
-        grad = np.max(np.abs(X.T @ (np.array(loss) - n_labels * th)))
-        assert grad < tol
+        grad = np.max(np.abs(X.T @ (loss - n_labels * th)))
         assert grad == fit.final_gradient_norm
+        assert fit.converged or fit.iterations == 50
+
+        rates, t = loss / n_labels, tol / n_labels
+        rate = loss.sum() / (n_labels * n)
+        start = [math.log(rate / (1 - rate)), 0.0, 0.0]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            try:
+                w, _, conv, fell = fit_logistic_loop(
+                    X[:, 1:], rates, lam=0.0, max_iter=50, tol=t, start=start)
+            except np.linalg.LinAlgError:
+                return  # an exactly singular Hessian: no verdict
+        if not (conv and np.isfinite(w).all()):
+            return
+        # A step the loop took untested lands anywhere (_assert_matches_loop).
+        assert fit.converged or fell
+        if not fit.converged:
+            return
+        # The rates' log-likelihoods agree up to the stop rule's slack, as
+        # in _assert_matches_loop, with the least curvature for lambda.
+        ll_fit, _ = _penalized(X, rates, beta, 0.0)
+        ll_loop, _ = _penalized(X, rates, w, 0.0)
+        least, greatest = _glm_curvatures(X, w)
+        with np.errstate(divide="ignore"):  # a curvature below the floats
+            flat = 1 / least
+        slack = 10 * t * (1 + abs(ll_loop)) + 3 * t**2 * flat
+        assert ll_loop - ll_fit <= slack
+        assert ll_fit - ll_loop <= slack + 3 * t**2 * max(greatest, flat)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_last_bit_of_dx_does_not_move_the_iterations(self, seed):
+        # At a fold's shape the last Newton steps gain less than the
+        # log-likelihood's own rounding. Judged by that rounding, such a
+        # step was halved at random: a one-ulp change of dx took the
+        # exact-Newton loop from 7 to 22 iterations (seed 2), and the CG
+        # fit to a stop at a halved step, 1e-7 from the optimum.
+        data = generate_synthetic(900, 20, 6, 0.8, 0.3, seed)
+        with mock.patch.object(model_module, "fit_binomial_glm",
+                               wraps=fit_binomial_glm) as glm:
+            nldd_train(data, seed)
+        dx, dy, losses, n_labels = glm.call_args.args
+        flip = np.random.default_rng(seed).integers(0, 2, dx.size) == 1
+        fits = [fit_binomial_glm(v, dy, losses, n_labels) for v in (
+            dx, np.nextafter(dx, np.inf), np.nextafter(dx, -np.inf),
+            np.where(flip, np.nextafter(dx, np.inf), dx))]
+        assert len({fit.iterations for fit in fits}) == 1
+        assert all(fit.converged and fit.final_gradient_norm < 1e-8
+                   for fit in fits)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_collinear_distances_converge(self, scale):
+        # dy = scale * dx leaves the Hessian singular, so an exact Newton
+        # solve has no step; the MLE's log-likelihood is still attained.
+        rng = np.random.default_rng(3)
+        dx = rng.uniform(0, 5, 400)
+        losses = rng.binomial(4, 1 / (1 + np.exp(2.0 - 0.5 * dx)))
+        fit = fit_binomial_glm(dx, scale * dx, losses, 4)
+        assert fit.converged and fit.final_gradient_norm < 1e-8
+
+
+def _glm_curvatures(X, beta):
+    """Least and greatest curvature of the rates' log-likelihood at ``beta``
+    (with the oracle's clipped IRLS weights w) off the design's exact null
+    space: the extreme eigenvalues of Xᵀ diag(w) X on the directions
+    orthogonal to those that X maps to zero. Along such a direction, of
+    collinear or constant distance columns, the likelihood is flat and
+    its gradient has no component. X's columns are scaled to unit norm
+    before ``np.linalg.matrix_rank``'s tolerance finds them, so that a
+    column of tiny distances, whose curvature is tiny but real, is not
+    taken for one. The eigenvalues are squared singular values of
+    diag(√w) X Q, Q the orthonormal complement, so that a small one is
+    not lost in the rounding of the largest."""
+    norms = np.linalg.norm(X, axis=0)
+    _, s, vt = np.linalg.svd(X / np.where(norms > 0, norms, 1.0))
+    rank = np.sum(s > s[0] * max(X.shape) * np.finfo(np.float64).eps)
+    null = vt[rank:] / np.where(norms > 0, norms, 1.0)  # in beta's coordinates
+    Q = np.linalg.svd(null)[2][len(null):].T if len(null) else np.eye(X.shape[1])
+    with np.errstate(over="ignore"):
+        th = 1.0 / (1.0 + np.exp(-(X @ beta)))
+    root = np.sqrt(np.clip(th * (1 - th), 1e-12, None))
+    s = np.linalg.svd(root[:, None] * (X @ Q), compute_uv=False)
+    with np.errstate(under="ignore"):
+        return s[-1] ** 2, s[0] ** 2
 
 
 class TestTheta:
@@ -558,6 +647,30 @@ class TestFinalBrFit:
             assert np.max(np.abs(warm.weights - ref.weights)) < 1e-6
         assert (sum(c.iterations for c in model.br.classifiers)
                 < sum(c.iterations for c in cold.classifiers))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_label_ends_within_tol_of_its_optimum(self, seed):
+        # The warm final fit takes tiny steps. Judged by the rounding of
+        # the log-likelihood, such a step was halved until change < tol
+        # stopped the label, with a gradient near 1e-7.
+        data = generate_synthetic(400, 10, 6, 0.8, 0.3, seed=seed)
+        fitted = []
+
+        def fit(train, *args, **kwargs):
+            fitted.append((train, br_fit(train, *args, **kwargs)))
+            return fitted[-1][1]
+
+        with mock.patch.object(model_module, "br_fit", fit):
+            nldd_train(data, seed=seed)
+        assert len(fitted) == 2  # on T1, and the final fit
+        for train, model in fitted:
+            X1 = np.column_stack([np.ones(train.n), standardize_apply(
+                model.stats, train.features)])
+            W = np.array([clf.weights for clf in model.classifiers])
+            P = 1.0 / (1.0 + np.exp(-(W @ X1.T)))
+            G = (train.labels.T - P) @ X1
+            G[:, 1:] -= W[:, 1:]
+            assert np.max(np.abs(G)) < 2e-8
 
     def test_final_fit_starts_at_the_t1_weights(self):
         data = generate_synthetic(300, 6, 4, 0.8, 0.3, seed=4)
