@@ -5,8 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .data import (DataError, _labelset_groups, standardize_apply,
-                   standardize_fit)
+from .data import DataError, standardize_apply, standardize_fit
+from .kernels import _labelset_groups
 from .learner import (LinearProbModel, fit_fallback, fit_logistic,
                       predict_proba_matrix)
 

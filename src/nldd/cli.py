@@ -34,11 +34,11 @@ def _load_dataset(path, labels, fmt, n_features=None):
 
 
 def _load_features(path, labels, fmt, n_features=None):
-    if labels > 0:
-        return _load_dataset(path, labels, fmt, n_features).features
-    if fmt == "sparse":
+    if fmt == "csv":
+        return read_dense_csv(path, labels)[1]
+    if labels < 1:
         raise DataError("sparse input requires --labels >= 1")
-    return read_dense_csv(path, 0)[1]
+    return load_sparse(path, labels, n_features).features
 
 
 def _write_report(path, records):

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernels import _labelset_groups
+
 
 class DataError(ValueError):
     """Malformed input data or incompatible dimensions."""
@@ -90,10 +92,6 @@ def load_csv(path, label_count):
     if label_count < 1:
         raise DataError("label_count must be >= 1")
     header, features, labels = read_dense_csv(path, label_count)
-    bad = ~np.isfinite(features).all(axis=1)
-    if bad.any():
-        # Data row i is on line i + 2, after the header, as in the readers.
-        raise DataError(f"{path}:{int(np.argmax(bad)) + 2}: non-finite feature cell")
     d = len(header) - label_count
     return Dataset(features, labels, header[:d], header[d:])
 
@@ -101,13 +99,20 @@ def load_csv(path, label_count):
 def read_dense_csv(path, label_count):
     """Header, (N, d) float features and (N, label_count) 0/1 int labels.
 
-    Feature cells are anything ``float()`` parses; label cells are ``0`` or
-    ``1`` after stripping whitespace. ``label_count`` may be 0. Raises
-    DataError, with the file's line number, on a malformed file.
+    Feature cells are anything ``float()`` parses to a finite value; label
+    cells are ``0`` or ``1`` after stripping whitespace. ``label_count``
+    may be 0. Raises DataError, with the file's line number, on a malformed
+    file or a non-finite feature cell, and for a negative ``label_count``.
     """
+    if label_count < 0:
+        raise DataError("label_count must be >= 0")
     parsed = _read_csv_fast(path, label_count)
     if parsed is None:
         parsed = _read_csv_cells(path, label_count)
+    bad = ~np.isfinite(parsed[1]).all(axis=1)
+    if bad.any():
+        # Data row i is on line i + 2, after the header, as in the readers.
+        raise DataError(f"{path}:{int(np.argmax(bad)) + 2}: non-finite feature cell")
     return parsed
 
 
@@ -354,25 +359,6 @@ def split_random(train, seed):
     perm = rng.permutation(n)
     half = math.ceil(n / 2)
     return perm[:half], perm[half:]
-
-
-def _labelset_groups(labels):
-    """The rows of an (N, L) label matrix grouped by labelset.
-
-    Returns ``(table, order, starts, sizes)``: the K distinct labelsets in
-    lexicographic order, as ``np.unique(labels, axis=0)`` gives them; the
-    row ids sorted stably by labelset, so that labelset k's rows are
-    ``order[starts[k]:starts[k] + sizes[k]]`` in increasing id order; and
-    each labelset's offset into ``order`` and its row count.
-    """
-    labels = np.asarray(labels)
-    # lexsort's last key is the most significant, so column 0 goes last.
-    order = np.lexsort(labels.T[::-1])
-    ranked = labels[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    starts = np.flatnonzero(first)
-    return ranked[starts], order, starts, np.diff(np.r_[starts, len(order)])
 
 
 def dataset_summary(data):

@@ -8,9 +8,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import kernels
 from .br import QueryRowError, _queries, br_fit
-from .data import DataError, _labelset_groups, split_random, standardize_apply
+from .data import DataError, split_random, standardize_apply
+from .kernels import _argmin_rows, _score
 from .learner import PROB_CLAMP, TrainingError, _sigmoid, fit_logistic
 
 
@@ -34,113 +34,6 @@ class NlddModel:
     # |T1| * |T2|, the distances an exhaustive mining scan would compute;
     # the screened engine computes far fewer exactly.
     distance_ops: int
-
-
-def _first_per_row(query, keys):
-    """Index of the smallest ``keys`` tuple (most significant first) among
-    the survivors of each query row; ``query`` is sorted and covers every
-    row of the block."""
-    order = np.lexsort(tuple(reversed(keys)) + (query,))
-    q = query[order]
-    return order[np.r_[True, q[1:] != q[:-1]]]
-
-
-def _score(beta1, beta2, dx, dy):
-    """beta1*dx + beta2*dy without the term of a zero weight, so that an
-    overflowed dx = inf under beta1 = 0 adds nothing instead of NaN."""
-    if beta1 == 0:
-        return beta2 * dy
-    if beta2 == 0:
-        return beta1 * dx
-    return beta1 * dx + beta2 * dy
-
-
-def _survivors(beta1, beta2, dx_ends, dy_ends):
-    """Which labelsets of a block can hold the winner, from the (near, far)
-    ends of dx and of dy, (block, K) arrays: the ends that lower the score
-    bound every row's in the labelset from below, the others its best from
-    above; a labelset survives iff its lower bound is <= the least upper one."""
-    dxs = dx_ends if beta1 >= 0 else dx_ends[::-1]
-    dys = dy_ends if beta2 >= 0 else dy_ends[::-1]
-    lo, hi = (_score(beta1, beta2, dx, dy) for dx, dy in zip(dxs, dys))
-    return lo <= hi.min(axis=1, keepdims=True)
-
-
-def _argmin_rows(x, p_hat, features, labels, weights, squared):
-    """For each (beta1, beta2) of the tuple ``weights`` and each query row,
-    the training row minimizing (beta1*dx + beta2*dy, dy, dx, row index),
-    with its dx and dy: three (len(weights), n) arrays. dx goes from ``x``
-    to ``features``, dy from ``p_hat`` to ``labels``; with ``squared`` both
-    are the exact squared distances of ``kernels``, else their square roots.
-
-    ``kernels.screen`` puts dx² within m of G per row, and dy², one value
-    per labelset, within m_y of Gy, p-hat against the table (d = L). With g
-    the labelset's smallest G (largest when beta1 < 0), ``_survivors`` takes
-    the ends max(g - m, 0) and g + m of dx², and max(Gy - m_y, 0) and
-    Gy + m_y of dy²; rounded sqrt and the score are monotone. Within a
-    labelset the winner on (score, dy, dx) is, for beta1 >= 0, a row of
-    smallest exact dx, which the screen places within m/2 of g (the
-    ``kernels`` argument with the labelset's rows for all rows), so its
-    bound is g + m; for beta1 < 0 a rounding tie in the score can let a row
-    of smaller dx win, so its bound is +inf. Each weighting's bound is -inf
-    on the labelsets it drops. A full-scan row has G = 0 and m = inf: every
-    labelset survives when beta1 != 0, and when beta1 = 0 dy alone brackets
-    the score (p-hat in [0, 1] keeps m_y finite).
-
-    Per block one bound, the elementwise max of the weightings', keeps the
-    rows; only those get their exact dx and dy, once, and each weighting
-    picks its winner among all of them. A row that only another
-    weighting's bound keeps loses strictly. In a labelset that survives,
-    beta1 >= 0 (a bound of +inf keeps every row) and the row's G exceeds
-    g + m, so its exact dx² is more than m/2 above the labelset's least
-    (|G - E| <= m/4), far beyond the sqrt's rounding; its dy is the
-    labelset's, so it loses on the score or, at a rounding tie, on dx. In
-    a dropped labelset its score is at least the labelset's lower bound,
-    above another labelset's upper bound.
-    """
-    table, order, starts, sizes = _labelset_groups(labels)
-    # The rows in labelset order, and the labelsets, as the screen reads
-    # them; the exact kernel reads the same copies.
-    train = kernels.augment(features, order)
-    vertices = kernels.augment(table)
-    group_of = np.repeat(np.arange(len(sizes)), sizes)
-    dist = (lambda sq: sq) if squared else (lambda sq: np.sqrt(sq, out=sq))  # in place
-    n = x.shape[0]
-    rows = np.empty((len(weights), n), dtype=np.intp)
-    dx_out, dy_out = np.empty((2, len(weights), n))
-
-    def fill(block):
-        # A function, so that each block's (block, N) arrays die before the next's.
-        G, margin = kernels.screen(x[block], train)
-        # dy's interval ends; the far end is Gy + m_y, formed in Gy.
-        Gy, margin_y = kernels.screen(p_hat[block], vertices)
-        m_y = margin_y[:, None]
-        dy_ends = dist(np.maximum(Gy - m_y, 0.0)), dist(np.add(Gy, m_y, out=Gy))
-        # Each labelset's smallest G (largest for beta1 < 0), once per block.
-        extreme = {f: f.reduceat(G, starts, axis=1) for f in
-                   {np.minimum if beta1 >= 0 else np.maximum for beta1, _ in weights}}
-        m = margin[:, None]
-        bound = -np.inf
-        for beta1, beta2 in weights:
-            g = extreme[np.minimum if beta1 >= 0 else np.maximum]
-            survive = _survivors(beta1, beta2, (dist(np.maximum(g - m, 0.0)),
-                                                dist(g + m)), dy_ends)
-            bound = np.maximum(bound, np.where(
-                survive, g + m if beta1 >= 0 else np.inf, -np.inf))
-        keep = G <= np.repeat(bound, sizes, axis=1)
-        q, pos = np.divmod(np.flatnonzero(keep), keep.shape[1])
-        dx = dist(kernels.paired_sq_dists(x[block], train.rows, q, pos))
-        dy = dist(kernels.paired_sq_dists(p_hat[block], vertices.rows, q,
-                                          group_of[pos]))
-        j = order[pos]
-        for w, (beta1, beta2) in enumerate(weights):
-            first = _first_per_row(q, (_score(beta1, beta2, dx, dy), dy, dx, j))
-            rows[w, block], dx_out[w, block], dy_out[w, block] = (
-                j[first], dx[first], dy[first])
-
-    for block in kernels.blocks(n, features.shape[0]):
-        fill(block)
-    return rows, dx_out, dy_out
 
 
 def mine_pairs(p_hat, true_labels, t1_features_std, t1_labels, x_std):

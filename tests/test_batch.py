@@ -26,9 +26,10 @@ from nldd.evaluate import generate_synthetic
 from nldd.learner import (PROB_CLAMP, LinearProbModel, TrainingError,
                           predict_proba_matrix)
 from nldd.metrics import instance_metrics_matrix
-from nldd.model import (BinomialFit, NlddModel, _argmin_rows, _best_rows,
-                        mine_pairs, nldd_predict, nldd_train,
-                        predict_with_confidence, theta)
+from nldd.kernels import _argmin_rows
+from nldd.model import (BinomialFit, NlddModel, _best_rows, mine_pairs,
+                        nldd_predict, nldd_train, predict_with_confidence,
+                        theta)
 from nldd.persist import load_model, save_model
 from test_metrics import set_oracle
 from test_model import mine_pairs_oracle, pair_tuples, sq_dists

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import nldd
+from nldd.br import QueryRowError
 from nldd.cli import main
 from nldd.data import Dataset, save_csv, split_random
 from nldd.evaluate import generate_synthetic
@@ -329,6 +330,18 @@ class TestCompare:
             f"error: {other}: fold 0: standardised feature value overflows "
             "in data row 17\n")
 
+    def test_subclass_error_keeps_its_type_untagged(self, csv_path,
+                                                    monkeypatch, capsys):
+        # Only the tagged types themselves get the file's name: a subclass
+        # propagates as it is, as in cross_validate.
+        def cross_validate(*args, **kwargs):
+            raise QueryRowError("boom", 0)
+        monkeypatch.setattr("nldd.cli.cross_validate", cross_validate)
+        rc = main(["compare", "--data", csv_path, "--labels", "3",
+                   "--methods", "br,nldd", "--cv", "3"])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: boom in query row 1\n"
+
     def test_single_method_usage_error(self, csv_path):
         rc = main(["compare", "--data", csv_path, "--labels", "3",
                    "--methods", "br", "--cv", "3"])
@@ -528,7 +541,7 @@ class TestBoundaries:
         rc = main(["predict", "--model", model_path, "--data", str(query),
                    "--out", str(out_path), "--confidence"])
         assert rc == 3
-        assert "query row 2" in capsys.readouterr().err
+        assert f"{query}:3: non-finite feature cell" in capsys.readouterr().err
         assert not out_path.exists()
 
     def test_huge_feature_predicts_without_warnings(self, csv_path, tmp_path):
@@ -582,7 +595,9 @@ class TestBoundaries:
          2, "--cv must be >= 2"),
         # Refused before any file is loaded: the second file does not exist.
         (["compare", "--methods", "br,nldd", "--labels", "3", "--cv", "1",
-          "--data", "missing.csv"], 2, "--cv must be >= 2")])
+          "--data", "missing.csv"], 2, "--cv must be >= 2"),
+        (["predict", "--model", "nldd.json", "--labels", "-1"],
+         3, "label_count must be >= 0")])
     def test_option_combinations_refused(self, csv_path, tmp_path, capsys,
                                          argv, rc, message):
         methods = {"br.json": "br", "nldd.json": "nldd"}

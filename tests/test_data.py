@@ -10,9 +10,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nldd import data as data_module
 from nldd.cli import _load_features
-from nldd.data import (DataError, Dataset, _labelset_groups, dataset_summary,
+from nldd.data import (DataError, Dataset, dataset_summary,
                        load_csv, load_sparse, read_dense_csv, save_csv,
                        split_random, standardize_apply, standardize_fit)
+from nldd.kernels import _labelset_groups
 
 
 def _write(tmp_path, name, text):
@@ -99,11 +100,11 @@ def load_csv_cells(path, label_count):
             label_rows.append(labs)
     if not feat_rows:
         raise DataError(f"{path}: no data rows")
-    if not label_count:
-        return np.array(feat_rows)
     for lineno, feats in enumerate(feat_rows, start=2):
         if not all(map(math.isfinite, feats)):
             raise DataError(f"{path}:{lineno}: non-finite feature cell")
+    if not label_count:
+        return np.array(feat_rows)
     return Dataset(np.array(feat_rows), np.array(label_rows),
                    header[:d], header[d:])
 
@@ -194,8 +195,8 @@ class TestDenseCsvReader:
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=csv_files())
-    # A non-finite cell that the fast reader parses: load_csv, not either
-    # reader, refuses it.
+    # A non-finite cell that the fast reader parses: read_dense_csv, not
+    # either reader, refuses it.
     @example(case=(b'"f,0",f1,f2,l0,l1\n0.0,0.0,1E309,0,0\n', 2))
     def test_matches_cell_loop(self, tmp_path, case):
         raw, n_labels = case
@@ -612,6 +613,20 @@ class TestDatasetInvariants:
         features[1, 1] = value
         with pytest.raises(DataError, match="row 2, column 2 is not finite"):
             Dataset(features, np.array([[0], [1], [0]]))
+
+    @pytest.mark.parametrize("features, labels, names, message", [
+        (np.zeros(3), np.zeros((3, 1)), {}, "must be 2-dimensional"),
+        (np.zeros((3, 1)), np.zeros((3, 1, 1)), {}, "must be 2-dimensional"),
+        (np.zeros((0, 1)), np.zeros((0, 1)), {}, "at least one row"),
+        (np.zeros((3, 0)), np.zeros((3, 1)), {}, "one feature"),
+        (np.zeros((3, 1)), np.zeros((3, 0)), {}, "one label"),
+        (np.zeros((3, 2)), np.zeros((3, 1)), {"feature_names": ["a"]},
+         "feature_names length does not match"),
+        (np.zeros((3, 1)), np.zeros((3, 2)), {"label_names": ["a"]},
+         "label_names length does not match")])
+    def test_rejects_bad_shapes_and_names(self, features, labels, names, message):
+        with pytest.raises(DataError, match=message):
+            Dataset(features, labels, **names)
 
     def test_label_entry_named_one_based(self):
         labels = np.zeros((3, 2), dtype=np.int64)

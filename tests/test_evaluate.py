@@ -155,6 +155,12 @@ class TestWilcoxon:
         with pytest.raises(ValueError):
             wilcoxon_signed_rank([1.0], [2.0], alternative="both")
 
+    @pytest.mark.parametrize("a, b", [([], []), ([1.0, 2.0], [1.0])])
+    def test_empty_or_unequal_samples_refused(self, a, b):
+        with pytest.raises(ValueError, match="^samples must be nonempty and "
+                                             "of equal length$"):
+            wilcoxon_signed_rank(a, b)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("side", ["a", "b"])
     @pytest.mark.filterwarnings("error")
@@ -313,6 +319,8 @@ class TestGenerateSynthetic:
             generate_synthetic(4, 4, 3, 0.5, 0.2, seed=0)
         with pytest.raises(ValueError):
             generate_synthetic(50, 4, 3, 1.5, 0.2, seed=0)
+        with pytest.raises(ValueError, match="^noise must be >= 0$"):
+            generate_synthetic(50, 4, 3, 0.5, -0.1, seed=0)
 
 
 class TestScaling:

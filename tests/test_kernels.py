@@ -132,7 +132,8 @@ _ENGINE_DIGEST = """
 import hashlib
 import numpy as np
 from nldd.data import Dataset, standardize_apply, standardize_fit
-from nldd.model import _argmin_rows, mine_pairs
+from nldd.kernels import _argmin_rows
+from nldd.model import mine_pairs
 rng = np.random.default_rng(11)
 raw = rng.standard_normal((8000, 50)) * rng.uniform(0.5, 3.0, 50)
 labels = (rng.random((8000, 10)) < 0.3).astype(np.int64)
@@ -141,7 +142,7 @@ p_hat = rng.random((4000, 10))
 digest = hashlib.sha256()
 results = mine_pairs(p_hat, labels[4000:], x[:4000], labels[:4000], x[4000:])
 results += _argmin_rows(x[4000:4400], p_hat[:400], x[:4000], labels[:4000],
-                        ((-0.3, 1.9), (0.7, 0.4)), squared=False)
+                        ((-0.3, 1.9), (0.7, 0.4), (0.5, -0.8)), squared=False)
 for a in results:
     digest.update(np.ascontiguousarray(a).tobytes())
 print(digest.hexdigest())
@@ -152,7 +153,8 @@ def test_engine_does_not_depend_on_the_blas():
     # The screen's GEMM rounds differently on one thread, on two and on
     # OpenBLAS's SSE3 kernel (no fused multiply-add); the margin holds for
     # any of them, so the mined pairs and the winners, with a beta1 < 0
-    # among the weightings, must not change. One child per setting.
+    # and a beta2 < 0 among the weightings, must not change. One child per
+    # setting.
     src = os.path.dirname(os.path.dirname(nldd.__file__))
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")}

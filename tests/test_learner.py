@@ -572,6 +572,17 @@ class TestStackedIRLS:
         assert model.weights.tobytes() == (0.5 ** 20 * -g).tobytes()
         assert (model.iterations, model.converged) == (1, False)
 
+    def test_non_finite_weights_are_a_training_error(self, monkeypatch):
+        # An infinite step survives every halving and is taken untested;
+        # the fit refuses the weights it leads to instead of returning them.
+        X, y = _synthetic(2)
+        monkeypatch.setattr(learner, "_newton_steps", lambda Xc, mu, wt, G, *rest:
+                            (np.full_like(G, np.inf), np.ones(len(G), bool)))
+        with pytest.raises(TrainingError, match="^logistic fit diverged to "
+                                                "non-finite weights$"), \
+                np.errstate(all="ignore"):
+            fit_logistic(_design(X), y[:, None], max_iter=1)
+
     def test_duplicated_feature_trains_with_equal_weights(self):
         # Exact Newton meets a singular Hessian here, with lambda too small
         # to change its diagonal. CG never leaves the span of the gradients,

@@ -262,6 +262,13 @@ def test_classifier_that_load_refuses_not_saved(dataset, tmp_path, method,
     _assert_not_saved(_first_classifier(model, edit), tmp_path, message)
 
 
+def test_save_refuses_an_object_that_is_not_a_model(tmp_path):
+    path = tmp_path / "m.json"
+    with pytest.raises(TypeError, match="^cannot serialize dict$"):
+        save_model({"method": "br"}, str(path))
+    assert not path.exists()
+
+
 def test_unknown_format_version_rejected(tmp_path):
     # true and 1.0 equal 1 in Python but are no format version.
     path = tmp_path / "bad.json"
