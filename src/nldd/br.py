@@ -43,12 +43,8 @@ def br_fit(train, lam=1.0, start=None):
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError(f"lambda must be finite and > 0, got {lam}")
     stats = standardize_fit(train)
-    # Standardised straight into the design matrix beside its intercept
-    # column, and the float targets laid out as the Newton loop reads them
-    # (one C-contiguous row per label): fit_logistic copies neither.
-    X1 = np.empty((train.n, train.d + 1))
-    X1[:, 0] = 1.0
-    standardize_apply(stats, train.features, out=X1[:, 1:])
+    X1 = np.column_stack([np.ones(train.n),
+                          standardize_apply(stats, train.features)])
     labels = train.labels
     constant = labels.min(axis=0) == labels.max(axis=0)
     targets = np.ascontiguousarray(labels.T[~constant], dtype=np.float64).T

@@ -13,7 +13,7 @@ import numpy as np
 from .br import br_fit, br_predict
 from .data import (DataError, dataset_summary, load_csv, load_sparse,
                    read_dense_csv)
-from .evaluate import (_FOLD_TAGGED, _check_methods, average_ranks,
+from .evaluate import (_check_methods, _tagged, average_ranks,
                        cross_validate, holdout_eval, scaling_experiment,
                        wilcoxon_signed_rank, METHODS)
 from .learner import TrainingError
@@ -147,14 +147,10 @@ def cmd_compare(args):
     # Per dataset, each method's (fold reports, mean report).
     results = []
     for path, data in zip(args.data, datasets):
-        try:
+        with _tagged(path):
             results.append(cross_validate(
                 data, tuple(methods), args.cv, args.seed, lam=args.lam,
                 subsample_fraction=args.subsample))
-        except _FOLD_TAGGED as exc:  # as cross_validate names a fold
-            if type(exc) not in _FOLD_TAGGED:
-                raise
-            raise type(exc)(f"{path}: {exc}") from exc
 
     print("per-method per-dataset means:")
     for di, by_method in enumerate(results):

@@ -334,16 +334,15 @@ def standardize_fit(train):
     return StandardizationStats(means=means, sds=sds)
 
 
-def standardize_apply(stats, features, out=None):
+def standardize_apply(stats, features):
     """z = (x - mean)/sd per column of an (n, d) matrix; sd-zero columns
-    map to all zeros. ``out``, an (n, d) float64 array or view, receives z
-    in place of a new array."""
+    map to all zeros."""
     features = np.asarray(features, dtype=np.float64)
     if features.shape[1] != stats.means.shape[0]:
         raise DataError(f"feature dimension {features.shape[1]} does not match "
                         f"stats dimension {stats.means.shape[0]}")
     sds = np.where(stats.sds > 0, stats.sds, 1.0)
-    z = np.subtract(features, stats.means, out=out)
+    z = features - stats.means
     np.divide(z, sds, out=z)
     z[:, stats.sds == 0] = 0.0
     return z

@@ -4,6 +4,7 @@ training-subsample scaling experiment."""
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -15,10 +16,17 @@ from .metrics import aggregate, instance_metrics_matrix
 from .model import nldd_predict, nldd_train
 
 METHODS = ("br", "smbr", "nldd")
-# Errors cross_validate re-raises with the fold number in the message; any
-# other exception type may take other constructor arguments, so it
-# propagates as it is.
-_FOLD_TAGGED = (DataError, TrainingError, ValueError)
+
+
+@contextmanager
+def _tagged(prefix):
+    """Prefix the message of exact DataError, TrainingError and ValueError."""
+    try:
+        yield
+    except Exception as exc:
+        if type(exc) not in (DataError, TrainingError, ValueError):
+            raise  # a subclass may take other constructor arguments
+        raise type(exc)(f"{prefix}: {exc}") from exc
 
 
 @dataclass
@@ -68,14 +76,10 @@ def cross_validate(data, methods, k, seed, lam=1.0, subsample_fraction=1.0):
     fold_reports = {m: [] for m in methods}
     for fold in range(k):
         test = data.subset(np.flatnonzero(folds == fold))
-        try:
+        with _tagged(f"fold {fold}"):
             reports = holdout_eval(
                 data.subset(np.flatnonzero(folds != fold)), test, methods,
                 seed=seed, lam=lam, subsample_fraction=subsample_fraction)
-        except _FOLD_TAGGED as exc:
-            if type(exc) not in _FOLD_TAGGED:
-                raise
-            raise type(exc)(f"fold {fold}: {exc}") from exc
         for m in methods:
             fold_reports[m].append(reports[m])
     results = {}

@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import asdict
+from itertools import chain
 
 import numpy as np
 
@@ -109,12 +110,18 @@ def _get(doc, key):
 
 
 def _floats(doc, key, name=None):
-    """``doc[key]`` as a float64 array; DataError if it is not numeric."""
+    """``doc[key]`` as a float64 array; DataError if it is not numeric or a
+    cell is not a JSON number."""
     value = _get(doc, key)
     try:  # OverflowError: an int past the float range
-        return np.array(value, dtype=np.float64)
+        arr = np.array(value, dtype=np.float64)
+        # float64 reads "1.5" or true as a number; save_model writes neither.
+        cells = chain.from_iterable(value) if arr.ndim == 2 else value
+        if arr.ndim not in (1, 2) or set(map(type, cells)) <= {float, int}:
+            return arr  # _check refuses a shape other than 1-D or 2-D
     except (TypeError, ValueError, OverflowError):
-        raise DataError(f"{name or key} is not a numeric array") from None
+        pass
+    raise DataError(f"{name or key} is not a numeric array")
 
 
 def _classifier_doc(clf):

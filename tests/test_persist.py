@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -403,6 +404,45 @@ def test_malformed_nldd_model_rejected(dataset, tmp_path, edit, message):
         _load_doc(doc, tmp_path)
 
 
+# A list holding cells of each array field; float64 would read a cell that
+# is a string or a JSON boolean as readily as a number.
+_CELL_ROWS = {
+    "means": lambda doc: doc["br"]["stats"]["means"],
+    "sds": lambda doc: doc["br"]["stats"]["sds"],
+    "classifier weights": lambda doc: doc["br"]["classifiers"][0]["weights"],
+    "train_features_std": lambda doc: doc["train_features_std"][4],
+    "train_labelsets": lambda doc: doc["train_labelsets"][3],
+}
+
+
+@pytest.mark.parametrize("field", _CELL_ROWS)
+def test_string_cell_rejected(dataset, tmp_path, field):
+    doc = _nldd_doc(dataset, tmp_path)
+    row = _CELL_ROWS[field](doc)
+    row[0] = repr(row[0])  # the same number, as a string
+    with pytest.raises(DataError, match=f"{field} is not a numeric array"):
+        _load_doc(doc, tmp_path)
+
+
+@pytest.mark.parametrize("field", _CELL_ROWS)
+def test_boolean_cell_rejected(dataset, tmp_path, field):
+    doc = _nldd_doc(dataset, tmp_path)
+    _CELL_ROWS[field](doc)[0] = True
+    with pytest.raises(DataError, match=f"{field} is not a numeric array"):
+        _load_doc(doc, tmp_path)
+
+
+def test_integer_cells_load(dataset, tmp_path):
+    doc = _nldd_doc(dataset, tmp_path)
+    for row in _CELL_ROWS.values():
+        row(doc)[0] = 1
+    _, back = _load_doc(doc, tmp_path)
+    for got in (back.br.stats.means, back.br.stats.sds,
+                back.br.classifiers[0].weights, back.train_features_std[4],
+                back.train_labelsets[3]):
+        assert got[0] == 1
+
+
 def test_non_finite_gradient_norm_loads(dataset, tmp_path):
     # A fit that stopped before its first gradient reports an infinite norm.
     doc = _nldd_doc(dataset, tmp_path)
@@ -550,3 +590,28 @@ def test_save_refuses_or_round_trips(model):
             with pytest.raises(DataError) as info:
                 load_model(dumped)
             assert str(info.value).endswith(f": malformed model file: {refused}")
+
+
+# A format-1 model file written before the reader grew strict, with query
+# rows and the labelsets and theta-hats (as repr) that its writer predicted
+# for them: generate_synthetic(40, 3, 3, 0.8, 0.3, seed=0) trained by
+# nldd_train(data, seed=0). A later reader must load it to the same bits.
+_FIXTURE = Path(__file__).parent / "data" / "format1_nldd.json"
+
+
+def test_format1_fixture_predicts_the_same_bits():
+    method, model = load_model(str(_FIXTURE))
+    assert method == "nldd"
+    want = json.loads(_FIXTURE.with_name("format1_nldd_predictions.json")
+                      .read_text())
+    labelsets, theta = predict_with_confidence(model,
+                                               np.array(want["queries"]))
+    assert labelsets.tolist() == want["labelsets"]
+    assert [repr(t) for t in theta.tolist()] == want["theta"]
+
+
+def test_format1_fixture_rewrites_byte_for_byte(tmp_path):
+    _, model = load_model(str(_FIXTURE))
+    path = tmp_path / "again.json"
+    save_model(model, str(path))
+    assert path.read_bytes() == _FIXTURE.read_bytes()
