@@ -1,5 +1,6 @@
 """Binary Relevance layer and the Subset-Mapping (SMBR) baseline."""
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -7,19 +8,41 @@ import numpy as np
 from . import kernels
 from .data import DataError, standardize_apply, standardize_fit
 from .kernels import _labelset_groups
-from .learner import (LinearProbModel, fit_fallback, fit_logistic,
-                      predict_proba_matrix)
+from .learner import (LinearProbModel, TrainingError, fit_fallback,
+                      fit_logistic, predict_proba_matrix)
 
 
 class QueryRowError(DataError):
     """A refused query row: ``problem`` says what is wrong with the batch's
-    0-based row ``row``. ``_queries`` raises it, and so does ``mine_pairs``
-    for a query row with a non-finite input cell or whose mined distance
-    overflows."""
+    0-based row ``row``. ``_queries`` and ``mine_pairs`` raise it, and only
+    ``_tagged`` reads ``problem`` and ``row``."""
 
     def __init__(self, problem, row):
         super().__init__(f"{problem} in query row {row + 1}")
         self.problem, self.row = problem, row
+
+
+@contextmanager
+def _tagged(prefix=None, row_ids=None, row_word="data row"):
+    """Re-raise the block's errors in the caller's terms. Given the batch's
+    ``row_ids``, a QueryRowError becomes a DataError, ``from None``, naming
+    ``row_word`` ``row_ids[row] + 1`` after any ``prefix``. Given a
+    ``prefix``, an exact DataError, TrainingError or ValueError is raised
+    again, ``from`` itself, with the prefixed message. Anything else passes
+    unchanged: a subclass may take other constructor arguments (a
+    UnicodeDecodeError takes five)."""
+    try:
+        yield
+    except QueryRowError as exc:
+        if row_ids is None:
+            raise
+        head = f"{prefix}: " if prefix else ""
+        raise DataError(f"{head}{exc.problem} in {row_word} "
+                        f"{row_ids[exc.row] + 1}") from None
+    except Exception as exc:
+        if not prefix or type(exc) not in (DataError, TrainingError, ValueError):
+            raise
+        raise type(exc)(f"{prefix}: {exc}") from exc
 
 
 @dataclass

@@ -10,12 +10,12 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .br import br_fit, br_predict
+from .br import _tagged, br_fit, br_predict
 from .data import (DataError, dataset_summary, load_csv, load_sparse,
                    read_dense_csv)
-from .evaluate import (_check_methods, _tagged, average_ranks,
-                       cross_validate, holdout_eval, scaling_experiment,
-                       wilcoxon_signed_rank, METHODS)
+from .evaluate import (_check_methods, average_ranks, cross_validate,
+                       holdout_eval, scaling_experiment, wilcoxon_signed_rank,
+                       METHODS)
 from .learner import TrainingError
 from .model import nldd_predict, nldd_train, predict_with_confidence
 from .persist import load_model, save_model

@@ -4,29 +4,16 @@ training-subsample scaling experiment."""
 
 import math
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .br import QueryRowError, br_fit, br_predict, smbr_predict
+from .br import _tagged, br_fit, br_predict, smbr_predict
 from .data import DataError, Dataset
-from .learner import TrainingError
 from .metrics import aggregate, instance_metrics_matrix
 from .model import nldd_predict, nldd_train
 
 METHODS = ("br", "smbr", "nldd")
-
-
-@contextmanager
-def _tagged(prefix):
-    """Prefix the message of exact DataError, TrainingError and ValueError."""
-    try:
-        yield
-    except Exception as exc:
-        if type(exc) not in (DataError, TrainingError, ValueError):
-            raise  # a subclass may take other constructor arguments
-        raise type(exc)(f"{prefix}: {exc}") from exc
 
 
 @dataclass
@@ -120,16 +107,13 @@ def holdout_eval(train, test, methods, seed=0, lam=1.0,
         br = br_fit(train, lam=lam)
     reports = {}
     for m in methods:
-        try:
+        with _tagged(row_ids=test.row_ids):  # a test row, against the fit
             if m == "nldd":
                 pred = nldd_predict(nldd, test.features)
             elif m == "br":
                 pred = br_predict(br, test.features)
             else:
                 pred = smbr_predict(br, train, test.features)
-        except QueryRowError as exc:  # a test row, queried against the fit
-            raise DataError(f"{exc.problem} in data row "
-                            f"{test.row_ids[exc.row] + 1}") from None
         reports[m] = aggregate(instance_metrics_matrix(test.labels, pred))
     return reports
 
@@ -257,11 +241,8 @@ def scaling_experiment(data, fractions, seed, lam=1.0):
     for f in fractions:
         t0 = time.perf_counter()
         model = nldd_train(train, seed, lam=lam, subsample_fraction=f)
-        try:
+        with _tagged(row_ids=test.row_ids):
             pred = nldd_predict(model, test.features)
-        except QueryRowError as exc:
-            raise DataError(f"{exc.problem} in data row "
-                            f"{test.row_ids[exc.row] + 1}") from None
         hl = np.mean(instance_metrics_matrix(test.labels, pred)[:, 0])
         rows.append({
             "fraction": f,

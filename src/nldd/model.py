@@ -8,8 +8,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .br import QueryRowError, _queries, br_fit
-from .data import DataError, split_random, standardize_apply
+from .br import QueryRowError, _queries, _tagged, br_fit
+from .data import split_random, standardize_apply
 from .kernels import _argmin_rows, _score
 from .learner import PROB_CLAMP, TrainingError, _sigmoid, fit_logistic
 
@@ -179,19 +179,14 @@ def _fit_pair_model(sub, seed, lam):
     # of them outlives the BR fit on T1 or the standardisation of T2.
     br_star = br_fit(sub.subset(t1_indices), lam)
     t1_std = standardize_apply(br_star.stats, sub.features[t1_indices])
-    try:
+    with _tagged("T2 half of the training split", sub.row_ids[t2_indices],
+                 "training row"):
         t2_std, p_hat = _queries(br_star, sub.features[t2_indices])
         dx, dy, losses = mine_pairs(p_hat, sub.labels[t2_indices], t1_std,
                                     sub.labels[t1_indices], t2_std)
-    except QueryRowError as exc:  # T2's rows, queried against T1 and mined
-        row = sub.row_ids[t2_indices[exc.row]]
-        raise DataError(f"T2 half of the training split: {exc.problem} in "
-                        f"training row {row + 1}") from None
 
-    try:
+    with _tagged("binomial regression failed on mined pairs"):
         fit = fit_binomial_glm(dx, dy, losses, sub.n_labels)
-    except TrainingError as exc:
-        raise TrainingError(f"binomial regression failed on mined pairs: {exc}") from exc
     if not fit.converged:
         # Pure label-space nearest labelset keeps the pipeline usable.
         warnings.warn("binomial regression did not converge; falling back to "

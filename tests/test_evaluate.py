@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from nldd import cli
 from nldd.data import DataError, Dataset, dataset_summary
 from nldd import br as br_module
+from nldd.br import QueryRowError, _tagged
 from nldd.evaluate import (METHODS, average_ranks, cross_validate,
                            generate_synthetic, holdout_eval, make_folds,
                            scaling_experiment, wilcoxon_signed_rank)
@@ -422,6 +423,48 @@ class TestFoldErrors:
         with pytest.raises(UnicodeDecodeError) as info:
             cross_validate(ds, ("br",), k=3, seed=0)
         assert info.value is original
+
+
+class TestTagged:
+    """``_tagged`` itself: both of its jobs, and what it leaves alone."""
+    ROW_IDS = np.array([4, 9, 11])
+
+    def _raised(self, exc, *args, **kwargs):
+        with pytest.raises(Exception) as info:
+            with _tagged(*args, **kwargs):
+                raise exc
+        return info.value
+
+    def test_refused_row_named_by_its_data_row(self):
+        err = self._raised(QueryRowError("boom", 1), row_ids=self.ROW_IDS)
+        assert type(err) is DataError
+        assert str(err) == "boom in data row 10"
+        assert err.__cause__ is None and err.__suppress_context__
+
+    def test_refused_row_after_a_prefix(self):
+        err = self._raised(QueryRowError("boom", 2), "T2", self.ROW_IDS,
+                           "training row")
+        assert type(err) is DataError
+        assert str(err) == "T2: boom in training row 12"
+        assert err.__cause__ is None and err.__suppress_context__
+
+    @pytest.mark.parametrize("prefix", [None, "fold 0"])
+    def test_refused_row_without_row_ids_passes_unchanged(self, prefix):
+        original = QueryRowError("boom", 1)
+        assert self._raised(original, prefix) is original
+
+    @pytest.mark.parametrize("exc_type", [DataError, TrainingError, ValueError])
+    def test_prefixed_error_keeps_the_original_as_cause(self, exc_type):
+        original = exc_type("boom")
+        err = self._raised(original, "fold 3", self.ROW_IDS)
+        assert type(err) is exc_type
+        assert str(err) == "fold 3: boom"
+        assert err.__cause__ is original
+
+    @pytest.mark.parametrize("exc_type", [DataError, TrainingError, ValueError])
+    def test_no_prefix_leaves_other_errors_alone(self, exc_type):
+        original = exc_type("boom")
+        assert self._raised(original, row_ids=self.ROW_IDS) is original
 
 
 class TestBatchedEvaluation:
